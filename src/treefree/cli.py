@@ -1,7 +1,8 @@
 """Named checks and the command-line surface.
 
 Subcommands: gen, check, chi, verify, scan, theorem.  Exit codes: 0 all
-pass, 1 a checked failure, 2 usage or format errors.
+pass, 1 a checked failure, 2 usage, input or format errors (one stderr line,
+no traceback).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
 from .core import Graph, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
@@ -76,6 +77,8 @@ def _freeness_sweep(
 
 def _lemma_22_witnesses(s: int = 5) -> Report:
     """Replay the three fixed induced-subtree witnesses inside h1(s)."""
+    if s < 5:
+        raise UsageError(f"lemma 2.2w needs s >= 5 (its witnesses use five 6-cycles), got {s}")
     t0 = time.perf_counter()
     host = families.h1(s).graph
     cases = [
@@ -413,14 +416,16 @@ def scan_corpus(
 
 # ------------------------------------------------------------------ CLI
 
-def _parse_range(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _parse_range(text: str) -> tuple[int, int]:
+    """``A..B`` or ``A`` as a size range with 1 <= A <= B."""
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid size range {text!r}, expected A..B") from None
+    if not 1 <= bounds[0] <= bounds[1]:
+        raise argparse.ArgumentTypeError(f"size range {text!r} needs 1 <= A <= B")
+    return bounds
 
 
 def _emit_reports(reports: list[Report], path: str | None) -> None:
@@ -467,7 +472,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rep = verify_lemma(args.lemma, s_range=_parse_range(args.s), seed=args.seed)
+    rep = verify_lemma(args.lemma, s_range=args.s, seed=args.seed)
     _emit_reports([rep], args.report)
     return _exit_code([rep])
 
@@ -489,8 +494,15 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     return _exit_code(reports)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treefree",
         description="Exact checks for forbidden-tree characterizations of girth-5 graphs.",
     )
@@ -513,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named lemma check")
     p.add_argument("--lemma", required=True)
-    p.add_argument("--s", default=None, help="size range A..B")
+    p.add_argument("--s", type=_parse_range, default=None, help="size range A..B")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -549,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except TreefreeError as exc:
+    except (TreefreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,14 @@
 """Induced-subgraph containment, embedding enumeration, and isomorphism.
 
-The main search places pattern vertices in a connected order (max-degree
-first) and forward-checks candidate bitmasks: adjacency and non-adjacency
-against every placed image, plus a distance filter (an induced image can
-only shrink distances, so the image of q lies within pattern-distance of the
-image of p).  Candidates are scanned in ascending host id, which makes every
-returned witness deterministic.
+One search core serves all three.  It places pattern vertices in a
+connected order (max-degree first) and forward-checks candidate bitmasks:
+adjacency and non-adjacency against every placed image, plus a distance
+filter (an induced image can only shrink distances, so the image of q lies
+within pattern-distance of the image of p).  A host vertex's distance balls
+are grown by bitset frontiers only when the search first places it.
+Candidates are scanned in ascending host id, which makes every returned
+witness deterministic.  Isomorphism is an induced embedding between graphs
+of equal order and size, started from the color-refinement classes.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from .errors import CapacityError
 
 PATTERN_CAP = 16
 ISO_CAP = 64
-ORACLE_PATTERN_CAP = 8
-ORACLE_HOST_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -58,44 +59,55 @@ def _all_pairs_dist(g: Graph) -> list[list[int]]:
     return [bfs_levels(g, v) for v in range(g.n)]
 
 
-def _balls(host: Graph, radius: int) -> list[list[int]]:
-    """balls[h][r] = bitmask of vertices at distance <= r from h."""
-    out = []
-    for h in range(host.n):
-        dist = bfs_levels(host, h)
-        acc = [0] * (radius + 1)
-        for v, d in enumerate(dist):
-            if 0 <= d <= radius:
-                for r in range(d, radius + 1):
-                    acc[r] |= 1 << v
-        out.append(acc)
-    return out
+def _search(
+    pattern: Graph, host: Graph, limit: int | None, initial: Sequence[int] | None = None
+) -> list[Embedding]:
+    """Induced embeddings in search order, stopping after ``limit``.
 
-
-def _search(pattern: Graph, host: Graph, limit: int | None) -> list[Embedding]:
-    k = pattern.n
-    if k > PATTERN_CAP:
-        raise CapacityError(f"pattern has {k} > {PATTERN_CAP} vertices")
+    ``initial[q]``, when given, is a mask of the host vertices q may map to.
+    """
+    k, n = pattern.n, host.n
     if k == 0:
         return [Embedding(())]
-    if k > host.n:
+    if k > n:
         return []
     order = _search_order(pattern)
     pdist = _all_pairs_dist(pattern)
-    maxr = max((d for row in pdist for d in row if d > 0), default=0)
-    ball = _balls(host, maxr)
-    hrow = [host.row(x) for x in range(host.n)]
-    full = (1 << host.n) - 1
+    maxr = max(max(row) for row in pdist)
+    # steps[idx]: the forward checks made once order[idx] is placed.  A
+    # pattern distance of -1 (another component) indexes the last ball row,
+    # which is the whole host: no distance bound.
+    steps = [[(r, pattern.has_edge(q, r), pdist[q][r]) for r in order[idx + 1:]]
+             for idx, q in enumerate(order)]
+    hrow = [host.row(x) for x in range(n)]
+    full = (1 << n) - 1
     base = [0] * k
     for q in range(k):
         dq = pattern.degree(q)
         m = 0
-        for x in range(host.n):
+        for x in range(n):
             if hrow[x].bit_count() >= dq:
                 m |= 1 << x
-        base[q] = m
+        base[q] = m if initial is None else m & initial[q]
+    balls: dict[int, list[int]] = {}
     mapping = [-1] * k
     found: list[Embedding] = []
+
+    def ball_rows(h: int) -> list[int]:
+        """[ball_0, ..., ball_maxr, full]; ball_r = host vertices within r of h."""
+        seen = frontier = 1 << h
+        rows = [seen]
+        for _ in range(maxr):
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= hrow[low.bit_length() - 1]
+            frontier = grown & ~seen
+            seen |= frontier
+            rows.append(seen)
+        rows.append(full)
+        return rows
 
     def place(idx: int, cand: list[int]) -> bool:
         q = order[idx]
@@ -111,15 +123,15 @@ def _search(pattern: Graph, host: Graph, limit: int | None) -> list[Embedding]:
                 if limit is not None and len(found) >= limit:
                     return True
                 continue
-            nxt = cand[:]
+            rows = balls.get(h)
+            if rows is None:
+                rows = balls[h] = ball_rows(h)
             adj = hrow[h]
             nonadj = full & ~adj & ~low
+            nxt = cand[:]
             ok = True
-            for r in order[idx + 1:]:
-                c = nxt[r] & (adj if pattern.has_edge(q, r) else nonadj)
-                d = pdist[q][r]
-                if d > 0:
-                    c &= ball[h][d]
+            for r, is_adj, d in steps[idx]:
+                c = nxt[r] & adj if is_adj else nxt[r] & nonadj & rows[d]
                 if c == 0:
                     ok = False
                     break
@@ -137,12 +149,14 @@ def _search(pattern: Graph, host: Graph, limit: int | None) -> list[Embedding]:
 
 def find_induced(pattern: Graph, host: Graph) -> Embedding | None:
     """First induced embedding of ``pattern`` in ``host``, or None."""
-    out = _search(pattern, host, limit=1)
+    out = find_all_induced(pattern, host, limit=1)
     return out[0] if out else None
 
 
 def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[Embedding]:
     """Every induced embedding (up to ``limit``), in deterministic order."""
+    if pattern.n > PATTERN_CAP:
+        raise CapacityError(f"pattern has {pattern.n} > {PATTERN_CAP} vertices")
     return _search(pattern, host, limit=limit)
 
 
@@ -174,38 +188,6 @@ def verify_embedding(
     return True
 
 
-def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
-    """Validation oracle: exhaustive assignment in natural vertex order.
-
-    No degree filter, no reordering, no look-ahead; prefixes are abandoned
-    only once they already violate the induced condition.
-    """
-    k, n = pattern.n, host.n
-    if k > ORACLE_PATTERN_CAP:
-        raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
-    if n > ORACLE_HOST_CAP:
-        raise CapacityError(f"oracle host cap is {ORACLE_HOST_CAP}")
-    if k == 0:
-        return Embedding(())
-    chosen: list[int] = []
-
-    def extend() -> bool:
-        i = len(chosen)
-        if i == k:
-            return True
-        for h in range(n):
-            if h in chosen:
-                continue
-            if all(pattern.has_edge(i, j) == host.has_edge(h, chosen[j]) for j in range(i)):
-                chosen.append(h)
-                if extend():
-                    return True
-                chosen.pop()
-        return False
-
-    return Embedding(tuple(chosen)) if extend() else None
-
-
 def _joint_wl_colors(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Neighbor-color refinement over both graphs against one shared table.
 
@@ -227,51 +209,15 @@ def _joint_wl_colors(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism decision via color-refined backtracking."""
+    """Exact isomorphism: an induced embedding of g onto h that keeps refinement colors."""
     if g.n > ISO_CAP or h.n > ISO_CAP:
         raise CapacityError(f"isomorphism cap is {ISO_CAP} vertices")
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    n = g.n
-    if n == 0:
-        return True
     gc, hc = _joint_wl_colors(g, h)
     if sorted(gc) != sorted(hc):
         return False
-    # candidates restricted to matching refinement colors
-    cand = [0] * n
-    for v in range(n):
-        for x in range(n):
-            if gc[v] == hc[x]:
-                cand[v] |= 1 << x
-    order = sorted(range(n), key=lambda v: (cand[v].bit_count(), -g.degree(v), v))
-    full = (1 << n) - 1
-    mapping = [-1] * n
-
-    def place(idx: int, masks: list[int]) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        m = masks[v]
-        while m:
-            low = m & -m
-            m ^= low
-            x = low.bit_length() - 1
-            adj = h.row(x)
-            nonadj = full & ~adj & ~low
-            nxt = masks[:]
-            ok = True
-            for w in order[idx + 1:]:
-                c = nxt[w] & (adj if g.has_edge(v, w) else nonadj)
-                if c == 0:
-                    ok = False
-                    break
-                nxt[w] = c
-            if ok:
-                mapping[v] = x
-                if place(idx + 1, nxt):
-                    return True
-                mapping[v] = -1
-        return False
-
-    return place(0, cand)
+    classes: dict[int, int] = {}
+    for x, c in enumerate(hc):
+        classes[c] = classes.get(c, 0) | 1 << x
+    return bool(_search(g, h, limit=1, initial=[classes[c] for c in gc]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Iterator
 
-from .core import Graph
+from .core import VERTEX_CAP, Graph
 from .errors import CapacityError, FormatError
 
 HEADER = ">>graph6<<"
@@ -44,6 +44,8 @@ def parse_graph6(text: str) -> Graph:
         n = 0
         for ch in s[1:4]:
             n = n << 6 | (ord(ch) - 63)
+        if n > VERTEX_CAP:
+            raise FormatError(f"vertex count {n} above the cap of {VERTEX_CAP}", offset=1)
         body = s[4:]
         pos = 4
     else:

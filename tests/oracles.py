@@ -10,8 +10,12 @@ from itertools import combinations, permutations
 from random import Random
 
 from treefree.core import Graph, build
+from treefree.embed import Embedding
+from treefree.errors import CapacityError
 
 INF = float("inf")
+ORACLE_PATTERN_CAP = 8
+ORACLE_HOST_CAP = 40
 
 
 def random_graph(rng: Random, n: int, p: float) -> Graph:
@@ -235,3 +239,35 @@ def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
 def random_tree(rng: Random, n: int) -> Graph:
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     return build(n, edges)
+
+
+def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
+    """Exhaustive assignment in natural vertex order.
+
+    No degree filter, no reordering, no look-ahead; prefixes are abandoned
+    only once they already violate the induced condition.
+    """
+    k, n = pattern.n, host.n
+    if k > ORACLE_PATTERN_CAP:
+        raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
+    if n > ORACLE_HOST_CAP:
+        raise CapacityError(f"oracle host cap is {ORACLE_HOST_CAP}")
+    if k == 0:
+        return Embedding(())
+    chosen: list[int] = []
+
+    def extend() -> bool:
+        i = len(chosen)
+        if i == k:
+            return True
+        for h in range(n):
+            if h in chosen:
+                continue
+            if all(pattern.has_edge(i, j) == host.has_edge(h, chosen[j]) for j in range(i)):
+                chosen.append(h)
+                if extend():
+                    return True
+                chosen.pop()
+        return False
+
+    return Embedding(tuple(chosen)) if extend() else None

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from treefree.cli import (
+    DIAM_CLAUSES,
     check_diam_theorem,
     check_maxdeg_theorem,
     main,
@@ -12,10 +13,11 @@ from treefree.cli import (
     verify_lemma,
 )
 from treefree.core import build
+from treefree.embed import verify_embedding
 from treefree.errors import UsageError
 from treefree.families import gp, h1
 from treefree.graphio import emit_graph6, parse_graph6
-from treefree.patterns import contracted_heawood, cycle, heawood, petersen
+from treefree.patterns import contracted_heawood, cycle, heawood, make, petersen
 
 
 def _named_graph_corpus():
@@ -50,6 +52,21 @@ def test_diam_theorem_reports():
     assert rep.status == "vacuous" and not rep.passed and rep.counterexample is None
     rep = check_diam_theorem(cycle(9).graph)  # min degree 2: gate fails
     assert rep.status == "vacuous" and "gate" in rep.params["reason"]
+
+
+def test_diam_theorem_reaches_the_t8_clauses():
+    for n in (65, 81, 129):
+        host = gp(n).graph
+        rep = check_diam_theorem(host)
+        diam = rep.params["diameter"]
+        assert diam >= 16 and rep.status == "checked" and rep.passed
+        for name, threshold in DIAM_CLAUSES:
+            clause = rep.witness[name]
+            assert clause["checked"] == (diam >= threshold)
+            if clause["checked"]:
+                emb = clause["embedding"]
+                assert clause["found"] and verify_embedding(make(name).graph, host, emb)
+    assert rep.witness["T8_1"]["checked"]  # gp(129) reaches diam >= 20
 
 
 def test_maxdeg_theorem_reports():
@@ -141,6 +158,25 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
     bad.write_text("B`\n")
     assert main(["chi", "--input", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _exit_two_with_one_line(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+
+
+def test_cli_bad_size_range_exits_two(capsys):
+    _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", "a..b"], "'a..b'")
+
+
+def test_cli_missing_corpus_exits_two(capsys, tmp_path):
+    missing = str(tmp_path / "missing.g6")
+    _exit_two_with_one_line(capsys, ["scan", "--corpus", missing, "--tree", "S8:0001"], missing)
+
+
+def test_cli_lemma_22w_below_witness_size_exits_two(capsys):
+    _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "1"], "s >= 5")
 
 
 def test_cli_vacuous_is_not_failure(capsys, tmp_path):

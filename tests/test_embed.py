@@ -11,14 +11,13 @@ from treefree.embed import (
     find_induced,
     is_free,
     is_isomorphic,
-    oracle_find_induced,
     verify_embedding,
 )
 from treefree.errors import CapacityError
-from treefree.families import h1, h1_u, h1_v
-from treefree.patterns import cycle, path, petersen, tstar_tree
+from treefree.families import gp, h1, h1_u, h1_v, h2, h3, h4
+from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
-from .oracles import perm_isomorphic, random_graph
+from .oracles import oracle_find_induced, perm_isomorphic, random_graph
 
 K3 = build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -163,3 +162,77 @@ def test_petersen_p6():
     fast = find_induced(path(6).graph, pet)
     slow = oracle_find_induced(path(6).graph, pet)
     assert (fast is None) == (slow is None)
+
+
+def test_pattern_components_may_land_beyond_every_pattern_distance():
+    # the largest finite distance in K2+K1 and 2K2 is 1, yet in a path every
+    # induced copy puts the components at host distance >= 2
+    k2_k1 = build(3, [(0, 1)])
+    two_k2 = build(4, [(0, 1), (2, 3)])
+    p4, p5 = path(4).graph, path(5).graph
+    assert find_induced(k2_k1, p4) == oracle_find_induced(k2_k1, p4) == Embedding((0, 1, 3))
+    embs = find_all_induced(two_k2, p5)
+    assert len(embs) == 8  # edges {0,1} and {3,4}, in either order and orientation
+    assert all(verify_embedding(two_k2, p5, e) for e in embs)
+
+
+def _nx(g):
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_engine_agrees_with_networkx_above_the_oracle_host_cap():
+    nx = pytest.importorskip("networkx")
+    hosts = [gp(n).graph for n in range(21, 66, 4)]
+    hosts += [h1(7).graph, h2(3).graph, h3(4).graph, h4(5).graph]
+    trees = [make(t).graph for t in ("S8:0001", "T8_1", "T8_2", "T9")]
+    for host in hosts:
+        assert host.n > 40
+        for tree in trees:
+            emb = find_induced(tree, host)
+            assert (emb is not None) == nx.isomorphism.GraphMatcher(_nx(host), _nx(tree)).subgraph_is_isomorphic()
+            assert emb is None or verify_embedding(tree, host, emb)
+
+
+def _relabel(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _move_edge(rng, g):
+    """Same order and size: one edge removed, one non-edge added."""
+    edges = list(g.edges())
+    non_edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)]
+    if not edges or not non_edges:
+        return g
+    gone = rng.choice(edges)
+    return build(g.n, [e for e in edges if e != gone] + [rng.choice(non_edges)])
+
+
+def _two_switch(rng, g):
+    """Same degree sequence: edges ab, cd become ac, bd."""
+    edges = list(g.edges())
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            return build(g.n, [e for e in edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)])
+
+
+def test_iso_agrees_with_networkx_up_to_64_vertices():
+    nx = pytest.importorskip("networkx")
+    rng = Random(41)
+    pairs = []
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 64), rng.uniform(0.05, 0.3))
+        pairs += [(g, _relabel(rng, g)), (g, _relabel(rng, _move_edge(rng, g)))]
+    # cubic and vertex-transitive: one refinement class, so the search decides
+    for n in (5, 9, 15, 21, 31):
+        g = gp(n).graph
+        pairs += [(g, _relabel(rng, g)), (g, _relabel(rng, _two_switch(rng, g)))]
+    for g, h in pairs:
+        assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))

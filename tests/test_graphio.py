@@ -75,6 +75,14 @@ def test_long_form_vertex_count():
     assert parse_graph6(text) == g
 
 
+def test_long_form_vertex_count_above_vertex_cap():
+    # N(n) digits are 6-bit groups + 63: 65536 = (16, 0, 0), 65535 = (15, 63, 63)
+    with pytest.raises(FormatError, match="cap of 65535"):
+        parse_graph6("~O??")
+    with pytest.raises(FormatError, match="truncated"):
+        parse_graph6("~N~~")
+
+
 def test_capacity_error_above_cap():
     class Fake:
         n = 258048
