@@ -375,32 +375,29 @@ def scan_corpus(
         raise UsageError(f"{tree_id!r} is not a catalog tree")
     records = list(stream_corpus(source, lenient=lenient))
 
-    def classify(item: tuple[int, Graph]) -> tuple[int, str, str]:
-        index, g = item
+    def classify(g: Graph) -> str:
         st = stats(g)
         if not st.connected:
-            verdict = "disconnected"
-        elif st.min_degree < 3:
-            verdict = "min_degree"
-        elif not is_c3c4_free(g):
-            verdict = "c3_c4"
-        elif find_induced(pat.graph, g) is not None:
-            verdict = "tree_present"
-        else:
-            verdict = "member"
-        return index, verdict, emit_graph6(g)
+            return "disconnected"
+        if st.min_degree < 3:
+            return "min_degree"
+        if not is_c3c4_free(g):
+            return "c3_c4"
+        if find_induced(pat.graph, g) is not None:
+            return "tree_present"
+        return "member"
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(classify, records))
+            verdicts = list(pool.map(classify, (g for _, g in records)))
     else:
-        results = [classify(item) for item in records]
-    results.sort(key=lambda r: r[0])
+        verdicts = [classify(g) for _, g in records]
     tallies = {"disconnected": 0, "min_degree": 0, "c3_c4": 0, "tree_present": 0}
     members = []
-    for index, verdict, record in results:
+    # records arrive in index order and both maps keep it
+    for (index, g), verdict in zip(records, verdicts):
         if verdict == "member":
-            members.append({"index": index, "graph6": record})
+            members.append({"index": index, "graph6": emit_graph6(g)})
         else:
             tallies[verdict] += 1
     return Report(

@@ -6,7 +6,6 @@ bitmask over 0..n-1, which gives O(n/word) adjacency tests and set algebra.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConstructionError, DisconnectedError, MissingEdgeError
@@ -91,18 +90,38 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
+def balls(g: Graph, sources: int, radius: int | None = None) -> list[int]:
+    """Masks of the vertices within 0, 1, 2, ... steps of the ``sources`` mask.
+
+    Each step ORs the rows of the last ring.  With ``radius`` the list has
+    radius + 1 entries, the last repeated once the component is exhausted;
+    without, it ends at the component.  Every single-source BFS reads these.
+    """
+    rows = g._rows
+    seen = ring = sources
+    out = [seen]
+    for _ in range(g.n if radius is None else radius):
+        grown = 0
+        while ring:
+            low = ring & -ring
+            ring ^= low
+            grown |= rows[low.bit_length() - 1]
+        ring = grown & ~seen
+        if not ring and radius is None:
+            break
+        seen |= ring
+        out.append(seen)
+    return out
+
+
 def bfs_levels(g: Graph, src: int) -> list[int]:
     """BFS distance from ``src`` to every vertex; -1 for unreachable."""
     dist = [-1] * g.n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in g.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = d
-                queue.append(v)
+    inner = 0
+    for d, ball in enumerate(balls(g, 1 << src)):
+        for v in bits(ball & ~inner):
+            dist[v] = d
+        inner = ball
     return dist
 
 
@@ -113,64 +132,78 @@ def distance(g: Graph, u: int, v: int) -> int | None:
 
 
 def diameter(g: Graph) -> int:
-    """Maximum pairwise distance of a connected graph."""
-    if g.n == 0:
+    """Maximum pairwise distance of a connected graph.
+
+    All sources advance in lock step: level d ORs ``reach[u]`` over the
+    closed neighbourhood of each v, and the level at which every row is full
+    is the diameter.  A row that stops short of full means disconnected.
+    """
+    n = g.n
+    if n == 0:
         raise DisconnectedError("diameter of the empty graph is undefined")
-    best = 0
-    for u in range(g.n):
-        dist = bfs_levels(g, u)
-        far = max(dist)
-        if min(dist) < 0:
-            raise DisconnectedError("graph is disconnected")
-        best = max(best, far)
-    return best
+    full = (1 << n) - 1
+    nbrs = [list(bits(r)) for r in g._rows]
+    reach = [1 << v for v in range(n)]
+    pending = [v for v in range(n) if reach[v] != full]
+    d = 0
+    while pending:
+        d += 1
+        grown = reach[:]
+        for v in pending:
+            for u in nbrs[v]:
+                grown[v] |= reach[u]
+            if grown[v] == reach[v]:
+                raise DisconnectedError("graph is disconnected")
+        reach = grown
+        pending = [v for v in pending if reach[v] != full]
+    return d
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for forests.
 
-    BFS from every vertex; a non-tree edge seen at levels (d1, d2) closes a
-    cycle of length d1 + d2 + 1, and the minimum over all roots is exact.
+    From each root, the first ring d holding a vertex with two neighbours in
+    ring d - 1 closes a cycle of length at most 2d, and an edge inside ring d
+    one of at most 2d + 1.  A root on a shortest cycle finds its length.
     """
+    rows = g._rows
     best: int | None = None
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cyc = dist[u] + dist[v] + 1
-                    if best is None or cyc < best:
-                        best = cyc
+        inner = 0
+        # rings past (best - 1) // 2 can only close cycles of length >= best
+        radius = None if best is None else (best - 1) // 2
+        for d, ball in enumerate(balls(g, 1 << root, radius)):
+            ring = ball & ~inner
+            if any((rows[v] & inner).bit_count() >= 2 for v in bits(ring)):
+                cyc = 2 * d
+            elif any(rows[v] & ring for v in bits(ring)):
+                cyc = 2 * d + 1
+            else:
+                inner = ball
+                continue
+            if best is None or cyc < best:
+                best = cyc
+            break
     return best
 
 
 def is_c3c4_free(g: Graph) -> bool:
     """True iff the graph has no 3-cycle and no 4-cycle.
 
-    Equivalent characterization: every neighborhood is independent and any
-    two distinct vertices share at most one neighbor.
+    For each v, the rows of its neighbours (v removed) must be disjoint from
+    N(v), or a triangle closes, and pairwise disjoint, or two neighbours of
+    v share a second common neighbour and a 4-cycle closes.  O(m) row ops.
     """
     rows = g._rows
-    for u in range(g.n):
-        ru = rows[u]
-        for v in bits(ru):
-            if v > u and ru & rows[v]:
+    for v in range(g.n):
+        rv = rows[v]
+        keep = ~(1 << v)
+        acc = rv
+        for u in bits(rv):
+            r = rows[u] & keep
+            if r & acc:
                 return False
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
-            if (ru & rows[v]).bit_count() >= 2:
-                return False
+            acc |= r
     return True
 
 
@@ -182,27 +215,21 @@ class GraphStats(NamedTuple):
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return min(bfs_levels(g, 0)) >= 0
+    return g.n <= 1 or balls(g, 1)[-1] == (1 << g.n) - 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    """2-colorability via BFS; vacuously true for the empty graph."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
+    """2-colorability: no edge inside any BFS ring; true for the empty graph."""
+    rows = g._rows
+    left = (1 << g.n) - 1
+    while left:
+        inner = 0
+        for ball in balls(g, left & -left):
+            ring = ball & ~inner
+            if any(rows[v] & ring for v in bits(ring)):
+                return False
+            inner = ball
+        left &= ~inner
     return True
 
 
@@ -252,20 +279,10 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as ascending vertex lists, ordered by minimum id."""
-    seen = [False] * g.n
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        out.append(sorted(comp))
+    left = (1 << g.n) - 1
+    while left:
+        comp = balls(g, left & -left)[-1]
+        out.append(list(bits(comp)))
+        left &= ~comp
     return out

@@ -5,7 +5,7 @@ connected order (max-degree first) and forward-checks candidate bitmasks:
 adjacency and non-adjacency against every placed image, plus a distance
 filter (an induced image can only shrink distances, so the image of q lies
 within pattern-distance of the image of p).  A host vertex's distance balls
-are grown by bitset frontiers only when the search first places it.
+come from ``core.balls`` only when the search first places it.
 Candidates are scanned in ascending host id, which makes every returned
 witness deterministic.  Isomorphism is an induced embedding between graphs
 of equal order and size, started from the color-refinement classes.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Graph, bfs_levels
+from .core import Graph, balls, bfs_levels
 from .errors import CapacityError
 
 PATTERN_CAP = 16
@@ -89,25 +89,10 @@ def _search(
             if hrow[x].bit_count() >= dq:
                 m |= 1 << x
         base[q] = m if initial is None else m & initial[q]
-    balls: dict[int, list[int]] = {}
+    # host vertex h -> [ball_0, ..., ball_maxr, full], ball_r = within r of h
+    ball_rows: dict[int, list[int]] = {}
     mapping = [-1] * k
     found: list[Embedding] = []
-
-    def ball_rows(h: int) -> list[int]:
-        """[ball_0, ..., ball_maxr, full]; ball_r = host vertices within r of h."""
-        seen = frontier = 1 << h
-        rows = [seen]
-        for _ in range(maxr):
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= hrow[low.bit_length() - 1]
-            frontier = grown & ~seen
-            seen |= frontier
-            rows.append(seen)
-        rows.append(full)
-        return rows
 
     def place(idx: int, cand: list[int]) -> bool:
         q = order[idx]
@@ -123,9 +108,9 @@ def _search(
                 if limit is not None and len(found) >= limit:
                     return True
                 continue
-            rows = balls.get(h)
+            rows = ball_rows.get(h)
             if rows is None:
-                rows = balls[h] = ball_rows(h)
+                rows = ball_rows[h] = balls(host, 1 << h, maxr) + [full]
             adj = hrow[h]
             nonadj = full & ~adj & ~low
             nxt = cand[:]

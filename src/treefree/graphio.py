@@ -8,8 +8,10 @@ groups (MSB first), zero-padded, each group stored as value+63.
 
 from __future__ import annotations
 
+import binascii
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Iterator
@@ -21,11 +23,12 @@ HEADER = ">>graph6<<"
 _N_CAP = 258048  # largest n for the 4-byte N(n) form
 
 
-def _check_bytes(text: str) -> None:
-    for i, ch in enumerate(text):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise FormatError(f"byte {code!r} outside graph6 range 63..126", offset=i)
+_VALID = re.compile("[?-~]*")
+# graph6 byte (value + 63) <-> the base64 letter of the same 6-bit value
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_FROM_B64 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_CHUNK = 1 << 16  # body bytes per decode/encode step (a multiple of 4), bounds the bit string
 
 
 def parse_graph6(text: str) -> Graph:
@@ -35,7 +38,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(HEADER):]
     if not s:
         raise FormatError("empty record")
-    _check_bytes(s)
+    bad = _VALID.match(s).end()
+    if bad < len(s):
+        raise FormatError(f"byte {ord(s[bad])!r} outside graph6 range 63..126", offset=bad)
     if s[0] == "~":
         if len(s) < 4:
             raise FormatError("truncated long-form vertex count", offset=len(s))
@@ -46,12 +51,11 @@ def parse_graph6(text: str) -> Graph:
             n = n << 6 | (ord(ch) - 63)
         if n > VERTEX_CAP:
             raise FormatError(f"vertex count {n} above the cap of {VERTEX_CAP}", offset=1)
-        body = s[4:]
         pos = 4
     else:
         n = ord(s[0]) - 63
-        body = s[1:]
         pos = 1
+    body = s[pos:]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) < nbytes:
@@ -61,30 +65,27 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise FormatError("trailing garbage after bit vector", offset=pos + nbytes)
+    pad = 6 * nbytes - nbits
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits", offset=pos + nbytes - 1)
     rows = [0] * n
-    bit = 0
-    for k, ch in enumerate(body):
-        group = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> shift & 1:
-                    raise FormatError("nonzero padding bits", offset=pos + k)
-                continue
-            if group >> shift & 1:
-                j = _col_of(bit)
-                i = bit - j * (j - 1) // 2
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
+    bits, at, end, lo = "", 0, 0, 0
+    for j in range(1, n):  # column j is x(0,j) .. x(j-1,j), bits[at:at + j]
+        while at + j > end:  # decode the next chunk of the body
+            b64 = body[lo:lo + _CHUNK].encode("ascii").translate(_TO_B64)
+            data = binascii.a2b_base64(b64 + b"A" * (-len(b64) % 4))
+            bits, at = bits[at:] + f"{int.from_bytes(data, 'big'):0{8 * len(data)}b}", 0
+            end, lo = len(bits), lo + _CHUNK
+        col = int(bits[at:at + j][::-1], 2)
+        at += j
+        if col:
+            rows[j] |= col
+            bit = 1 << j
+            while col:
+                low = col & -col
+                col ^= low
+                rows[low.bit_length() - 1] |= bit
     return Graph(n, rows)
-
-
-def _col_of(bit: int) -> int:
-    # column j owns bits j(j-1)/2 .. j(j+1)/2 - 1 of the upper triangle
-    j = 1
-    while j * (j + 1) // 2 <= bit:
-        j += 1
-    return j
 
 
 def emit_graph6(g: Graph) -> str:
@@ -93,23 +94,28 @@ def emit_graph6(g: Graph) -> str:
     if n >= _N_CAP:
         raise CapacityError(f"graph6 emission capped below {_N_CAP} vertices")
     if n < 63:
-        out = [chr(n + 63)]
+        head = chr(n + 63)
     else:
-        out = ["~", chr((n >> 12 & 63) + 63), chr((n >> 6 & 63) + 63), chr((n & 63) + 63)]
-    group = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.row(j)
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(group + 63))
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((group << (6 - nbits)) + 63))
+        head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    out, parts, size = [head], [], 0
+    for j in range(1, n):  # column j, bit i first
+        parts.append(f"{g.row(j) & ((1 << j) - 1):0{j}b}"[::-1])
+        size += j
+        if size >= 6 * _CHUNK:  # encode whole 6-bit groups, carry the rest
+            bits = "".join(parts)
+            cut = size - size % 6
+            out.append(_encode_bits(bits[:cut]))
+            parts, size = [bits[cut:]], size - cut
+    out.append(_encode_bits("".join(parts)))
     return "".join(out)
+
+
+def _encode_bits(bits: str) -> str:
+    """graph6 body text of a '0'/'1' string, zero-padded to whole 6-bit groups."""
+    nbytes = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(data, newline=False)[:nbytes].translate(_FROM_B64).decode()
 
 
 def emit_dot(g: Graph, labels: dict[int, str] | None = None) -> str:

@@ -78,8 +78,10 @@ def test_maxdeg_theorem_reports():
 
 
 def test_scan_corpus_returns_the_three_named_graphs():
-    rep = scan_corpus(_named_graph_corpus(), "P8")
+    corpus = _named_graph_corpus()
+    rep = scan_corpus(corpus, "P8")
     assert [m["index"] for m in rep.params["members"]] == [1, 2, 3]
+    assert [m["graph6"] for m in rep.params["members"]] == corpus[:3]
     assert rep.params["rejections"] == {
         "disconnected": 0, "min_degree": 1, "c3_c4": 1, "tree_present": 0,
     }
@@ -91,6 +93,22 @@ def test_scan_corpus_jobs_invariance():
     par = scan_corpus(corpus, "P8", jobs=4)
     assert seq.params["members"] == par.params["members"]
     assert seq.params["rejections"] == par.params["rejections"]
+
+
+def test_reports_are_deterministic_apart_from_runtime():
+    def runs(check):
+        out = []
+        for _ in range(2):
+            payload = check().to_dict()
+            del payload["runtime_ms"]
+            out.append(payload)
+        return out
+
+    first, second = runs(lambda: verify_lemma("2.2w"))
+    assert first == second and first["witness"]
+    corpus = _named_graph_corpus() + [emit_graph6(gp(n).graph) for n in (9, 11, 25)]
+    first, second = runs(lambda: scan_corpus(corpus, "T9"))
+    assert first == second and first["params"]["members"]
 
 
 def test_scan_corpus_rejects_non_tree_pattern():

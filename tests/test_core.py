@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefree.core import (
+    bfs_levels,
     build,
+    components,
     contract_edge,
     diameter,
     distance,
     girth,
     induced,
+    is_bipartite,
     is_c3c4_free,
+    is_connected,
     stats,
 )
 from treefree.errors import ConstructionError, DisconnectedError, MissingEdgeError
+from treefree.families import gp
 from treefree.patterns import cycle, heawood, path, petersen
 from treefree.embed import is_isomorphic
 
@@ -178,3 +183,56 @@ def graphs(draw, max_n=10):
 def test_degree_is_row_popcount(g):
     assert all(g.degree(v) == sum(1 for _ in g.neighbors(v)) for v in range(g.n))
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+
+
+def _nx_samples():
+    """(graph, networkx copy) pairs: seeded random graphs from empty to dense,
+    disconnected ones included, the n = 0 and n = 1 graphs, and girth-4/5/6
+    named graphs."""
+    import networkx as nx
+
+    rng = Random(31)
+    graphs = [build(0, []), build(1, []), build(2, []), petersen().graph, heawood().graph,
+              gp(25).graph, cycle(4).graph, cycle(5).graph, path(9).graph]
+    for _ in range(150):
+        n = rng.randint(2, 40)
+        graphs.append(random_graph(rng, n, rng.choice([0.5, 1.5, 3.0, 6.0]) / n))
+    for g in graphs:
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        yield g, G
+
+
+def test_traversals_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    disconnected = 0
+    for g, G in _nx_samples():
+        for v in range(g.n):
+            lengths = nx.single_source_shortest_path_length(G, v)
+            assert bfs_levels(g, v) == [lengths.get(u, -1) for u in range(g.n)]
+        assert components(g) == sorted(sorted(c) for c in nx.connected_components(G))
+        assert is_bipartite(g) == nx.is_bipartite(G)
+        assert girth(g) == (None if nx.girth(G) == float("inf") else nx.girth(G))
+        if g.n == 0:
+            assert is_connected(g)
+            with pytest.raises(DisconnectedError):
+                diameter(g)
+        elif nx.is_connected(G):
+            assert is_connected(g)
+            assert diameter(g) == nx.diameter(G)
+        else:
+            disconnected += 1
+            assert not is_connected(g)
+            with pytest.raises(DisconnectedError):
+                diameter(g)
+    assert disconnected >= 20
+
+
+def test_c3c4_free_agrees_with_networkx_girth():
+    nx = pytest.importorskip("networkx")
+    free = 0
+    for g, G in _nx_samples():
+        assert is_c3c4_free(g) == (nx.girth(G) >= 5)
+        free += is_c3c4_free(g)
+    assert free >= 20

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treefree import graphio
 from treefree.core import build
 from treefree.errors import CapacityError, FormatError
 from treefree.graphio import Report, emit_dot, emit_graph6, parse_graph6, stream_corpus
@@ -83,6 +84,34 @@ def test_long_form_vertex_count_above_vertex_cap():
         parse_graph6("~N~~")
 
 
+_G5 = "IheA@GUAo"  # gp(5), ten vertices, eight body bytes
+_LONG = "~?@@" + "?" * 347  # 65 isolated vertices: 2080 bits in 347 bytes, 2 padding bits
+
+
+@pytest.mark.parametrize("record, message, offset", [
+    ("!w", "outside graph6 range", 0),
+    (_G5[:4] + "!" + _G5[5:], "outside graph6 range", 4),
+    (_G5[:-1] + "\x7f", "outside graph6 range", 8),
+    (_G5[:-1] + "\u00e9", "outside graph6 range", 8),
+    (">>graph6<<B!", "outside graph6 range", 1),
+    ("D", "truncated", 1),
+    ("D?", "truncated", 2),
+    (_LONG[:-1], "truncated", 350),
+    ("Bww", "trailing garbage", 2),
+    (_LONG + "?", "trailing garbage", 351),
+    ("B`", "nonzero padding", 1),
+    (_LONG[:-1] + "@", "nonzero padding", 350),
+    ("~A", "truncated long-form", 2),
+    ("~~??", "8-byte", 1),
+    ("~O??", "cap of 65535", 1),
+])
+def test_malformed_record_offsets(record, message, offset):
+    assert parse_graph6(_G5).n == 10 and parse_graph6(_LONG).n == 65
+    with pytest.raises(FormatError, match=message) as err:
+        parse_graph6(record)
+    assert err.value.offset == offset
+
+
 def test_capacity_error_above_cap():
     class Fake:
         n = 258048
@@ -93,7 +122,8 @@ def test_capacity_error_above_cap():
 
 @st.composite
 def small_graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=62))
+    # 63 and up take the four-byte N(n) form
+    n = draw(st.integers(min_value=0, max_value=70))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return build(n, chosen)
@@ -103,6 +133,23 @@ def small_graphs(draw):
 @settings(max_examples=120, deadline=None)
 def test_round_trip_is_identity(g):
     assert parse_graph6(emit_graph6(g)) == g
+
+
+@pytest.mark.parametrize("chunk", [4, 8, 12])
+def test_chunked_codec_matches_networkx(monkeypatch, chunk):
+    # a body of a few bytes per chunk puts columns across every chunk boundary
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(graphio, "_CHUNK", chunk)
+    rng = Random(chunk)
+    for _ in range(40):
+        n = rng.randint(0, 90)
+        g = random_graph(rng, n, rng.random())
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(g.edges())
+        text = nx.to_graph6_bytes(G, header=False).decode().strip()
+        assert emit_graph6(g) == text
+        assert parse_graph6(text) == g
 
 
 def test_dot_output():
