@@ -3,13 +3,14 @@
 The structured route mirrors the intended use: a bipartite test first, then
 peel vertices of residual degree <= 2 (they re-color greedily with 3 colors
 in hand), then color each 3-core component exactly and take max(. , 3).
+Vertex sets, adjacency rows and colour classes are all int bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, bits, components, induced, is_bipartite
+from .core import Graph, balls, bits, induced, is_bipartite, mask_of
 from .errors import CapacityError
 
 DEFAULT_CAP = 24
@@ -21,99 +22,121 @@ class PeelDecomposition:
 
     order: tuple[int, ...]
     core_vertices: tuple[int, ...]
-    core: Graph
     core_components: list[Graph]
 
 
 def peel(g: Graph) -> PeelDecomposition:
     """Remove the lowest-id vertex of residual degree <= 2 until none remains.
 
-    The surviving set is the 3-core, which is independent of removal order.
+    ``ready`` holds the live vertices of residual degree <= 2; a vertex joins
+    it when its degree drops to 2.  The surviving set is the 3-core, which is
+    independent of removal order.
     """
+    rows = g._rows
+    deg = [r.bit_count() for r in rows]
     alive = (1 << g.n) - 1
-    deg = [g.degree(v) for v in range(g.n)]
+    ready = mask_of(v for v, d in enumerate(deg) if d <= 2)
     order: list[int] = []
-    while True:
-        pick = -1
-        for v in bits(alive):
-            if deg[v] <= 2:
-                pick = v
-                break
-        if pick < 0:
-            break
-        order.append(pick)
-        alive &= ~(1 << pick)
-        for u in bits(g.row(pick) & alive):
+    while ready:
+        low = ready & -ready
+        v = low.bit_length() - 1
+        order.append(v)
+        ready ^= low
+        alive ^= low
+        nbrs = rows[v] & alive
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            u = low.bit_length() - 1
             deg[u] -= 1
-    core_vertices = tuple(bits(alive))
-    core = induced(g, core_vertices)
-    comps = [induced(core, comp) for comp in components(core)]
-    return PeelDecomposition(tuple(order), core_vertices, core, comps)
+            if deg[u] == 2:
+                ready |= low
+    core = Graph(g.n, [r & alive for r in rows])  # peeled vertices left isolated
+    comps = []
+    left = alive
+    while left:
+        comp = balls(core, left & -left)[-1]
+        comps.append(induced(g, bits(comp)))
+        left ^= comp
+    return PeelDecomposition(tuple(order), tuple(bits(alive)), comps)
 
 
 def _greedy_clique(g: Graph) -> int:
+    rows = g._rows
     best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = 1 << v
-        common = g.row(v)
+    for common in rows:
+        size = 1
         while common:
-            u = next(bits(common))
-            clique |= 1 << u
-            common &= g.row(u)
-        best = max(best, clique.bit_count())
+            size += 1
+            common &= rows[(common & -common).bit_length() - 1]
+        if size > best:
+            best = size
+    return best
+
+
+def _pick(left: int, classes: list[int], rows: tuple[int, ...]) -> int:
+    """DSATUR choice among ``left``: most colour classes met, then degree, then lowest id."""
+    n = len(rows)
+    best = best_key = -1
+    while left:
+        low = left & -left
+        left ^= low
+        x = low.bit_length() - 1
+        row = rows[x]
+        key = row.bit_count()
+        for c in classes:
+            if c & row:
+                key += n
+        if key > best_key:
+            best, best_key = x, key
     return best
 
 
 def _dsatur_upper(g: Graph) -> int:
-    n = g.n
-    colors = [0] * n
-    satur = [set() for _ in range(n)]
-    used = 0
-    for _ in range(n):
-        v = max(
-            (x for x in range(n) if colors[x] == 0),
-            key=lambda x: (len(satur[x]), g.degree(x), -x),
-        )
-        c = 1
-        while c in satur[v]:
-            c += 1
-        colors[v] = c
-        used = max(used, c)
-        for u in g.neighbors(v):
-            satur[u].add(c)
-    return used
+    rows = g._rows
+    classes: list[int] = []
+    left = (1 << g.n) - 1
+    while left:
+        v = _pick(left, classes, rows)
+        bit = 1 << v
+        row = rows[v]
+        left ^= bit
+        for i, c in enumerate(classes):
+            if not c & row:
+                classes[i] = c | bit
+                break
+        else:
+            classes.append(bit)
+    return len(classes)
 
 
 def _k_colorable(g: Graph, k: int) -> bool:
     """Exact k-colorability: DSATUR-ordered backtracking, new colors last."""
-    n = g.n
-    colors = [0] * n
-    satur = [set() for _ in range(n)]
+    rows = g._rows
+    classes: list[int] = []
 
-    def assign(done: int, used: int) -> bool:
-        if done == n:
+    def assign(left: int) -> bool:
+        if not left:
             return True
-        v = max(
-            (x for x in range(n) if colors[x] == 0),
-            key=lambda x: (len(satur[x]), g.degree(x), -x),
-        )
-        for c in range(1, min(used + 1, k) + 1):
-            if c in satur[v]:
+        v = _pick(left, classes, rows)
+        bit = 1 << v
+        row = rows[v]
+        left ^= bit
+        for i in range(len(classes)):
+            if classes[i] & row:
                 continue
-            colors[v] = c
-            touched = []
-            for u in g.neighbors(v):
-                if colors[u] == 0 and c not in satur[u]:
-                    satur[u].add(c)
-                    touched.append(u)
-            if assign(done + 1, max(used, c)):
+            classes[i] |= bit
+            if assign(left):
                 return True
-            colors[v] = 0
-            for u in touched:
-                satur[u].remove(c)
+            classes[i] ^= bit
+        if len(classes) < k:
+            classes.append(bit)
+            if assign(left):
+                return True
+            classes.pop()
         return False
 
-    return assign(0, 0)
+    return assign((1 << g.n) - 1)
 
 
 def chi_exact(g: Graph, cap: int = DEFAULT_CAP) -> int:

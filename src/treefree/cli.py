@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, NoReturn
@@ -388,6 +387,9 @@ def scan_corpus(
         return "member"
 
     if jobs > 1:
+        # imported here: the pool and the logging it pulls in cost ~0.6 MB of RSS
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             verdicts = list(pool.map(classify, (g for _, g in records)))
     else:
@@ -423,6 +425,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not 1 <= bounds[0] <= bounds[1]:
         raise argparse.ArgumentTypeError(f"size range {text!r} needs 1 <= A <= B")
     return bounds
+
+
+def _parse_cap(text: str) -> int:
+    """A vertex cap: an integer >= 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"cap {text!r} needs to be an integer >= 1")
+    return cap
 
 
 def _emit_reports(reports: list[Report], path: str | None) -> None:
@@ -517,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="chromatic number of each record")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=int, default=chromatic.DEFAULT_CAP)
+    p.add_argument("--cap", type=_parse_cap, default=chromatic.DEFAULT_CAP)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("verify", help="run a named lemma check")

@@ -9,7 +9,6 @@ groups (MSB first), zero-padded, each group stored as value+63.
 from __future__ import annotations
 
 import binascii
-import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -140,13 +139,14 @@ def stream_corpus(
 
     Record numbers are 1-based.  Malformed records raise a positioned
     FormatError unless ``lenient`` is set, in which case they are skipped.
+    A path is read line by line, so memory does not grow with the file.
     """
     if isinstance(source, (str, Path)):
-        lines: Iterable[str] = io.StringIO(Path(source).read_text())
-    else:
-        lines = source
+        with open(source) as lines:
+            yield from stream_corpus(lines, lenient)
+        return
     record = 0
-    for line in lines:
+    for line in source:
         line = line.strip()
         if not line:
             continue

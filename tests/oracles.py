@@ -148,6 +148,47 @@ def brute_chi(g: Graph) -> int:
     return k
 
 
+def lowest_id_peel(g: Graph) -> tuple[list[int], list[int]]:
+    """Removal order and 3-core of peeling the lowest-id vertex of degree <= 2, by set scans."""
+    alive = set(range(g.n))
+    order = []
+    while True:
+        low = [v for v in sorted(alive) if sum(1 for u in g.neighbors(v) if u in alive) <= 2]
+        if not low:
+            return order, sorted(alive)
+        order.append(low[0])
+        alive.remove(low[0])
+
+
+def mycielski(k: int) -> Graph:
+    """The Mycielski graph M_k (k >= 2): triangle-free with chromatic number k.
+
+    M_2 is K_2; M_{k+1} adds a shadow u_i of each vertex i, joined to i's
+    neighbours, and one apex joined to every shadow.
+    """
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        edges = edges + [(a, n + b) for a, b in edges] + [(b, n + a) for a, b in edges] + [
+            (n + i, 2 * n) for i in range(n)
+        ]
+        n = 2 * n + 1
+    return build(n, edges)
+
+
+def planted_chi_graph(rng: Random, n: int, k: int, p: float) -> Graph:
+    """A graph of chromatic number exactly k (2 <= k <= n).
+
+    Edges run only between k planted colour classes, so k colours suffice,
+    and one vertex of each class forms a K_k, so fewer do not.
+    """
+    part = [i % k for i in range(n)]
+    rng.shuffle(part)
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if part[a] != part[b] and rng.random() < p]
+    reps = [part.index(c) for c in range(k)]
+    edges += list(combinations(reps, 2))
+    return build(n, edges)
+
+
 def peel_fixpoint_core(g: Graph) -> set[int]:
     """3-core by simultaneous deletion rounds (order-free by construction)."""
     alive = set(range(g.n))

@@ -4,12 +4,20 @@ from random import Random
 
 import pytest
 
-from treefree.chromatic import chi_exact, chi_structured, peel
-from treefree.core import build, is_bipartite
+from treefree.chromatic import _dsatur_upper, _k_colorable, _pick, chi_exact, chi_structured, peel
+from treefree.core import build, is_bipartite, mask_of
 from treefree.errors import CapacityError
 from treefree.patterns import cycle, heawood, path, petersen
 
-from .oracles import brute_chi, peel_fixpoint_core, random_connected_graph, random_graph
+from .oracles import (
+    brute_chi,
+    lowest_id_peel,
+    mycielski,
+    peel_fixpoint_core,
+    planted_chi_graph,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def _petersen_with_pendant_path(extra: int = 3):
@@ -22,9 +30,9 @@ def _petersen_with_pendant_path(extra: int = 3):
 
 def test_peel_examples():
     dec = peel(cycle(5).graph)
-    assert dec.core.n == 0 and len(dec.order) == 5
+    assert len(dec.core_vertices) == 0 and len(dec.order) == 5
     dec = peel(petersen().graph)
-    assert dec.order == () and dec.core.n == 10
+    assert dec.order == () and len(dec.core_vertices) == 10
     composite = _petersen_with_pendant_path()
     dec = peel(composite)
     assert set(dec.core_vertices) == set(range(10)) == peel_fixpoint_core(composite)
@@ -42,6 +50,19 @@ def test_peel_order_is_maximal_and_valid():
         for v in alive:
             assert sum(1 for u in g.neighbors(v) if u in alive) >= 3
         assert alive == peel_fixpoint_core(g)
+
+
+def test_peel_order_is_the_lowest_id_order():
+    rng = Random(19)
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6)) for _ in range(60)]
+    for _ in range(60):  # sparse, on the orders of the chi bench corpus
+        n = rng.randint(25, 60)
+        graphs.append(random_graph(rng, n, rng.uniform(2.4, 4.0) / (n - 1)))
+    assert any(len(peel(g).core_vertices) >= 10 for g in graphs[60:])
+    for g in graphs:
+        dec = peel(g)
+        order, core = lowest_id_peel(g)
+        assert list(dec.order) == order and list(dec.core_vertices) == core
 
 
 def test_chi_exact_examples():
@@ -70,6 +91,74 @@ def test_chi_exact_relabel_invariant():
 def test_chi_exact_cap():
     with pytest.raises(CapacityError):
         chi_exact(build(30, []), cap=24)
+
+
+def test_mycielski_graphs_have_chi_k():
+    for k in range(2, 6):
+        g = mycielski(k)
+        assert chi_exact(g) == chi_structured(g) == k
+    assert mycielski(5).n == 23
+
+
+def test_pick_is_most_saturated_then_highest_degree_then_lowest_id():
+    rng = Random(29)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.8))
+        color = [rng.randrange(-1, 4) for _ in range(g.n)]  # -1: not yet colored
+        left = [v for v in range(g.n) if color[v] < 0]
+        if not left:
+            continue
+        classes = [mask_of(v for v in range(g.n) if color[v] == c) for c in range(4)]
+
+        def key(x):
+            seen = {color[u] for u in g.neighbors(x) if color[u] >= 0}
+            return len(seen), g.degree(x), -x
+
+        assert _pick(mask_of(left), [c for c in classes if c], g._rows) == max(left, key=key)
+
+
+def test_k_colorable_and_dsatur_bound_brute_chi():
+    rng = Random(23)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
+        chi = brute_chi(g)
+        assert not _k_colorable(g, chi - 1)
+        assert _k_colorable(g, chi)
+        assert _dsatur_upper(g) >= chi
+        if chi <= 2:  # DSATUR is exact on bipartite graphs
+            assert _dsatur_upper(g) == chi
+
+
+def test_planted_colorings_need_backtracking_undo():
+    # at k = chi the search has to back out of wrong colour classes to find the planted coloring
+    rng = Random(31)
+    for _ in range(200):
+        k = rng.randint(3, 5)
+        g = planted_chi_graph(rng, rng.randint(12, 20), k, rng.uniform(0.3, 0.7))
+        assert _k_colorable(g, k) and not _k_colorable(g, k - 1)
+        assert chi_exact(g) == chi_structured(g) == k
+
+
+def _circulant(n: int) -> list[tuple[int, int]]:
+    """C_n(1, 2): 4-regular, chromatic number 3 when 3 divides n, else 4 (n >= 6)."""
+    return [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+
+
+def test_cap_boundary():
+    for cap in (10, 24):
+        fits, over = build(cap, _circulant(cap)), build(cap + 1, _circulant(cap + 1))
+        want = 3 if cap % 3 == 0 else 4
+        assert chi_exact(fits, cap) == chi_structured(fits, cap) == want
+        with pytest.raises(CapacityError, match=f"got {cap + 1}$"):
+            chi_exact(over, cap)
+        with pytest.raises(CapacityError, match=f"with {cap + 1} vertices exceeds cap {cap}"):
+            chi_structured(over, cap)
+    # the structured cap applies per 3-core component, not to the whole graph
+    tailed = build(27, _circulant(24) + [(0, 24), (24, 25), (25, 26)])
+    assert len(peel(tailed).core_vertices) == 24
+    assert chi_structured(tailed) == 3
+    with pytest.raises(CapacityError, match="got 27"):
+        chi_exact(tailed)
 
 
 def test_chi_structured_base_cases():

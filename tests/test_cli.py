@@ -188,6 +188,15 @@ def test_cli_bad_size_range_exits_two(capsys):
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", "a..b"], "'a..b'")
 
 
+def test_cli_chi_cap_below_one_exits_two(capsys, tmp_path):
+    k2 = tmp_path / "k2.g6"
+    k2.write_text(emit_graph6(build(2, [(0, 1)])) + "\n")
+    for cap in ("-5", "0"):
+        _exit_two_with_one_line(capsys, ["chi", "--input", str(k2), "--cap", cap], f"cap '{cap}'")
+    assert main(["chi", "--input", str(k2), "--cap", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
 def test_cli_missing_corpus_exits_two(capsys, tmp_path):
     missing = str(tmp_path / "missing.g6")
     _exit_two_with_one_line(capsys, ["scan", "--corpus", missing, "--tree", "S8:0001"], missing)
