@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, NoReturn
@@ -19,7 +18,7 @@ from . import chromatic, families, patterns, witness
 from .core import Graph, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
 from .embed import find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
-from .graphio import Report, emit_dot, emit_graph6, stream_corpus
+from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
 DIAM_CLAUSES = (("T8_1", 20), ("T8_2", 16), ("T9", 12))
 MAXDEG_CLAUSES = (("T8_1", 943218), ("T8_2", 190375), ("T9", 197433))
@@ -49,36 +48,21 @@ def _freeness_sweep(
     forbidden: list[patterns.PatternSpec],
 ) -> Report:
     """Assert every host is free of every pattern; stop at the first hit."""
-    t0 = time.perf_counter()
-    checked = []
+    done = []
     for host_name, host in hosts:
         for pat in forbidden:
             emb = find_induced(pat.graph, host)
-            checked.append({"host": host_name, "pattern": pat.pattern_id})
+            done.append({"host": host_name, "pattern": pat.pattern_id})
             if emb is not None:
-                return Report(
-                    check_id=check_id,
-                    params={"failed_on": checked[-1]},
-                    passed=False,
-                    status="checked",
-                    witness={"embedding": list(emb.mapping)},
-                    counterexample=emit_graph6(host),
-                    runtime_ms=int((time.perf_counter() - t0) * 1000),
-                )
-    return Report(
-        check_id=check_id,
-        params={"checked": checked},
-        passed=True,
-        status="checked",
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+                return checked(check_id, host, False, {"failed_on": done[-1]},
+                               {"embedding": list(emb.mapping)})
+    return Report(check_id, {"checked": done}, passed=True)
 
 
 def _lemma_22_witnesses(s: int = 5) -> Report:
     """Replay the three fixed induced-subtree witnesses inside h1(s)."""
     if s < 5:
         raise UsageError(f"lemma 2.2w needs s >= 5 (its witnesses use five 6-cycles), got {s}")
-    t0 = time.perf_counter()
     host = families.h1(s).graph
     cases = [
         ("Tstar9", _W22_TSTAR9, patterns.tstar_tree(9).graph),
@@ -92,21 +76,12 @@ def _lemma_22_witnesses(s: int = 5) -> Report:
         sub = induced(host, ids)
         outcomes[name] = {"vertices": sorted(ids), "isomorphic": is_isomorphic(sub, target)}
         ok = ok and outcomes[name]["isomorphic"]
-    return Report(
-        check_id="lemma2.2w",
-        params={"s": s},
-        passed=ok,
-        status="checked",
-        witness=outcomes,
-        counterexample=None if ok else emit_graph6(host),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return checked("lemma2.2w", host, ok, {"s": s}, outcomes)
 
 
 def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
-    t0 = time.perf_counter()
     pet = patterns.petersen().graph
-    checked = []
+    blocks = []
     for s in s_values:
         host = families.h4(s).graph
         for i in range(1, s + 1):
@@ -114,28 +89,13 @@ def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
             block += [families.h4_v(i, h) for h in range(1, 4)]
             block.append(families.h4_z(s))
             ok = is_isomorphic(induced(host, block), pet)
-            checked.append({"s": s, "block": i, "isomorphic": ok})
+            blocks.append({"s": s, "block": i, "isomorphic": ok})
             if not ok:
-                return Report(
-                    check_id="lemma2.5p",
-                    params={"failed_on": checked[-1]},
-                    passed=False,
-                    status="checked",
-                    witness=checked,
-                    counterexample=emit_graph6(host),
-                    runtime_ms=int((time.perf_counter() - t0) * 1000),
-                )
-    return Report(
-        check_id="lemma2.5p",
-        params={"blocks": len(checked)},
-        passed=True,
-        status="checked",
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+                return checked("lemma2.5p", host, False, {"failed_on": blocks[-1]}, blocks)
+    return Report("lemma2.5p", {"blocks": len(blocks)}, passed=True)
 
 
 def _lemma_41_suite(seed: int, vw_samples: int | None) -> Report:
-    t0 = time.perf_counter()
     hosts = [
         ("C6", patterns.cycle(6).graph, None),
         ("C8", patterns.cycle(8).graph, None),
@@ -148,23 +108,9 @@ def _lemma_41_suite(seed: int, vw_samples: int | None) -> Report:
             rep = witness.scan_path_pairs(host, k, seed=seed, vw_samples=samples, host_name=name)
             total += rep.witness["path_pairs"]
             if rep.is_failure:
-                return Report(
-                    check_id="lemma4.1",
-                    params={"failed_on": {"host": name, "k": k}},
-                    passed=False,
-                    status="checked",
-                    witness=rep.witness,
-                    counterexample=rep.counterexample,
-                    runtime_ms=int((time.perf_counter() - t0) * 1000),
-                )
-    return Report(
-        check_id="lemma4.1",
-        params={"seed": seed},
-        passed=True,
-        status="checked",
-        witness={"path_pairs": total},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+                return checked("lemma4.1", host, False, {"failed_on": {"host": name, "k": k}},
+                               rep.witness)
+    return Report("lemma4.1", {"seed": seed}, passed=True, witness={"path_pairs": total})
 
 
 def sample_connected_bases(
@@ -204,10 +150,9 @@ def _lemma_5x_suite(which: str, seed: int, samples: int) -> Report:
     '5.1' asserts the edge-emptiness conclusions, '5.3' the cardinality
     inequalities against the M_4/M_5 sums.
     """
-    t0 = time.perf_counter()
     hosts = [("h1:5", families.h1(5).graph), ("gp:25", families.gp(25).graph)]
     rng = Random(seed)
-    checked = 0
+    bases = 0
     for name, host in hosts:
         degs = [host.degree(v) for v in range(host.n)]
         w = degs.index(max(degs))
@@ -232,25 +177,12 @@ def _lemma_5x_suite(which: str, seed: int, samples: int) -> Report:
                 }
                 ok = all(checks.values())
                 detail = checks
-            checked += 1
+            bases += 1
             if not ok:
-                return Report(
-                    check_id=f"lemma{which}",
-                    params={"host": name, "w": w, "X": sorted(base)},
-                    passed=False,
-                    status="checked",
-                    witness=detail,
-                    counterexample=emit_graph6(host),
-                    runtime_ms=int((time.perf_counter() - t0) * 1000),
-                )
-    return Report(
-        check_id=f"lemma{which}",
-        params={"seed": seed, "samples": samples},
-        passed=True,
-        status="checked",
-        witness={"bases_checked": checked},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+                return checked(f"lemma{which}", host, False,
+                               {"host": name, "w": w, "X": sorted(base)}, detail)
+    return Report(f"lemma{which}", {"seed": seed, "samples": samples}, passed=True,
+                  witness={"bases_checked": bases})
 
 
 _DEFAULT_RANGES = {
@@ -262,13 +194,20 @@ _DEFAULT_RANGES = {
 }
 
 
+@timed
 def verify_lemma(
     lemma_id: str,
     s_range: tuple[int, int] | None = None,
     seed: int = 0,
     samples: int = 100,
 ) -> Report:
-    """Run one named lemma check and return its report."""
+    """Run one named lemma check and return its report.
+
+    Lemmas 4.1, 5.1 and 5.3 run on fixed hosts and take no ``s_range``;
+    2.2w replays its witnesses at one size, so its range must be ``(s, s)``.
+    """
+    if s_range is not None and lemma_id in ("4.1", "5.1", "5.3"):
+        raise UsageError(f"lemma {lemma_id} runs on fixed hosts and takes no size range")
     if lemma_id in ("2.2i", "2.3", "2.4", "2.5"):
         lo, hi = s_range or _DEFAULT_RANGES[lemma_id]
         svals = range(lo, hi + 1)
@@ -286,7 +225,10 @@ def verify_lemma(
             forb = [patterns.s8_2()]
         return _freeness_sweep(f"lemma{lemma_id}", hosts, forb)
     if lemma_id == "2.2w":
-        return _lemma_22_witnesses(s_range[0] if s_range else 5)
+        lo, hi = s_range or (5, 5)
+        if lo != hi:
+            raise UsageError(f"lemma 2.2w replays its witnesses at one size, got {lo}..{hi}")
+        return _lemma_22_witnesses(lo)
     if lemma_id == "2.5p":
         lo, hi = s_range or _DEFAULT_RANGES["2.5p"]
         return _lemma_25_petersen(range(lo, hi + 1))
@@ -309,19 +251,18 @@ def _gate(g: Graph) -> str | None:
 
 
 def _implication_report(
-    check_id: str, g: Graph, quantity: str, value: int,
+    check_id: str, g: Graph, reason: str | None, quantity: str, value: int,
     clauses: tuple[tuple[str, int], ...], assume_met: bool = False,
 ) -> Report:
-    t0 = time.perf_counter()
-    reason = _gate(g)
+    """Search each clause whose threshold ``value`` reaches; vacuous when the
+    hypothesis gate failed with ``reason`` or no threshold is reached."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
     }
     if reason is not None:
         params["reason"] = f"hypothesis gate failed: {reason}"
-        return Report(check_id=check_id, params=params, passed=False, status="vacuous",
-                      runtime_ms=int((time.perf_counter() - t0) * 1000))
+        return Report(check_id, params, status="vacuous")
     outcomes = {}
     any_checked = False
     all_found = True
@@ -336,80 +277,65 @@ def _implication_report(
             outcomes[name] = {"checked": False}
     if not any_checked:
         params["reason"] = "no threshold reached at this scale"
-        return Report(check_id=check_id, params=params, passed=False, status="vacuous",
-                      witness=outcomes, runtime_ms=int((time.perf_counter() - t0) * 1000))
-    return Report(
-        check_id=check_id,
-        params=params,
-        passed=all_found,
-        status="checked",
-        witness=outcomes,
-        counterexample=None if all_found else emit_graph6(g),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+        return Report(check_id, params, status="vacuous", witness=outcomes)
+    return checked(check_id, g, all_found, params, outcomes)
 
 
+@timed
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively."""
-    value = diameter(g) if _gate(g) is None else -1
-    return _implication_report("theorem.diam", g, "diameter", value, DIAM_CLAUSES)
+    reason = _gate(g)
+    value = diameter(g) if reason is None else -1
+    return _implication_report("theorem.diam", g, reason, "diameter", value, DIAM_CLAUSES)
 
 
+@timed
 def check_maxdeg_theorem(g: Graph, assume_met: bool = False) -> Report:
     """Max-degree thresholds; vacuous at desk scale, and the report says so."""
-    value = stats(g).max_degree
-    return _implication_report(
-        "theorem.maxdeg", g, "max_degree", value, MAXDEG_CLAUSES, assume_met=assume_met
-    )
+    return _implication_report("theorem.maxdeg", g, _gate(g), "max_degree",
+                               stats(g).max_degree, MAXDEG_CLAUSES, assume_met=assume_met)
 
 
-def scan_corpus(
-    source: Any, tree_id: str, jobs: int = 1, lenient: bool = False
-) -> Report:
+def _scan_verdict(g: Graph, tree: Graph) -> str:
+    """The first filter ``g`` fails, cheapest first, or "member"."""
+    st = stats(g)
+    if not st.connected:
+        return "disconnected"
+    if st.min_degree < 3:
+        return "min_degree"
+    if not is_c3c4_free(g):
+        return "c3_c4"
+    if find_induced(tree, g) is not None:
+        return "tree_present"
+    return "member"
+
+
+@timed
+def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
     """Filter a graph6 corpus down to connected, min-degree-3, C3/C4-free,
-    tree-free members; rejections are tallied per filter."""
-    t0 = time.perf_counter()
+    tree-free members; rejections are tallied per filter.
+
+    Records are classified as they stream in, so memory holds one record
+    and the members, not the corpus.
+    """
     pat = patterns.make(tree_id)
     if not patterns.is_tree(pat.graph):
         raise UsageError(f"{tree_id!r} is not a catalog tree")
-    records = list(stream_corpus(source, lenient=lenient))
-
-    def classify(g: Graph) -> str:
-        st = stats(g)
-        if not st.connected:
-            return "disconnected"
-        if st.min_degree < 3:
-            return "min_degree"
-        if not is_c3c4_free(g):
-            return "c3_c4"
-        if find_induced(pat.graph, g) is not None:
-            return "tree_present"
-        return "member"
-
-    if jobs > 1:
-        # imported here: the pool and the logging it pulls in cost ~0.6 MB of RSS
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(classify, (g for _, g in records)))
-    else:
-        verdicts = [classify(g) for _, g in records]
     tallies = {"disconnected": 0, "min_degree": 0, "c3_c4": 0, "tree_present": 0}
     members = []
-    # records arrive in index order and both maps keep it
-    for (index, g), verdict in zip(records, verdicts):
+    records = 0
+    for index, g in stream_corpus(source, lenient=lenient):
+        records += 1
+        verdict = _scan_verdict(g, pat.graph)
         if verdict == "member":
             members.append({"index": index, "graph6": emit_graph6(g)})
         else:
             tallies[verdict] += 1
     return Report(
-        check_id="scan",
-        params={"tree": pat.pattern_id, "jobs": jobs, "records": len(records),
-                "members": members, "rejections": tallies},
+        "scan",
+        {"tree": pat.pattern_id, "records": records, "members": members, "rejections": tallies},
         passed=True,
-        status="checked",
         witness={"member_count": len(members)},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -488,7 +414,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    rep = scan_corpus(args.corpus, args.tree, jobs=args.jobs, lenient=args.lenient)
+    rep = scan_corpus(args.corpus, args.tree, lenient=args.lenient)
     _emit_reports([rep], args.report)
     return _exit_code([rep])
 
@@ -543,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="filter a graph6 corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_scan)

@@ -9,11 +9,13 @@ groups (MSB first), zero-padded, each group stored as value+63.
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator
+from time import perf_counter
+from typing import Any, Callable, IO, Iterable, Iterator
 
 from .core import VERTEX_CAP, Graph
 from .errors import CapacityError, FormatError
@@ -204,3 +206,24 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def checked(
+    check_id: str, host: Graph, passed: bool, params: dict[str, Any], witness: Any = None
+) -> Report:
+    """A checked verdict on ``host``; a failed one carries the host as its graph6 counterexample."""
+    return Report(check_id, params, passed, "checked", witness,
+                  None if passed else emit_graph6(host))
+
+
+def timed(check: Callable[..., Report]) -> Callable[..., Report]:
+    """Stamp the wall time of the whole call, in milliseconds, on the Report it returns."""
+
+    @functools.wraps(check)
+    def run(*args: Any, **kwargs: Any) -> Report:
+        start = perf_counter()
+        rep = check(*args, **kwargs)
+        rep.runtime_ms = int((perf_counter() - start) * 1000)
+        return rep
+
+    return run

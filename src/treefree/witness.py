@@ -8,7 +8,6 @@ sizes bound how much of N(w) a connected set X can touch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
@@ -21,7 +20,7 @@ from .errors import (
     InvalidWitnessError,
     UnsupportedRamseyError,
 )
-from .graphio import Report, emit_graph6
+from .graphio import Report, checked, emit_graph6, timed
 
 Path = tuple[int, ...]
 
@@ -123,9 +122,9 @@ def _path_pair_clauses(
     return clauses
 
 
+@timed
 def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> Report:
     """Check the Lemma-4.1 clauses on one ordered pair of (v,w;k)-paths."""
-    t0 = time.perf_counter()
     q1, q2 = tuple(q1), tuple(q2)
     _validate_vw_path(g, q1, k)
     _validate_vw_path(g, q2, k)
@@ -135,18 +134,14 @@ def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> R
         raise InvalidWitnessError("second vertices must differ")
     m4 = compute_Mk(g, q1[0], q1[-1], 4) if k == 5 else None
     clauses = _path_pair_clauses(g, q1, q2, k, m4)
-    passed = all(clauses.values())
-    return Report(
-        check_id="lemma4.1.pair",
-        params={"k": k, "v": q1[0], "w": q1[-1], "q1": list(q1), "q2": list(q2)},
-        passed=passed,
-        status="checked",
-        witness={"clauses": clauses},
-        counterexample=None if passed else emit_graph6(g),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    return checked(
+        "lemma4.1.pair", g, all(clauses.values()),
+        {"k": k, "v": q1[0], "w": q1[-1], "q1": list(q1), "q2": list(q2)},
+        {"clauses": clauses},
     )
 
 
+@timed
 def scan_path_pairs(
     g: Graph,
     k: int,
@@ -159,7 +154,6 @@ def scan_path_pairs(
     With ``vw_samples`` unset every non-adjacent pair is used.  Returns the
     number of ordered path pairs inspected in the witness.
     """
-    t0 = time.perf_counter()
     # ordered (v,w): the k=5 clauses are not symmetric under path reversal
     nonadj = [
         (v, w)
@@ -184,15 +178,10 @@ def scan_path_pairs(
                 clauses = _path_pair_clauses(g, q1, q2, k, m4)
                 if not all(clauses.values()):
                     violations.append({"q1": list(q1), "q2": list(q2), "clauses": clauses})
-    passed = not violations
-    return Report(
-        check_id="lemma4.1.scan",
-        params={"host": host_name, "k": k, "vw_pairs": len(nonadj), "seed": seed},
-        passed=passed,
-        status="checked",
-        witness={"path_pairs": pair_count, "violations": violations[:5]},
-        counterexample=None if passed else emit_graph6(g),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    return checked(
+        "lemma4.1.scan", g, not violations,
+        {"host": host_name, "k": k, "vw_pairs": len(nonadj), "seed": seed},
+        {"path_pairs": pair_count, "violations": violations[:5]},
     )
 
 
@@ -230,6 +219,9 @@ class WitnessSets:
     report: Report
 
 
+_CLOSURE_SETS = ("y1", "y2", "z1", "z2", "z3")
+
+
 def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
     """Compute Y1, Y2, Z1, Z2, Z3 from X and check the edge-emptiness claims.
 
@@ -239,10 +231,17 @@ def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
 
     When the host is C3/C4-free, every a in N(w)-Y2 has no edge from X into
     N<=1(a), and every a in N(w)-Z3 has no edge from X into N<=2(a)-Z3; both
-    are asserted in the attached report.
+    are asserted in the attached report, whose witness lists the five sets.
     """
-    t0 = time.perf_counter()
     X = frozenset(base)
+    report = _closure_report(g, w, X)
+    sets = {name: frozenset(report.witness[name]) for name in _CLOSURE_SETS}
+    return WitnessSets(host=g, w=w, base=X, report=report, **sets)
+
+
+@timed
+def _closure_report(g: Graph, w: int, X: frozenset[int]) -> Report:
+    """The lemma-5.1 report of ``derived_sets``."""
     dist = bfs_levels(g, w)
     if any(not 0 <= x < g.n or 0 <= dist[x] <= 1 for x in X):
         raise DomainError("base set must lie in N_{>=2}(w)")
@@ -272,34 +271,9 @@ def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
         ball2 = balls1[a] | nbhd(g.row(a))
         if any(g.row(x) & ball2 & ~z3 for x in X):
             violations.append({"clause": "ii", "a": a})
-    passed = not violations
-    report = Report(
-        check_id="lemma5.1",
-        params={"w": w, "X": sorted(X)},
-        passed=passed,
-        status="checked",
-        witness={
-            "y1": sorted(bits(y1)),
-            "y2": sorted(bits(y2)),
-            "z1": sorted(bits(z1)),
-            "z2": sorted(bits(z2)),
-            "z3": sorted(bits(z3)),
-            "violations": violations,
-        },
-        counterexample=None if passed else emit_graph6(g),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
-    return WitnessSets(
-        host=g,
-        w=w,
-        base=X,
-        y1=frozenset(bits(y1)),
-        y2=frozenset(bits(y2)),
-        z1=frozenset(bits(z1)),
-        z2=frozenset(bits(z2)),
-        z3=frozenset(bits(z3)),
-        report=report,
-    )
+    witness = {name: sorted(bits(m)) for name, m in zip(_CLOSURE_SETS, (y1, y2, z1, z2, z3))}
+    witness["violations"] = violations
+    return checked("lemma5.1", g, not violations, {"w": w, "X": sorted(X)}, witness)
 
 
 _R3 = {1: 1, 2: 3, 3: 6, 4: 9}
@@ -389,6 +363,7 @@ def _ramsey34_levels() -> tuple[list[Graph], Graph | None, list[int]]:
     return eight, nine, counts
 
 
+@timed
 def verify_ramsey_small(t: int) -> Report:
     """Brute-force confirmation of R(3,t) for t in {2, 3, 4}.
 
@@ -397,7 +372,6 @@ def verify_ramsey_small(t: int) -> Report:
     graphs with independence number <= 3 are grown vertex by vertex (up to
     isomorphism); survivors on 8 vertices exist and none extends to 9.
     """
-    t0 = time.perf_counter()
     if t == 2:
         upper = all(
             _has_k3_or_independent(build(3, [(a, b) for (a, b), keep in zip(
@@ -441,17 +415,11 @@ def verify_ramsey_small(t: int) -> Report:
     detail: dict = {"lower_bound_witness": witness}
     if t == 4:
         detail["level_classes"] = counts
-    return Report(
-        check_id=f"ramsey3{t}",
-        params={"t": t, "value": value},
-        passed=passed,
-        status="checked",
-        witness=detail,
-        counterexample=None if passed else "?",
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return Report(f"ramsey3{t}", {"t": t, "value": value}, passed, witness=detail,
+                  counterexample=None if passed else "?")
 
 
+@timed
 def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
     """Check the geodesic attachment properties along a diameter path.
 
@@ -459,7 +427,6 @@ def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
     every off-path vertex sees at most one path vertex, and that two
     adjacent off-path vertices attach at indices i < i' with 2 <= i'-i <= 3.
     """
-    t0 = time.perf_counter()
     from .core import diameter, distance
 
     p = tuple(path)
@@ -489,13 +456,7 @@ def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
                 gap = abs(attach[yp] - i)
                 if not 2 <= gap <= 3:
                     violations.append({"clause": "ii", "edge": [y, yp], "gap": gap})
-    passed = not violations
-    return Report(
-        check_id="lemma3.1",
-        params={"u": p[0], "v": p[-1], "diameter": d},
-        passed=passed,
-        status="checked",
-        witness={"off_path": len(attach), "violations": violations[:5]},
-        counterexample=None if passed else emit_graph6(g),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    return checked(
+        "lemma3.1", g, not violations, {"u": p[0], "v": p[-1], "diameter": d},
+        {"off_path": len(attach), "violations": violations[:5]},
     )

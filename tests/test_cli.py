@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import os
 import json
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import treefree
+from treefree import graphio
 from treefree.cli import (
     DIAM_CLAUSES,
     check_diam_theorem,
@@ -18,6 +26,13 @@ from treefree.errors import UsageError
 from treefree.families import gp, h1
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import contracted_heawood, cycle, heawood, make, petersen
+from treefree.witness import (
+    check_geodesic,
+    check_path_pair,
+    derived_sets,
+    scan_path_pairs,
+    verify_ramsey_small,
+)
 
 
 def _named_graph_corpus():
@@ -87,12 +102,51 @@ def test_scan_corpus_returns_the_three_named_graphs():
     }
 
 
-def test_scan_corpus_jobs_invariance():
-    corpus = _named_graph_corpus()
-    seq = scan_corpus(corpus, "P8")
-    par = scan_corpus(corpus, "P8", jobs=4)
-    assert seq.params["members"] == par.params["members"]
-    assert seq.params["rejections"] == par.params["rejections"]
+def test_scan_corpus_streams_its_records():
+    # rejected by the min-degree filter; 24 rows are past CPython's tuple
+    # free lists, whose cached blocks tracemalloc would count as live
+    record = emit_graph6(cycle(24).graph)
+
+    def traced_peak(copies):
+        corpus = [record] * copies
+        tracemalloc.start()
+        try:
+            rep = scan_corpus(corpus, "P8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.params["records"] == copies
+        return peak
+
+    assert traced_peak(500) < 2 * traced_peak(50)
+
+
+def test_every_report_is_stamped_by_the_one_clock(monkeypatch):
+    """A fake clock advancing one second per read: a check that reads it only
+    through ``timed`` spans 1 + 2 x (nested timed calls) readings."""
+    ticks = itertools.count()
+    monkeypatch.setattr(graphio, "perf_counter", lambda: float(next(ticks)))
+
+    def assert_stamped(rep, nested=0):
+        assert rep.runtime_ms == 1000 * (1 + 2 * nested), rep.check_id
+
+    for lemma_id, s in (("2.2i", 5), ("2.3", 3), ("2.4", 4), ("2.5", 3), ("2.5p", 3),
+                        ("2.2w", 5)):
+        assert_stamped(verify_lemma(lemma_id, s_range=(s, s)))
+    assert_stamped(verify_lemma("4.1"), nested=8)  # four hosts x k in {4, 5}
+    for lemma_id in ("5.1", "5.3"):
+        rep = verify_lemma(lemma_id, samples=5)  # one derived_sets per base
+        assert_stamped(rep, nested=rep.witness["bases_checked"])
+    assert_stamped(check_diam_theorem(gp(25).graph))
+    assert_stamped(check_maxdeg_theorem(petersen().graph))
+    assert_stamped(scan_corpus(_named_graph_corpus(), "P8"))
+    c6 = cycle(6).graph
+    assert_stamped(check_path_pair(c6, (0, 1, 2, 3), (0, 5, 4, 3), 4))
+    assert_stamped(scan_path_pairs(c6, 4))
+    assert_stamped(derived_sets(h1(5).graph, 0, []).report)
+    for t in (2, 3, 4):
+        assert_stamped(verify_ramsey_small(t))
+    assert_stamped(check_geodesic(c6, (0, 1, 2, 3)))
 
 
 def test_reports_are_deterministic_apart_from_runtime():
@@ -160,7 +214,7 @@ def test_cli_verify_exit_codes_and_report(capsys, tmp_path):
 def test_cli_scan_and_theorem(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("\n".join(_named_graph_corpus()) + "\n")
-    assert main(["scan", "--corpus", str(corpus), "--tree", "P8", "--jobs", "2"]) == 0
+    assert main(["scan", "--corpus", str(corpus), "--tree", "P8"]) == 0
     capsys.readouterr()
     single = tmp_path / "gp49.g6"
     single.write_text(emit_graph6(gp(49).graph) + "\n")
@@ -176,6 +230,11 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
     bad.write_text("B`\n")
     assert main(["chi", "--input", str(bad)]) == 2
     capsys.readouterr()
+    good = tmp_path / "k3.g6"
+    good.write_text("Bw\n")
+    _exit_two_with_one_line(
+        capsys, ["scan", "--corpus", str(good), "--tree", "P8", "--jobs", "2"], "--jobs"
+    )
 
 
 def _exit_two_with_one_line(capsys, argv, needle):
@@ -186,6 +245,10 @@ def _exit_two_with_one_line(capsys, argv, needle):
 
 def test_cli_bad_size_range_exits_two(capsys):
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", "a..b"], "'a..b'")
+    for lemma_id, s in (("4.1", "3..5"), ("5.1", "2..2"), ("5.3", "5")):
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--s", s],
+                                "takes no size range")
+    _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "5..9"], "one size")
 
 
 def test_cli_chi_cap_below_one_exits_two(capsys, tmp_path):
@@ -204,6 +267,23 @@ def test_cli_missing_corpus_exits_two(capsys, tmp_path):
 
 def test_cli_lemma_22w_below_witness_size_exits_two(capsys):
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "1"], "s >= 5")
+
+
+
+def _run_module(*argv):
+    src = str(Path(treefree.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "treefree.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def test_cli_module_process_exit_contract(tmp_path):
+    ok = _run_module("verify", "--lemma", "2.4", "--s", "4..4")
+    assert ok.returncode == 0
+    lines = ok.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["pass"] is True
+    bad = _run_module("scan", "--corpus", str(tmp_path / "missing.g6"), "--tree", "P8")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.count("\n") == 1 and "Traceback" not in bad.stderr
 
 
 def test_cli_vacuous_is_not_failure(capsys, tmp_path):
