@@ -15,8 +15,8 @@ from random import Random
 from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
-from .core import Graph, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
-from .embed import find_induced, is_isomorphic
+from .core import Graph, GraphStats, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
+from .embed import find_induced, is_free, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -44,17 +44,21 @@ def _h1_ids(s: int, spec: Iterable) -> list[int]:
 
 def _freeness_sweep(
     check_id: str,
-    hosts: list[tuple[str, Graph]],
+    hosts: list[families.FamilyGraph],
     forbidden: list[patterns.PatternSpec],
 ) -> Report:
-    """Assert every host is free of every pattern; stop at the first hit."""
+    """Assert every host is free of every pattern; stop at the first hit.
+
+    Each search is orbit-rooted by the host's generators.  A hit reruns the
+    unrooted search, so a failure reports the same witness either way.
+    """
     done = []
-    for host_name, host in hosts:
+    for fg in hosts:
         for pat in forbidden:
-            emb = find_induced(pat.graph, host)
-            done.append({"host": host_name, "pattern": pat.pattern_id})
-            if emb is not None:
-                return checked(check_id, host, False, {"failed_on": done[-1]},
+            done.append({"host": f"{fg.family}:{fg.size}", "pattern": pat.pattern_id})
+            if not is_free(fg.graph, pat.graph, fg.generators):
+                emb = find_induced(pat.graph, fg.graph)
+                return checked(check_id, fg.graph, False, {"failed_on": done[-1]},
                                {"embedding": list(emb.mapping)})
     return Report(check_id, {"checked": done}, passed=True)
 
@@ -192,36 +196,43 @@ _DEFAULT_RANGES = {
     "2.5": (3, 5),
     "2.5p": (3, 5),
 }
+_SAMPLED = ("4.1", "5.1", "5.3")
+_LEMMAS = (*_DEFAULT_RANGES, "2.2w", *_SAMPLED)
 
 
 @timed
 def verify_lemma(
     lemma_id: str,
     s_range: tuple[int, int] | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     samples: int = 100,
 ) -> Report:
     """Run one named lemma check and return its report.
 
     Lemmas 4.1, 5.1 and 5.3 run on fixed hosts and take no ``s_range``;
     2.2w replays its witnesses at one size, so its range must be ``(s, s)``.
+    Only 4.1, 5.1 and 5.3 sample, so only they take a ``seed`` (default 0).
     """
-    if s_range is not None and lemma_id in ("4.1", "5.1", "5.3"):
+    if lemma_id not in _LEMMAS:
+        raise UsageError(f"unknown lemma id {lemma_id!r}")
+    if s_range is not None and lemma_id in _SAMPLED:
         raise UsageError(f"lemma {lemma_id} runs on fixed hosts and takes no size range")
+    if seed is not None and lemma_id not in _SAMPLED:
+        raise UsageError(f"lemma {lemma_id} does not sample and takes no seed")
     if lemma_id in ("2.2i", "2.3", "2.4", "2.5"):
         lo, hi = s_range or _DEFAULT_RANGES[lemma_id]
         svals = range(lo, hi + 1)
         if lemma_id == "2.2i":
-            hosts = [(f"h1:{s}", families.h1(s).graph) for s in svals]
+            hosts = [families.h1(s) for s in svals]
             forb = [patterns.path(10)]
         elif lemma_id == "2.3":
-            hosts = [(f"h2:{s}", families.h2(s).graph) for s in svals]
+            hosts = [families.h2(s) for s in svals]
             forb = [patterns.s_tree(8, (0, 0, 0, 1)), patterns.tstar_tree(8)]
         elif lemma_id == "2.4":
-            hosts = [(f"h3:{s}", families.h3(s).graph) for s in svals]
+            hosts = [families.h3(s) for s in svals]
             forb = [patterns.s_tree(7, (1, 0, 1))]
         else:
-            hosts = [(f"h4:{s}", families.h4(s).graph) for s in svals]
+            hosts = [families.h4(s) for s in svals]
             forb = [patterns.s8_2()]
         return _freeness_sweep(f"lemma{lemma_id}", hosts, forb)
     if lemma_id == "2.2w":
@@ -233,35 +244,42 @@ def verify_lemma(
         lo, hi = s_range or _DEFAULT_RANGES["2.5p"]
         return _lemma_25_petersen(range(lo, hi + 1))
     if lemma_id == "4.1":
-        return _lemma_41_suite(seed=seed, vw_samples=40)
-    if lemma_id in ("5.1", "5.3"):
-        return _lemma_5x_suite(lemma_id, seed=seed, samples=samples)
-    raise UsageError(f"unknown lemma id {lemma_id!r}")
+        return _lemma_41_suite(seed=seed or 0, vw_samples=40)
+    return _lemma_5x_suite(lemma_id, seed=seed or 0, samples=samples)
 
 
-def _gate(g: Graph) -> str | None:
+def _gate(g: Graph) -> tuple[str | None, GraphStats]:
+    """The first hypothesis filter ``g`` fails, cheapest first ("disconnected",
+    "min_degree", "c3_c4"), or None; with the stats the filters read."""
     st = stats(g)
     if not st.connected:
-        return "disconnected"
+        return "disconnected", st
     if st.min_degree < 3:
-        return f"min degree {st.min_degree} < 3"
+        return "min_degree", st
     if not is_c3c4_free(g):
-        return "contains C3 or C4"
-    return None
+        return "c3_c4", st
+    return None, st
+
+
+def _gate_reason(key: str, st: GraphStats) -> str:
+    """The vacuous-report text for the filter ``key`` that ``_gate`` returned."""
+    return {"disconnected": "disconnected", "min_degree": f"min degree {st.min_degree} < 3",
+            "c3_c4": "contains C3 or C4"}[key]
 
 
 def _implication_report(
-    check_id: str, g: Graph, reason: str | None, quantity: str, value: int,
+    check_id: str, g: Graph, gate: tuple[str | None, GraphStats], quantity: str, value: int,
     clauses: tuple[tuple[str, int], ...], assume_met: bool = False,
 ) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis gate failed with ``reason`` or no threshold is reached."""
+    hypothesis ``gate`` failed or no threshold is reached."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
     }
-    if reason is not None:
-        params["reason"] = f"hypothesis gate failed: {reason}"
+    key, st = gate
+    if key is not None:
+        params["reason"] = f"hypothesis gate failed: {_gate_reason(key, st)}"
         return Report(check_id, params, status="vacuous")
     outcomes = {}
     any_checked = False
@@ -284,30 +302,17 @@ def _implication_report(
 @timed
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively."""
-    reason = _gate(g)
-    value = diameter(g) if reason is None else -1
-    return _implication_report("theorem.diam", g, reason, "diameter", value, DIAM_CLAUSES)
+    gate = _gate(g)
+    value = diameter(g) if gate[0] is None else -1
+    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES)
 
 
 @timed
 def check_maxdeg_theorem(g: Graph, assume_met: bool = False) -> Report:
     """Max-degree thresholds; vacuous at desk scale, and the report says so."""
-    return _implication_report("theorem.maxdeg", g, _gate(g), "max_degree",
-                               stats(g).max_degree, MAXDEG_CLAUSES, assume_met=assume_met)
-
-
-def _scan_verdict(g: Graph, tree: Graph) -> str:
-    """The first filter ``g`` fails, cheapest first, or "member"."""
-    st = stats(g)
-    if not st.connected:
-        return "disconnected"
-    if st.min_degree < 3:
-        return "min_degree"
-    if not is_c3c4_free(g):
-        return "c3_c4"
-    if find_induced(tree, g) is not None:
-        return "tree_present"
-    return "member"
+    gate = _gate(g)
+    return _implication_report("theorem.maxdeg", g, gate, "max_degree",
+                               gate[1].max_degree, MAXDEG_CLAUSES, assume_met=assume_met)
 
 
 @timed
@@ -326,7 +331,9 @@ def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
     records = 0
     for index, g in stream_corpus(source, lenient=lenient):
         records += 1
-        verdict = _scan_verdict(g, pat.graph)
+        verdict, _ = _gate(g)
+        if verdict is None:
+            verdict = "member" if find_induced(pat.graph, g) is None else "tree_present"
         if verdict == "member":
             members.append({"index": index, "graph6": emit_graph6(g)})
         else:
@@ -462,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named lemma check")
     p.add_argument("--lemma", required=True)
     p.add_argument("--s", type=_parse_range, default=None, help="size range A..B")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="lemmas 4.1, 5.1, 5.3 only")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 

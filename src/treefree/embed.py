@@ -9,6 +9,21 @@ come from ``core.balls`` only when the search first places it.
 Candidates are scanned in ascending host id, which makes every returned
 witness deterministic.  Isomorphism is an induced embedding between graphs
 of equal order and size, started from the color-refinement classes.
+
+Orbit rooting.  ``is_free`` may be given host automorphism generators (the
+family constructors supply them).  At depth d the search then tries only
+the lowest vertex of each orbit of H_d inside the candidate mask, where H_d
+is the group generated by the generators that fix every host vertex placed
+so far.  This is sound for existence.  H_d fixes the prefix pointwise, and
+the candidate mask is H_d-invariant: it is built from the degree base and
+from the adjacency rows, non-adjacency rows and distance balls of placed
+vertices, and an automorphism fixing those vertices preserves every one of
+them.  So if an embedding extends the prefix through candidate y, and g in
+H_d maps y to its orbit's lowest vertex x, then g composed with that
+embedding is an embedding that extends the same prefix through x.  Once no
+generator fixes a branch's prefix, the branch is searched in full.  Rooting
+skips embeddings, so it serves only the yes/no question: ``find_induced``,
+``find_all_induced`` and ``is_isomorphic`` search every candidate.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import Graph, balls, bfs_levels
+from .core import Graph, balls, bfs_levels, bits
 from .errors import CapacityError
 
 PATTERN_CAP = 16
@@ -59,12 +74,55 @@ def _all_pairs_dist(g: Graph) -> list[list[int]]:
     return [bfs_levels(g, v) for v in range(g.n)]
 
 
+def _orbit_reps(mask: int, gens: list[tuple[tuple[int, ...], int]]) -> int:
+    """``mask`` cut to the lowest vertex of each orbit of the group ``gens``
+    generate; ``mask`` must be invariant under it.
+
+    ``gens`` holds (permutation, support mask) pairs.  Union-find runs over
+    the candidates some generator moves, with the lowest id as each root;
+    the other candidates are fixed points and stay.
+    """
+    moved = 0
+    for _, support in gens:
+        moved |= support
+    todo = mask & moved
+    if not todo:
+        return mask
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for perm, support in gens:
+        for x in bits(todo & support):
+            a, b = find(x), find(perm[x])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    reps = mask & ~moved
+    for x in bits(todo):
+        if parent.get(x, x) == x:
+            reps |= 1 << x
+    return reps
+
+
 def _search(
-    pattern: Graph, host: Graph, limit: int | None, initial: Sequence[int] | None = None
+    pattern: Graph,
+    host: Graph,
+    limit: int | None,
+    initial: Sequence[int] | None = None,
+    generators: Sequence[Sequence[int]] = (),
 ) -> list[Embedding]:
     """Induced embeddings in search order, stopping after ``limit``.
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
+    ``generators`` are host automorphisms; with them and no ``initial`` the
+    search is orbit-rooted (see the module docstring), which keeps whether
+    an embedding exists but not which ones are found.
     """
     k, n = pattern.n, host.n
     if k == 0:
@@ -93,10 +151,17 @@ def _search(
     ball_rows: dict[int, list[int]] = {}
     mapping = [-1] * k
     found: list[Embedding] = []
+    # (permutation, support mask) per generator that moves something
+    gens = []
+    if initial is None:
+        for perm in generators:
+            support = sum(1 << x for x, y in enumerate(perm) if x != y)
+            if support:
+                gens.append((tuple(perm), support))
 
-    def place(idx: int, cand: list[int]) -> bool:
+    def place(idx: int, cand: list[int], gens: list) -> bool:
         q = order[idx]
-        m = cand[q]
+        m = _orbit_reps(cand[q], gens) if gens else cand[q]
         while m:
             low = m & -m
             m ^= low
@@ -123,12 +188,14 @@ def _search(
                 nxt[r] = c
             if ok:
                 mapping[q] = h
-                if place(idx + 1, nxt):
+                # below h: the generators that fix every placed vertex, h included
+                sub = [g for g in gens if not g[1] >> h & 1] if gens else gens
+                if place(idx + 1, nxt, sub):
                     return True
                 mapping[q] = -1
         return False
 
-    place(0, base)
+    place(0, base, gens)
     return found
 
 
@@ -138,16 +205,24 @@ def find_induced(pattern: Graph, host: Graph) -> Embedding | None:
     return out[0] if out else None
 
 
-def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[Embedding]:
-    """Every induced embedding (up to ``limit``), in deterministic order."""
+def _capped(pattern: Graph) -> Graph:
     if pattern.n > PATTERN_CAP:
         raise CapacityError(f"pattern has {pattern.n} > {PATTERN_CAP} vertices")
-    return _search(pattern, host, limit=limit)
+    return pattern
 
 
-def is_free(host: Graph, pattern: Graph) -> bool:
-    """True iff ``host`` contains no induced copy of ``pattern``."""
-    return find_induced(pattern, host) is None
+def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[Embedding]:
+    """Every induced embedding (up to ``limit``), in deterministic order."""
+    return _search(_capped(pattern), host, limit=limit)
+
+
+def is_free(host: Graph, pattern: Graph, generators: Sequence[Sequence[int]] = ()) -> bool:
+    """True iff ``host`` contains no induced copy of ``pattern``.
+
+    ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
+    make the search try one host vertex per orbit; the verdict is the same.
+    """
+    return not _search(_capped(pattern), host, limit=1, generators=generators)
 
 
 def verify_embedding(

@@ -2,11 +2,19 @@
 
 Id helpers (h1_u, h2_w, ...) expose the per-copy coordinates, so the
 named lemma checks can replay fixed witness sets by coordinate.
+
+Each constructor also returns automorphism generators: the symmetries its
+definition makes obvious (copy transpositions, rotations, reflections,
+gadget swaps), each a tuple ``perm`` with ``perm[x]`` the image of x.  They
+need not generate the whole automorphism group; ``embed.is_free`` uses them
+only to skip host vertices that some automorphism maps onto one already
+tried.  ``_validate`` checks every generator edge by edge at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import Graph, build, is_c3c4_free, is_connected, stats
 from .errors import ConstructionError
@@ -18,12 +26,27 @@ class FamilyGraph:
     size: int
     graph: Graph
     labels: dict[int, str] = field(default_factory=dict)
+    generators: tuple[tuple[int, ...], ...] = ()
+
+
+def _perm(n: int, image: Callable[[int], int]) -> tuple[int, ...]:
+    return tuple(image(x) for x in range(n))
+
+
+def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
+    """A permutation of range(n) that maps every edge to an edge, in O(m)."""
+    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+        return False
+    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
 
 
 def _validate(fg: FamilyGraph, order: int, min_degree: int, regular: int | None = None) -> FamilyGraph:
     g = fg.graph
     if g.n != order:
         raise ConstructionError(f"{fg.family}({fg.size}): order {g.n} != {order}")
+    for k, perm in enumerate(fg.generators):
+        if not _is_automorphism(g, perm):
+            raise ConstructionError(f"{fg.family}({fg.size}): generator {k} is not an automorphism")
     if not is_connected(g):
         raise ConstructionError(f"{fg.family}({fg.size}): disconnected")
     if not is_c3c4_free(g):
@@ -34,6 +57,21 @@ def _validate(fg: FamilyGraph, order: int, min_degree: int, regular: int | None 
     if regular is not None and (st.min_degree != regular or st.max_degree != regular):
         raise ConstructionError(f"{fg.family}({fg.size}): not {regular}-regular")
     return fg
+
+
+def _copy_swaps(n: int, size: int, s: int) -> list[tuple[int, ...]]:
+    """Transpositions of adjacent copies i, i+1 of a block of ``size`` ids laid out from 0."""
+
+    def swap(i: int) -> tuple[int, ...]:
+        lo, mid, hi = i * size, (i + 1) * size, (i + 2) * size
+        return _perm(n, lambda x: x + size if lo <= x < mid else x - size if mid <= x < hi else x)
+
+    return [swap(i) for i in range(s - 1)]
+
+
+def _first_copy(n: int, local: list[int]) -> tuple[int, ...]:
+    """A symmetry of the first copy, ids 0..len(local)-1, fixing every other vertex."""
+    return _perm(n, lambda x: local[x] if x < len(local) else x)
 
 
 # ---------------------------------------------------------------- h1
@@ -64,7 +102,15 @@ def h1(s: int) -> FamilyGraph:
             edges.append((h1_u(i, j), h1_v(s, (j - 1) % 3 + 1)))
     for h in range(1, 4):
         labels[h1_v(s, h)] = f"v{h}"
-    fg = FamilyGraph("h1", s, build(6 * s + 3, edges), labels)
+    n = 6 * s + 3
+
+    def turn(step: int) -> tuple[int, ...]:
+        # cycle position j -> step*j + 1 (step = 1 rotates, -1 reflects); hub class c -> step*c + 1
+        return _perm(n, lambda x: x - x % 6 + (step * x + 1) % 6 if x < 6 * s
+                     else 6 * s + (step * (x - 6 * s) + 1) % 3)
+
+    gens = _copy_swaps(n, 6, s) + [_first_copy(n, [(j + 3) % 6 for j in range(6)]), turn(1), turn(-1)]
+    fg = FamilyGraph("h1", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 6 * s + 3, 3 if s >= 2 else 2)
 
 
@@ -107,7 +153,14 @@ def h2(s: int) -> FamilyGraph:
             labels[h2_u(i, j)] = f"u{i}.{j}"
             labels[h2_v(i, j)] = f"v{i}.{j}"
             labels[h2_w(i, j)] = f"w{i}.{j}"
-    fg = FamilyGraph("h2", s, build(15 * s + 1, edges), labels)
+    n = 15 * s + 1
+    # inside the first copy: u, v, w at 0..4, 5..9, 10..14
+    gens = _copy_swaps(n, 15, s) + [
+        _first_copy(n, [x - x % 5 + (x + 1) % 5 for x in range(15)]),
+        _first_copy(n, [x - x % 5 + (-x) % 5 for x in range(15)]),
+        _first_copy(n, [(x + 5) % 10 if x < 10 else x for x in range(15)]),
+    ]
+    fg = FamilyGraph("h2", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 15 * s + 1, 3)
 
 
@@ -130,6 +183,23 @@ _H3_GADGET_EDGES = [
     ("w11", "w21"), ("w12", "w23"), ("w13", "w22"), ("w14", "w24"),
     ("w11", "w13"), ("w12", "w14"), ("w21", "w23"), ("w22", "w24"),
 ]
+
+
+# Gadget symmetries as swaps of offset names.  The side swap exchanges
+# u1 <-> u2 and turns the ring around; each branch swap fixes u1 and u2.
+_H3_SIDE_SWAP = (("u1", "u2"), ("v11", "v21"), ("v12", "v22"),
+                 ("w11", "w21"), ("w12", "w22"), ("w13", "w23"), ("w14", "w24"))
+_H3_BRANCH_SWAPS = (
+    (("v11", "v12"), ("w11", "w13"), ("w12", "w14"), ("w21", "w22"), ("w23", "w24")),
+    (("v21", "v22"), ("w21", "w23"), ("w22", "w24"), ("w11", "w12"), ("w13", "w14")),
+)
+
+
+def _h3_local(swaps: tuple[tuple[str, str], ...]) -> list[int]:
+    local = list(range(14))
+    for a, b in swaps:
+        local[_H3_OFFSET[a]], local[_H3_OFFSET[b]] = _H3_OFFSET[b], _H3_OFFSET[a]
+    return local
 
 
 def h3_u(i: int, j: int) -> int:
@@ -160,7 +230,13 @@ def h3(s: int) -> FamilyGraph:
         for name, off in _H3_OFFSET.items():
             labels[base + off] = f"{name[0]}{i}." + ".".join(name[1:])
         edges.append((h3_u(i, 2), h3_u(i % s + 1, 1)))
-    fg = FamilyGraph("h3", s, build(14 * s, edges), labels)
+    n = 14 * s
+    side = _h3_local(_H3_SIDE_SWAP)
+    gens = [
+        _perm(n, lambda x: (x + 14) % n),
+        _perm(n, lambda x: (-(x // 14)) % s * 14 + side[x % 14]),
+    ] + [_first_copy(n, _h3_local(swaps)) for swaps in _H3_BRANCH_SWAPS]
+    fg = FamilyGraph("h3", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 14 * s, 3, regular=3)
 
 
@@ -196,7 +272,13 @@ def h4(s: int) -> FamilyGraph:
         for h in range(1, 4):
             edges.append((h4_z(s), h4_v(i, h)))
             labels[h4_v(i, h)] = f"v{i}.{h}"
-    fg = FamilyGraph("h4", s, build(9 * s + 1, edges), labels)
+    n = 9 * s + 1
+    # inside the first block: the 6-cycle at 0..5, v1..v3 at 6..8
+    gens = _copy_swaps(n, 9, s) + [
+        _first_copy(n, [(step * j + 1) % 6 for j in range(6)] + [6 + (step * c + 1) % 3 for c in range(3)])
+        for step in (1, -1)
+    ]
+    fg = FamilyGraph("h4", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 9 * s + 1, 3)
 
 
@@ -221,7 +303,8 @@ def gp(n: int, k: int = 2) -> FamilyGraph:
         edges.append((n + i, n + (i + 2) % n))
         labels[i] = f"u{i}"
         labels[n + i] = f"v{i}"
-    fg = FamilyGraph("gp", n, build(2 * n, edges), labels)
+    gens = tuple(_perm(2 * n, lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
+    fg = FamilyGraph("gp", n, build(2 * n, edges), labels, gens)
     return _validate(fg, 2 * n, 3, regular=3)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from random import Random
+from typing import Iterable
 
 from treefree.core import Graph, build
 from treefree.embed import Embedding
@@ -312,3 +313,89 @@ def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
         return False
 
     return Embedding(tuple(chosen)) if extend() else None
+
+
+def _distance_profile(g: Graph, v: int) -> tuple[int, ...]:
+    """How many vertices lie at distance 0, 1, 2, ... from v: an automorphism invariant."""
+    dist = {v: 0}
+    queue = [v]
+    for x in queue:
+        for y in g.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    counts = [0] * (max(dist.values()) + 1)
+    for d in dist.values():
+        counts[d] += 1
+    return tuple(counts)
+
+
+def _maps_onto(g: Graph, a: int, b: int, profile: list[tuple[int, ...]]) -> bool:
+    """Is there an automorphism of ``g`` taking a to b?  Plain backtracking.
+
+    Vertices are placed in DFS preorder from a, so each one closes its
+    cycles soon after it is placed.  A vertex placed after its DFS parent p
+    may only go to an unused neighbour of p's image with the same distance
+    profile, and every placement must keep adjacency and non-adjacency with
+    all placed vertices.  Other components are placed in the same way from
+    their lowest vertex, which may go anywhere unused.
+    """
+    n = g.n
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
+    for root in [a] + list(range(n)):
+        if root in parent:
+            continue
+        stack: list[tuple[int, int | None]] = [(root, None)]
+        while stack:
+            x, p = stack.pop()
+            if x in parent:
+                continue
+            parent[x] = p
+            order.append(x)
+            stack.extend((y, x) for y in sorted(g.neighbors(x), reverse=True) if y not in parent)
+    img: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        x = order[i]
+        p = parent[x]
+        if i == 0:
+            options: Iterable[int] = [b]
+        elif p is None:
+            options = range(n)
+        else:
+            options = g.neighbors(img[p])
+        for c in list(options):
+            if c in used or profile[c] != profile[x]:
+                continue
+            if all(g.has_edge(x, y) == g.has_edge(c, img[y]) for y in img):
+                img[x] = c
+                used.add(c)
+                if extend(i + 1):
+                    return True
+                del img[x]
+                used.discard(c)
+        return False
+
+    return extend(0)
+
+
+def automorphism_orbits(g: Graph) -> list[list[int]]:
+    """The orbits of the full automorphism group, each sorted, by lowest vertex.
+
+    A vertex joins the first orbit whose first vertex some automorphism maps
+    onto it, which decides every vertex pair because orbits partition.
+    """
+    profile = [_distance_profile(g, v) for v in range(g.n)]
+    orbits: list[list[int]] = []
+    for v in range(g.n):
+        for orbit in orbits:
+            if _maps_onto(g, orbit[0], v, profile):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return orbits

@@ -251,6 +251,17 @@ def test_cli_bad_size_range_exits_two(capsys):
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "5..9"], "one size")
 
 
+def test_cli_seed_on_a_lemma_that_does_not_sample_exits_two(capsys):
+    for lemma_id in ("2.2i", "2.3", "2.4", "2.5", "2.5p", "2.2w"):
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--seed", "9"],
+                                "takes no seed")
+        with pytest.raises(UsageError):
+            verify_lemma(lemma_id, seed=0)
+    _exit_two_with_one_line(capsys, ["verify", "--lemma", "9.9", "--seed", "9"], "unknown lemma")
+    # the sampling lemmas keep seed 0 when none is given
+    assert verify_lemma("5.1", samples=5).params["seed"] == 0
+
+
 def test_cli_chi_cap_below_one_exits_two(capsys, tmp_path):
     k2 = tmp_path / "k2.g6"
     k2.write_text(emit_graph6(build(2, [(0, 1)])) + "\n")

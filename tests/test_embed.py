@@ -4,9 +4,11 @@ from random import Random
 
 import pytest
 
+from treefree.cli import _freeness_sweep
 from treefree.core import build, induced
 from treefree.embed import (
     Embedding,
+    _search,
     find_all_induced,
     find_induced,
     is_free,
@@ -15,9 +17,10 @@ from treefree.embed import (
 )
 from treefree.errors import CapacityError
 from treefree.families import gp, h1, h1_u, h1_v, h2, h3, h4
+from treefree.graphio import checked
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
-from .oracles import oracle_find_induced, perm_isomorphic, random_graph
+from .oracles import oracle_find_induced, perm_isomorphic, random_graph, random_tree
 
 K3 = build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -236,3 +239,36 @@ def test_iso_agrees_with_networkx_up_to_64_vertices():
         pairs += [(g, _relabel(rng, g)), (g, _relabel(rng, _two_switch(rng, g)))]
     for g, h in pairs:
         assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))
+
+
+CATALOG = ("P5", "P6", "P7", "P8", "P9", "P10", "T5", "T6", "T7", "T8", "T9",
+           "Tstar6", "Tstar7", "Tstar8", "Tstar9", "S7:101", "S8:0001", "S8:0110",
+           "T8_1", "T8_2", "S8_1", "S8_2", "T8star:1,1", "C5", "C6", "petersen")
+
+
+def test_rooted_and_unrooted_freeness_agree_on_every_family():
+    rng = Random(43)
+    patterns = [make(name).graph for name in CATALOG]
+    patterns += [random_tree(rng, rng.randint(5, 12)) for _ in range(100)]
+    for fg in (h1(2), h1(3), h2(1), h2(2), h3(4), h3(5), h4(2), h4(3), gp(7), gp(11)):
+        verdicts = [is_free(fg.graph, p) for p in patterns]
+        assert [is_free(fg.graph, p, fg.generators) for p in patterns] == verdicts, fg
+        assert True in verdicts and False in verdicts, fg
+
+
+def test_rooting_is_ignored_when_candidates_are_given():
+    # the iso search seeds every candidate mask, so generators must not cut it
+    fg = h1(3)
+    classes = [(1 << fg.graph.n) - 1] * fg.graph.n
+    seeded = _search(fg.graph, fg.graph, None, initial=classes, generators=fg.generators)
+    assert len(seeded) == len(_search(fg.graph, fg.graph, None))
+
+
+def test_a_failing_sweep_reports_the_unrooted_witness():
+    fg = h1(5)
+    rep = _freeness_sweep("lemma.test", [fg], [path(9)])
+    emb = find_induced(path(9).graph, fg.graph)
+    assert emb is not None
+    expected = checked("lemma.test", fg.graph, False, {"failed_on": {"host": "h1:5", "pattern": "P9"}},
+                       {"embedding": list(emb.mapping)})
+    assert rep.to_dict() == expected.to_dict()

@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
+from treefree import families
 from treefree.core import diameter, girth, induced, is_c3c4_free, stats
 from treefree.embed import is_isomorphic, verify_embedding
 from treefree.errors import ConstructionError
 from treefree.families import (
+    FamilyGraph,
     gp,
     h1,
     h1_v,
@@ -27,6 +29,8 @@ from treefree.families import (
     make_family,
 )
 from treefree.patterns import path, petersen, s_tree, t_tree
+
+from .oracles import automorphism_orbits
 
 
 def test_h1_orders_and_degrees():
@@ -157,3 +161,64 @@ def test_low_s_values():
     assert h4(1).graph.n == 10
     # h4(1) is one block plus z: the Petersen graph itself
     assert is_isomorphic(h4(1).graph, petersen().graph)
+
+
+def _generator_orbits(fg: FamilyGraph) -> list[list[int]]:
+    """Orbits of the group the generators generate, by merging x with perm[x]."""
+    root = list(range(fg.graph.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for perm in fg.generators:
+        for x, y in enumerate(perm):
+            a, b = find(x), find(y)
+            root[max(a, b)] = min(a, b)
+    orbits: dict[int, list[int]] = {}
+    for x in range(fg.graph.n):
+        orbits.setdefault(find(x), []).append(x)
+    return list(orbits.values())
+
+
+@pytest.mark.parametrize("make, size, count", [
+    (h1, 2, 2), (h1, 4, 2), (h2, 2, 3), (h2, 4, 3), (h3, 4, 3), (h3, 5, 3),
+    (h4, 2, 3), (h4, 4, 3), (gp, 7, 2), (gp, 9, 2),
+])
+def test_generators_reach_every_automorphism_orbit(make, size, count):
+    """The generator orbits are the orbits of the whole automorphism group,
+    as the brute-force automorphism search decides them pair by pair."""
+    fg = make(size)
+    orbits = automorphism_orbits(fg.graph)
+    assert len(orbits) == count
+    assert _generator_orbits(fg) == orbits
+
+
+def test_generators_are_edge_preserving_permutations():
+    for fg in (h1(1), h1(3), h2(1), h2(3), h3(4), h3(6), h4(1), h4(3), gp(5), gp(11)):
+        g = fg.graph
+        for perm in fg.generators:
+            assert sorted(perm) == list(range(g.n))
+            assert sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g.edges()) == list(g.edges())
+
+
+@pytest.mark.parametrize("make, size", [(h1, 3), (h2, 2), (h3, 4), (h4, 2), (gp, 7)])
+def test_a_non_automorphism_generator_fails_construction(monkeypatch, make, size):
+    """Every generator composed with the swap of vertex 0 and the last vertex,
+    which lie in different orbits of each of these hosts."""
+    n = make(size).graph.n
+    orbit_of = {v: k for k, orbit in enumerate(automorphism_orbits(make(size).graph)) for v in orbit}
+    assert orbit_of[0] != orbit_of[n - 1]
+    swap = {0: n - 1, n - 1: 0}
+    real = families._perm
+    monkeypatch.setattr(families, "_perm", lambda n, image: tuple(swap.get(y, y) for y in real(n, image)))
+    with pytest.raises(ConstructionError, match="not an automorphism"):
+        make(size)
+
+
+def test_a_non_permutation_generator_fails_construction(monkeypatch):
+    real = families._perm
+    monkeypatch.setattr(families, "_perm", lambda n, image: real(n, image)[:-1] + (0,))
+    with pytest.raises(ConstructionError, match="not an automorphism"):
+        h1(3)
