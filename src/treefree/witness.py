@@ -13,7 +13,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .core import Graph, bfs_levels, bits, build, mask_of
+from .core import Graph, balls, bits, build, mask_of
 from .errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -25,50 +25,62 @@ from .graphio import Report, checked, emit_graph6, timed
 Path = tuple[int, ...]
 
 
-def iter_vw_paths(g: Graph, v: int, w: int, k: int) -> Iterator[Path]:
-    """Yield every induced v-w path on exactly k vertices.
+def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise DomainError(f"vertex {v} is outside 0..{g.n - 1}")
 
-    DFS over induced extensions with two sound prunes: a partial path is cut
-    when the remaining budget is below the BFS distance to w, and interior
-    vertices adjacent to w are never placed before the final hop.
+
+def _nbhd(g: Graph, mask: int) -> int:
+    """Union of the rows of the vertices in ``mask``."""
+    out = 0
+    for v in bits(mask):
+        out |= g.row(v)
+    return out
+
+
+def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
+    """v -> every induced v-w path on exactly k >= 3 vertices, each list sorted.
+
+    One walk over the induced paths w = p0, p1, ... grown from the root: a
+    partial path carries the mask of its vertices and of every neighbour of
+    all but its last vertex, so an extension is a neighbour of the last
+    vertex outside that mask.  Every such v is non-adjacent to w.
     """
+    _check_vertices(g, (w,))
+    if k < 3:
+        raise DomainError("an induced path between non-adjacent vertices has k >= 3")
+    rows = g._rows
+    frontier = [((w,), 1 << w)]
+    for _ in range(k - 2):
+        frontier = [
+            (p + (x,), seen | rows[p[-1]] | 1 << x)
+            for p, seen in frontier
+            for x in bits(rows[p[-1]] & ~seen)
+        ]
+    table: dict[int, list[Path]] = {}
+    for p, seen in frontier:
+        for v in bits(rows[p[-1]] & ~seen):
+            table.setdefault(v, []).append((v, *reversed(p)))
+    for paths in table.values():
+        paths.sort()
+    return table
+
+
+def iter_vw_paths(g: Graph, v: int, w: int, k: int) -> Iterator[Path]:
+    """Yield every induced v-w path on exactly k vertices, in lexicographic order.
+
+    Reads the w-rooted table of ``vw_paths``; a caller with many v for one w
+    should build that table once instead.
+    """
+    _check_vertices(g, (v, w))
     if v == w:
         raise DomainError("path endpoints must differ")
     if g.has_edge(v, w):
         raise AdjacentEndpointsError(f"{v} and {w} are adjacent")
     if k < 3:
-        return
-    distw = bfs_levels(g, w)
-    roww = g.row(w)
-    path = [v]
-    pmask = [1 << v]
-    # blocked: vertices equal or adjacent to path[:-1], which would chord
-    blocked = [1 << v]
-
-    def extend() -> Iterator[Path]:
-        t = len(path)
-        last = path[-1]
-        if t == k - 1:
-            # interior w-adjacency was pruned below, so only the hop remains
-            if roww >> last & 1 and roww & pmask[-1] == 1 << last:
-                yield tuple(path) + (w,)
-            return
-        cand = g.row(last) & ~blocked[-1] & ~(1 << w)
-        budget = k - 1 - t
-        for x in bits(cand):
-            if distw[x] < 0 or distw[x] > budget:
-                continue
-            if budget > 1 and roww >> x & 1:
-                continue
-            path.append(x)
-            pmask.append(pmask[-1] | (1 << x))
-            blocked.append(blocked[-1] | g.row(last) | (1 << x))
-            yield from extend()
-            path.pop()
-            pmask.pop()
-            blocked.pop()
-
-    yield from extend()
+        return iter(())
+    return iter(vw_paths(g, w, k).get(v, ()))
 
 
 def compute_Mk(g: Graph, v: int, w: int, k: int) -> frozenset[int]:
@@ -79,6 +91,7 @@ def compute_Mk(g: Graph, v: int, w: int, k: int) -> frozenset[int]:
 
 
 def _validate_vw_path(g: Graph, q: Sequence[int], k: int) -> None:
+    _check_vertices(g, q)
     if len(q) != k or len(set(q)) != k:
         raise InvalidWitnessError(f"expected {k} distinct vertices, got {q!r}")
     for a, b in zip(q, q[1:]):
@@ -165,11 +178,18 @@ def scan_path_pairs(
         nonadj = Random(seed).sample(nonadj, vw_samples)
     pair_count = 0
     violations: list[dict] = []
+    tables: dict[tuple[int, int], dict[int, list[Path]]] = {}
+
+    def paths_to(v: int, w: int, order: int) -> list[Path]:
+        if (w, order) not in tables:
+            tables[w, order] = vw_paths(g, w, order)
+        return tables[w, order].get(v, [])
+
     for v, w in nonadj:
-        paths = list(iter_vw_paths(g, v, w, k))
+        paths = paths_to(v, w, k)
         if len(paths) < 2:
             continue
-        m4 = compute_Mk(g, v, w, 4) if k == 5 else None
+        m4 = frozenset(p[1] for p in paths_to(v, w, 4)) if k == 5 else None
         for q1 in paths:
             for q2 in paths:
                 if q1 is q2 or q1[1] == q2[1]:
@@ -189,19 +209,16 @@ def compute_L(g: Graph, w: int, avoid: Iterable[int]) -> frozenset[int]:
     """Vertices of N2(w) u N3(w) reaching w by an order-4 path avoiding ``avoid``.
 
     The path is not required induced; all four of its vertices must miss the
-    avoided set.
+    avoided set.  A vertex 3 steps from w lies in N2(w) u N3(w) iff it is
+    outside N[w], so no distances are needed.
     """
+    avoid = list(avoid)
+    _check_vertices(g, (w, *avoid))
     umask = mask_of(avoid)
     if umask >> w & 1:
         return frozenset()
-    dist = bfs_levels(g, w)
-    out = set()
-    for q3 in bits(g.row(w) & ~umask):
-        for q2 in bits(g.row(q3) & ~umask & ~(1 << w)):
-            for v in bits(g.row(q2) & ~umask & ~(1 << w) & ~(1 << q3)):
-                if dist[v] in (2, 3):
-                    out.add(v)
-    return frozenset(out)
+    q2 = _nbhd(g, g.row(w) & ~umask) & ~umask & ~(1 << w)
+    return frozenset(bits(_nbhd(g, q2) & ~umask & ~g.row(w) & ~(1 << w)))
 
 
 @dataclass(frozen=True)
@@ -242,25 +259,20 @@ def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
 @timed
 def _closure_report(g: Graph, w: int, X: frozenset[int]) -> Report:
     """The lemma-5.1 report of ``derived_sets``."""
-    dist = bfs_levels(g, w)
-    if any(not 0 <= x < g.n or 0 <= dist[x] <= 1 for x in X):
-        raise DomainError("base set must lie in N_{>=2}(w)")
-    n2 = mask_of(v for v in range(g.n) if dist[v] == 2)
-    nw = g.row(w)
+    _check_vertices(g, (w, *X))
+    _, closed, within2 = balls(g, 1 << w, 2)
     xmask = mask_of(X)
+    if xmask & closed:
+        raise DomainError("base set must lie in N_{>=2}(w)")
+    n2 = within2 & ~closed
+    nw = g.row(w)
 
-    def nbhd(mask: int) -> int:
-        out = 0
-        for v in bits(mask):
-            out |= g.row(v)
-        return out
-
-    y1 = (xmask | nbhd(xmask)) & n2
-    y2 = nbhd(y1) & nw
+    y1 = (xmask | _nbhd(g, xmask)) & n2
+    y2 = _nbhd(g, y1) & nw
     lset = mask_of(compute_L(g, w, X))
-    z1 = nbhd(xmask) & lset
-    z2 = (xmask | nbhd(z1 | xmask)) & n2
-    z3 = nbhd(z2) & nw
+    z1 = _nbhd(g, xmask) & lset
+    z2 = (xmask | _nbhd(g, z1 | xmask)) & n2
+    z3 = _nbhd(g, z2) & nw
 
     balls1 = {a: (1 << a) | g.row(a) for a in bits(nw)}
     violations = []
@@ -268,7 +280,7 @@ def _closure_report(g: Graph, w: int, X: frozenset[int]) -> Report:
         if any(g.row(x) & balls1[a] for x in X):
             violations.append({"clause": "i", "a": a})
     for a in bits(nw & ~z3):
-        ball2 = balls1[a] | nbhd(g.row(a))
+        ball2 = balls1[a] | _nbhd(g, g.row(a))
         if any(g.row(x) & ball2 & ~z3 for x in X):
             violations.append({"clause": "ii", "a": a})
     witness = {name: sorted(bits(m)) for name, m in zip(_CLOSURE_SETS, (y1, y2, z1, z2, z3))}
@@ -294,21 +306,30 @@ def survivor_bound(h: int, m: int) -> int:
 
 
 def _has_k3_or_independent(g: Graph, t: int) -> bool:
-    for trio in combinations(range(g.n), 3):
-        a, b, c = trio
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            return True
-    for group in combinations(range(g.n), t):
-        if not any(g.has_edge(a, b) for a, b in combinations(group, 2)):
-            return True
-    return False
+    """True iff g has a triangle (an edge whose ends share a neighbour) or an independent t-set."""
+    has_triangle = any(g.row(a) & g.row(b) for a, b in g.edges())
+    return has_triangle or not _independence_number_at_most(g, t - 1)
 
 
 def _independence_number_at_most(g: Graph, limit: int) -> bool:
-    return not any(
-        not any(g.has_edge(a, b) for a, b in combinations(group, 2))
-        for group in combinations(range(g.n), limit + 1)
-    )
+    """True iff g has no independent set on limit + 1 vertices.
+
+    Branches on the lowest candidate: an independent set either holds it,
+    leaving its non-neighbours above it as candidates, or does not.
+    """
+    rows = g._rows
+
+    def grows(cand: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if grows(cand & ~rows[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return not grows((1 << g.n) - 1, limit + 1)
 
 
 def _independent_sets(g: Graph) -> Iterator[int]:

@@ -236,8 +236,8 @@ def all_vw_paths(g: Graph, v: int, w: int, k: int) -> list[tuple[int, ...]]:
             if path[-1] == w and _is_induced_path(g, path):
                 out.append(tuple(path))
             return
-        for x in range(g.n):
-            if x not in path and g.has_edge(path[-1], x):
+        for x in g.neighbors(path[-1]):
+            if x not in path:
                 extend(path + [x])
 
     extend([v])
@@ -276,6 +276,14 @@ def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
                 if g.has_edge(v, q2) and g.has_edge(q2, q3) and g.has_edge(q3, w):
                     out.add(v)
     return out
+
+
+def independence_at_most(g: Graph, limit: int) -> bool:
+    """No independent set on limit + 1 vertices, by testing every (limit + 1)-subset."""
+    return not any(
+        not any(g.has_edge(a, b) for a, b in combinations(group, 2))
+        for group in combinations(range(g.n), limit + 1)
+    )
 
 
 def random_tree(rng: Random, n: int) -> Graph:

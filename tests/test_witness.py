@@ -15,6 +15,7 @@ from treefree.families import gp, h1, h1_v
 from treefree.graphio import parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
+    _independence_number_at_most,
     check_geodesic,
     check_path_pair,
     compute_L,
@@ -25,9 +26,12 @@ from treefree.witness import (
     scan_path_pairs,
     survivor_bound,
     verify_ramsey_small,
+    vw_paths,
 )
 
-from .oracles import all_vw_paths, l_oracle, mk_oracle, random_graph
+from .oracles import all_vw_paths, independence_at_most, l_oracle, mk_oracle, random_graph
+
+LEMMA_41_HOSTS = (cycle(6).graph, cycle(8).graph, h1(3).graph, gp(25).graph)
 
 
 def test_mk_on_cycles():
@@ -43,20 +47,50 @@ def test_mk_rejects_adjacent_endpoints():
 
 
 def test_path_enumeration_matches_unpruned_oracle():
-    rng = Random(41)
-    hosts = [cycle(6).graph, cycle(8).graph, path(7).graph]
-    hosts += [random_graph(rng, rng.randint(4, 10), 0.35) for _ in range(25)]
+    """For every root w, the table holds exactly the non-adjacent v with a
+    path, each with the oracle's paths in its (lexicographic) order."""
+    rng = Random(59)
+    hosts = [*LEMMA_41_HOSTS, path(7).graph]
+    hosts += [random_graph(rng, rng.randint(3, 10), rng.uniform(0.2, 0.45)) for _ in range(100)]
     for g in hosts:
-        for _ in range(6):
-            v, w = rng.randrange(g.n), rng.randrange(g.n)
-            if v == w or g.has_edge(v, w):
-                continue
-            for k in (4, 5):
-                mine = set(iter_vw_paths(g, v, w, k))
-                assert mine == set(all_vw_paths(g, v, w, k))
-                mk = compute_Mk(g, v, w, k)
-                assert mk == mk_oracle(g, v, w, k)
-                assert all(g.has_edge(v, x) for x in mk)  # M_k is a neighbor set
+        for w in range(g.n):
+            for k in range(3, 7):
+                expected = {}
+                for v in range(g.n):
+                    if v == w or g.has_edge(v, w):
+                        continue
+                    if paths := all_vw_paths(g, v, w, k):
+                        expected[v] = paths
+                    assert list(iter_vw_paths(g, v, w, k)) == paths
+                    if k in (4, 5):
+                        mk = compute_Mk(g, v, w, k)
+                        assert mk == mk_oracle(g, v, w, k)
+                        assert all(g.has_edge(v, x) for x in mk)  # M_k is a neighbor set
+                assert vw_paths(g, w, k) == expected
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g: vw_paths(g, 6, 4), id="vw_paths"),
+    pytest.param(lambda g: list(iter_vw_paths(g, -2, 3, 4)), id="iter_vw_paths"),
+    pytest.param(lambda g: compute_Mk(g, -2, 3, 4), id="compute_Mk-v"),
+    pytest.param(lambda g: compute_Mk(g, 0, 9, 4), id="compute_Mk-w"),
+    pytest.param(lambda g: compute_L(g, -1, []), id="compute_L-w"),
+    pytest.param(lambda g: compute_L(g, 0, [6]), id="compute_L-avoid"),
+    pytest.param(lambda g: derived_sets(g, 9, []), id="derived_sets-w"),
+    pytest.param(lambda g: derived_sets(g, 0, [-3]), id="derived_sets-base"),
+    pytest.param(lambda g: check_path_pair(g, (0, 1, 2, 3), (0, 5, 4, -3), 4),
+                 id="check_path_pair"),
+])
+def test_witness_entry_points_reject_vertex_ids_outside_the_host(call):
+    # on C6 a negative id would alias vertex 6 + v, and 6 or 9 would index past the rows
+    with pytest.raises(DomainError):
+        call(cycle(6).graph)
+
+
+def test_path_table_needs_three_vertices():
+    with pytest.raises(DomainError):
+        vw_paths(cycle(6).graph, 0, 2)
+    assert list(iter_vw_paths(cycle(6).graph, 0, 3, 2)) == []
 
 
 def test_check_path_pair_on_c6():
@@ -83,6 +117,20 @@ def test_scan_path_pairs_clean_hosts():
         for k in (4, 5):
             rep = scan_path_pairs(g, k)
             assert rep.passed
+
+
+def test_scan_violations_match_the_single_pair_check():
+    # hosts with C3/C4 break the clauses; clause (v) reads M_4 from its own table
+    rng = Random(67)
+    seen_v = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(6, 10), 0.35)
+        for k in (4, 5):
+            for bad in scan_path_pairs(g, k).witness["violations"]:
+                single = check_path_pair(g, bad["q1"], bad["q2"], k)
+                assert single.witness["clauses"] == bad["clauses"]
+                seen_v += "v" in bad["clauses"]
+    assert seen_v > 0
 
 
 def test_compute_l_on_c8():
@@ -174,6 +222,22 @@ def test_ramsey_2_and_3():
     assert wit.n == 5 and wit.edge_count == 5 and all(wit.degree(v) == 2 for v in range(5))
     with pytest.raises(UnsupportedRamseyError):
         verify_ramsey_small(5)
+
+
+def test_bitset_independence_test_matches_subset_enumeration():
+    rng = Random(61)
+    graphs = [build(0, [])] + [random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.7))
+                               for _ in range(120)]
+    for g in graphs:
+        for limit in range(0, 6):
+            assert _independence_number_at_most(g, limit) == independence_at_most(g, limit)
+
+
+def test_ramsey34_level_classes():
+    rep = verify_ramsey_small(4)
+    assert rep.passed
+    # triangle-free graphs with independence number <= 3, up to isomorphism, on 1..9 vertices
+    assert rep.witness["level_classes"] == [1, 2, 3, 6, 9, 15, 9, 3, 0]
 
 
 def test_geodesic_check_on_gp():
