@@ -385,12 +385,12 @@ def _exit_code(reports: list[Report]) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        fam = families.make_family(args.family)
-        g, labels = fam.graph, fam.labels
-    except TreefreeError:
-        spec = patterns.make(args.family)
-        g, labels = spec.graph, spec.labels
+    # a family id's own errors (size too small, over the cap) are reported, not retried as a pattern
+    if families.is_family_id(args.family):
+        built = families.make_family(args.family)
+    else:
+        built = patterns.make(args.family)
+    g, labels = built.graph, built.labels
     if args.format == "g6":
         print(emit_graph6(g))
     else:

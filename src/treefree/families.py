@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Graph, build, is_c3c4_free, is_connected, stats
+from .core import VERTEX_CAP, Graph, build, is_c3c4_free, is_connected, stats
 from .errors import ConstructionError
 
 
@@ -31,6 +31,13 @@ class FamilyGraph:
 
 def _perm(n: int, image: Callable[[int], int]) -> tuple[int, ...]:
     return tuple(image(x) for x in range(n))
+
+
+def _order(family: str, size: int, n: int) -> int:
+    """The order n of family(size), refused above the cap before anything is built."""
+    if n > VERTEX_CAP:
+        raise ConstructionError(f"{family}({size}) has {n} vertices, above the cap of {VERTEX_CAP}")
+    return n
 
 
 def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
@@ -93,6 +100,7 @@ def h1(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h1 needs s >= 1")
+    n = _order("h1", s, 6 * s + 3)
     edges = []
     labels = {}
     for i in range(1, s + 1):
@@ -102,7 +110,6 @@ def h1(s: int) -> FamilyGraph:
             edges.append((h1_u(i, j), h1_v(s, (j - 1) % 3 + 1)))
     for h in range(1, 4):
         labels[h1_v(s, h)] = f"v{h}"
-    n = 6 * s + 3
 
     def turn(step: int) -> tuple[int, ...]:
         # cycle position j -> step*j + 1 (step = 1 rotates, -1 reflects); hub class c -> step*c + 1
@@ -140,6 +147,7 @@ def h2(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h2 needs s >= 1")
+    n = _order("h2", s, 15 * s + 1)
     edges = []
     labels = {h2_z(s): "z"}
     for i in range(1, s + 1):
@@ -153,7 +161,6 @@ def h2(s: int) -> FamilyGraph:
             labels[h2_u(i, j)] = f"u{i}.{j}"
             labels[h2_v(i, j)] = f"v{i}.{j}"
             labels[h2_w(i, j)] = f"w{i}.{j}"
-    n = 15 * s + 1
     # inside the first copy: u, v, w at 0..4, 5..9, 10..14
     gens = _copy_swaps(n, 15, s) + [
         _first_copy(n, [x - x % 5 + (x + 1) % 5 for x in range(15)]),
@@ -221,6 +228,7 @@ def h3(s: int) -> FamilyGraph:
     """
     if s < 4:
         raise ConstructionError("h3 needs s >= 4")
+    n = _order("h3", s, 14 * s)
     edges = []
     labels = {}
     for i in range(1, s + 1):
@@ -230,7 +238,6 @@ def h3(s: int) -> FamilyGraph:
         for name, off in _H3_OFFSET.items():
             labels[base + off] = f"{name[0]}{i}." + ".".join(name[1:])
         edges.append((h3_u(i, 2), h3_u(i % s + 1, 1)))
-    n = 14 * s
     side = _h3_local(_H3_SIDE_SWAP)
     gens = [
         _perm(n, lambda x: (x + 14) % n),
@@ -262,6 +269,7 @@ def h4(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h4 needs s >= 1")
+    n = _order("h4", s, 9 * s + 1)
     edges = []
     labels = {h4_z(s): "z"}
     for i in range(1, s + 1):
@@ -272,7 +280,6 @@ def h4(s: int) -> FamilyGraph:
         for h in range(1, 4):
             edges.append((h4_z(s), h4_v(i, h)))
             labels[h4_v(i, h)] = f"v{i}.{h}"
-    n = 9 * s + 1
     # inside the first block: the 6-cycle at 0..5, v1..v3 at 6..8
     gens = _copy_swaps(n, 9, s) + [
         _first_copy(n, [(step * j + 1) % 6 for j in range(6)] + [6 + (step * c + 1) % 3 for c in range(3)])
@@ -284,17 +291,16 @@ def h4(s: int) -> FamilyGraph:
 
 # ---------------------------------------------------------------- gp
 
-def gp(n: int, k: int = 2) -> FamilyGraph:
+def gp(n: int) -> FamilyGraph:
     """Generalized Petersen graph GP(n,2) for odd n >= 5.
 
     Outer n-cycle u_i, spokes u_i v_i, inner edges v_i v_{i+2}.  Even n
     is rejected (n=6 would close inner triangles); the construction-time
     validator asserts girth >= 5 and 3-regularity.
     """
-    if k != 2:
-        raise ConstructionError("only GP(n,2) is supported")
     if n < 5 or n % 2 == 0:
         raise ConstructionError("gp needs odd n >= 5")
+    _order("gp", n, 2 * n)
     edges = []
     labels = {}
     for i in range(n):
@@ -308,14 +314,21 @@ def gp(n: int, k: int = 2) -> FamilyGraph:
     return _validate(fg, 2 * n, 3, regular=3)
 
 
+_FAMILIES: dict[str, Callable[[int], FamilyGraph]] = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
+
+
+def is_family_id(family_id: str) -> bool:
+    """True iff the id's head names a family, whatever follows it ("h1", "h3:2", "gp:x")."""
+    return family_id.strip().lower().partition(":")[0] in _FAMILIES
+
+
 def make_family(family_id: str) -> FamilyGraph:
     """Resolve a CLI family id like "h1:5" or "gp:25"."""
     head, sep, tail = family_id.strip().lower().partition(":")
-    table = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
-    if not sep or head not in table:
+    if not sep or head not in _FAMILIES:
         raise ConstructionError(f"unknown family id {family_id!r}")
     try:
         size = int(tail)
     except ValueError:
         raise ConstructionError(f"bad size in family id {family_id!r}") from None
-    return table[head](size)
+    return _FAMILIES[head](size)

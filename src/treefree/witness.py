@@ -13,7 +13,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .core import Graph, balls, bits, build, mask_of
+from .core import Graph, balls, bits, mask_of
 from .errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -305,12 +305,6 @@ def survivor_bound(h: int, m: int) -> int:
     return h * m - m + 1
 
 
-def _has_k3_or_independent(g: Graph, t: int) -> bool:
-    """True iff g has a triangle (an edge whose ends share a neighbour) or an independent t-set."""
-    has_triangle = any(g.row(a) & g.row(b) for a, b in g.edges())
-    return has_triangle or not _independence_number_at_most(g, t - 1)
-
-
 def _independence_number_at_most(g: Graph, limit: int) -> bool:
     """True iff g has no independent set on limit + 1 vertices.
 
@@ -345,22 +339,22 @@ def _independent_sets(g: Graph) -> Iterator[int]:
     yield from grow(0, 0, 0)
 
 
-def _ramsey34_levels() -> tuple[list[Graph], Graph | None, list[int]]:
-    """Grow triangle-free graphs with independence number <= 3, up to iso.
+def _ramsey_levels(t: int) -> list[list[Graph]]:
+    """Triangle-free graphs with independence number <= t - 1, up to isomorphism.
 
-    Returns the 8-vertex survivors, a 9-vertex survivor if one exists
-    (there is none, which is the upper-bound half of R(3,4)=9), and the
-    per-level class counts.
+    Entry n - 1 lists one graph per class on n vertices, for n = 1..R with
+    R = ``_R3[t]``.  Both properties pass to induced subgraphs, so every
+    class on n + 1 vertices is a class on n vertices plus one vertex; the
+    growth tries each class with every new neighbourhood that keeps it
+    triangle-free and keeps the first graph of each new class.
     """
     from .embed import is_isomorphic
 
-    level: list[Graph] = [Graph(1, (0,))]
-    eight: list[Graph] = []
-    counts = [1]
-    for n in range(1, 9):
+    levels: list[list[Graph]] = [[Graph(1, (0,))]]
+    for n in range(1, _R3[t]):
         nxt: list[Graph] = []
         seen: dict[tuple, list[Graph]] = {}
-        for g in level:
+        for g in levels[-1]:
             # the new vertex keeps the graph triangle-free iff its
             # neighborhood is independent, so only those are tried
             for nb in _independent_sets(g):
@@ -368,7 +362,7 @@ def _ramsey34_levels() -> tuple[list[Graph], Graph | None, list[int]]:
                 for v in bits(nb):
                     rows[v] |= 1 << n
                 cand = Graph(n + 1, rows)
-                if not _independence_number_at_most(cand, 3):
+                if not _independence_number_at_most(cand, t - 1):
                     continue
                 key = (cand.edge_count, tuple(sorted(cand.degree(v) for v in range(cand.n))))
                 bucket = seen.setdefault(key, [])
@@ -376,67 +370,29 @@ def _ramsey34_levels() -> tuple[list[Graph], Graph | None, list[int]]:
                     continue
                 bucket.append(cand)
                 nxt.append(cand)
-        level = nxt
-        counts.append(len(level))
-        if n + 1 == 8:
-            eight = list(level)
-    nine = level[0] if level else None
-    return eight, nine, counts
+        levels.append(nxt)
+    return levels
 
 
 @timed
 def verify_ramsey_small(t: int) -> Report:
-    """Brute-force confirmation of R(3,t) for t in {2, 3, 4}.
+    """Confirm R(3,t) = ``_R3[t]``, the value ``ramsey_threshold`` reads, for t in 2..4.
 
-    t=2 and t=3 exhaust all labeled graphs on R vertices and exhibit a
-    lower-bound witness on R-1.  t=4 is the extended mode: triangle-free
-    graphs with independence number <= 3 are grown vertex by vertex (up to
-    isomorphism); survivors on 8 vertices exist and none extends to 9.
+    One engine serves every t: ``_ramsey_levels`` grows the triangle-free
+    graphs with independence number <= t - 1 vertex by vertex, up to
+    isomorphism.  The check passes iff some survive on R - 1 vertices (the
+    first is the lower-bound witness) and none on R; ``level_classes``
+    counts the classes on 1..R vertices.
     """
-    if t == 2:
-        upper = all(
-            _has_k3_or_independent(build(3, [(a, b) for (a, b), keep in zip(
-                combinations(range(3), 2), (emask >> i & 1 for i in range(3))) if keep]), 2)
-            for emask in range(8)
-        )
-        witness_graph = build(2, [(0, 1)])
-        lower = not _has_k3_or_independent(witness_graph, 2)
-        passed = upper and lower
-        value, witness = 3, emit_graph6(witness_graph)
-    elif t == 3:
-        pairs = list(combinations(range(6), 2))
-        trios = list(combinations(range(6), 3))
-        trio_masks = []
-        for a, b, c in trios:
-            m = 0
-            for i, pq in enumerate(pairs):
-                if set(pq) <= {a, b, c}:
-                    m |= 1 << i
-            trio_masks.append(m)
-
-        def settled(emask: int) -> bool:
-            for m in trio_masks:
-                x = emask & m
-                if x == m or x == 0:
-                    return True
-            return False
-
-        upper = all(settled(emask) for emask in range(1 << 15))
-        c5 = build(5, [(i, (i + 1) % 5) for i in range(5)])
-        lower = not _has_k3_or_independent(c5, 3)
-        passed = upper and lower
-        value, witness = 6, emit_graph6(c5)
-    elif t == 4:
-        eight, nine, counts = _ramsey34_levels()
-        passed = bool(eight) and nine is None
-        value = 9
-        witness = emit_graph6(eight[0]) if eight else None
-    else:
-        raise UnsupportedRamseyError(f"verify_ramsey_small supports t in {{2,3,4}}, got {t}")
-    detail: dict = {"lower_bound_witness": witness}
-    if t == 4:
-        detail["level_classes"] = counts
-    return Report(f"ramsey3{t}", {"t": t, "value": value}, passed, witness=detail,
+    if not 2 <= t <= max(_R3):
+        raise UnsupportedRamseyError(f"verify_ramsey_small supports t in 2..{max(_R3)}, got {t}")
+    levels = _ramsey_levels(t)
+    passed = bool(levels[-2]) and not levels[-1]
+    detail = {
+        "lower_bound_witness": emit_graph6(levels[-2][0]) if levels[-2] else None,
+        "level_classes": [len(level) for level in levels],
+    }
+    return Report(f"ramsey3{t}", {"t": t, "value": _R3[t]}, passed, witness=detail,
                   counterexample=None if passed else "?")
 
 

@@ -286,6 +286,38 @@ def independence_at_most(g: Graph, limit: int) -> bool:
     )
 
 
+def ramsey_labelled(n: int, t: int) -> list[int]:
+    """Every labelled graph on n vertices with no triangle and no independent t-set.
+
+    A graph is an edge mask whose bit i is the i-th pair of
+    ``combinations(range(n), 2)``; all 2^(n choose 2) masks are tested
+    against the pair mask of every vertex triple and every t-set.
+    """
+    pairs = list(combinations(range(n), 2))
+
+    def span(group: tuple[int, ...]) -> int:
+        return sum(1 << i for i, (a, b) in enumerate(pairs) if a in group and b in group)
+
+    triangles = [span(trio) for trio in combinations(range(n), 3)]
+    independents = [span(group) for group in combinations(range(n), t)]
+    return [
+        emask for emask in range(1 << len(pairs))
+        if all(emask & m != m for m in triangles) and all(emask & m for m in independents)
+    ]
+
+
+def canonical_classes(n: int, masks: Iterable[int]) -> set[int]:
+    """Isomorphism classes of edge masks on n vertices, each as its least relabelling."""
+    pairs = list(combinations(range(n), 2))
+    index = {pq: i for i, pq in enumerate(pairs)}
+    relabel = [[index[min(p[a], p[b]), max(p[a], p[b])] for a, b in pairs]
+               for p in permutations(range(n))]
+    return {
+        min(sum(1 << img[i] for i in range(len(pairs)) if emask >> i & 1) for img in relabel)
+        for emask in masks
+    }
+
+
 def random_tree(rng: Random, n: int) -> Graph:
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     return build(n, edges)

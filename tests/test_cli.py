@@ -244,6 +244,11 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
     _exit_two_with_one_line(
         capsys, ["scan", "--corpus", str(good), "--tree", "P8", "--jobs", "2"], "--jobs"
     )
+    # a family id's own construction error is reported, not retried as a pattern id
+    for family_id, needle in (("h3:2", "h3 needs s >= 4"), ("gp:6", "gp needs odd n >= 5"),
+                              ("gp:32769", "above the cap"), ("h1:11000", "above the cap"),
+                              ("h1:x", "bad size")):
+        _exit_two_with_one_line(capsys, ["gen", "--family", family_id], needle)
 
 
 def _exit_two_with_one_line(capsys, argv, needle):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from treefree import families
-from treefree.core import diameter, girth, induced, is_c3c4_free, stats
+from treefree.core import VERTEX_CAP, diameter, girth, induced, is_c3c4_free, stats
 from treefree.embed import is_isomorphic, verify_embedding
 from treefree.errors import ConstructionError
 from treefree.families import (
@@ -137,8 +138,6 @@ def test_gp_examples():
     for bad in (4, 6, 3):
         with pytest.raises(ConstructionError):
             gp(bad)
-    with pytest.raises(ConstructionError):
-        gp(25, k=3)
 
 
 def test_gp_diameter_grows():
@@ -153,6 +152,20 @@ def test_make_family_grammar():
     for bad in ("h5:2", "h1", "gp:x"):
         with pytest.raises(ConstructionError):
             make_family(bad)
+
+
+@pytest.mark.parametrize("make, size", [(gp, 32769), (h3, 4682), (h1, 10923), (h2, 4369), (h4, 7282)])
+def test_orders_above_the_cap_are_refused_before_building(make, size):
+    # one size step below each is at or under the cap; h1/h2/h4 would otherwise
+    # build s - 1 full-length copy swaps, gigabytes of tuples at these sizes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError, match=f"above the cap of {VERTEX_CAP}"):
+            make(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_low_s_values():

@@ -15,6 +15,7 @@ from treefree.families import gp, h1, h1_v
 from treefree.graphio import parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
+    _R3,
     _independence_number_at_most,
     check_geodesic,
     check_path_pair,
@@ -29,7 +30,15 @@ from treefree.witness import (
     vw_paths,
 )
 
-from .oracles import all_vw_paths, independence_at_most, l_oracle, mk_oracle, random_graph
+from .oracles import (
+    all_vw_paths,
+    canonical_classes,
+    independence_at_most,
+    l_oracle,
+    mk_oracle,
+    ramsey_labelled,
+    random_graph,
+)
 
 LEMMA_41_HOSTS = (cycle(6).graph, cycle(8).graph, h1(3).graph, gp(25).graph)
 
@@ -233,9 +242,20 @@ def test_bitset_independence_test_matches_subset_enumeration():
             assert _independence_number_at_most(g, limit) == independence_at_most(g, limit)
 
 
+@pytest.mark.parametrize("t, classes", [(2, [1, 1, 0]), (3, [1, 2, 2, 3, 1, 0])])
+def test_ramsey_levels_match_the_labelled_oracle(t, classes):
+    # classes on 1..R vertices by labelled brute force; the last 0 means no
+    # labelled graph on R vertices avoids both a triangle and an independent t-set
+    oracle = [len(canonical_classes(n, ramsey_labelled(n, t))) for n in range(1, len(classes) + 1)]
+    assert oracle == classes
+    rep = verify_ramsey_small(t)
+    assert rep.passed and rep.params["value"] == len(classes) == _R3[t]
+    assert rep.witness["level_classes"] == classes
+
+
 def test_ramsey34_level_classes():
     rep = verify_ramsey_small(4)
-    assert rep.passed
+    assert rep.passed and rep.params["value"] == _R3[4] == 9
     # triangle-free graphs with independence number <= 3, up to isomorphism, on 1..9 vertices
     assert rep.witness["level_classes"] == [1, 2, 3, 6, 9, 15, 9, 3, 0]
 
@@ -251,20 +271,6 @@ def test_geodesic_check_on_gp():
         check_geodesic(g, _diameter_geodesic(g)[:-1])  # not the full diameter
     with pytest.raises(InvalidWitnessError):
         check_geodesic(g, (0, 2, 4))
-
-
-def test_ramsey33_bitmask_representation_cross_check():
-    # sampled masks decoded into graphs and re-judged by the subset oracle
-    from itertools import combinations
-
-    from treefree.witness import _has_k3_or_independent
-
-    pairs = list(combinations(range(6), 2))
-    rng = Random(53)
-    for _ in range(200):
-        emask = rng.randrange(1 << 15)
-        edges = [pq for i, pq in enumerate(pairs) if emask >> i & 1]
-        assert _has_k3_or_independent(build(6, edges), 3)
 
 
 def _diameter_geodesic(g):
