@@ -24,6 +24,31 @@ embedding is an embedding that extends the same prefix through x.  Once no
 generator fixes a branch's prefix, the branch is searched in full.  Rooting
 skips embeddings, so it serves only the yes/no question: ``find_induced``,
 ``find_all_induced`` and ``is_isomorphic`` search every candidate.
+
+Failed roots certified by translation.  Let q0 be the first pattern vertex
+placed and R its eccentricity in the pattern.  When the pattern is
+connected and no ``initial`` masks are given, a root x (the image of q0)
+whose search ends with no embedding is recorded under the key
+(x - lo, B(x,R) >> lo), where B(x,R) is the host ball of radius R around x
+and lo its lowest id.  A later root y with the same key is skipped if, for
+every v in B(x,R), (row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).
+This is sound.  An equal key makes B(y,R) the shift of B(x,R), and the row
+test makes the shift s: v -> v + y - x keep every edge and non-edge inside
+it, so s is an isomorphism between the induced balls taking x to y.  Any
+embedding f with f(q0) = y lies inside B(y,R): the pattern is connected,
+and the image of a pattern path is a host walk no longer than the path.
+So s^-1 o f is an embedding with q0 -> x.  The degree, adjacency and
+distance filters reject no embedding, and orbit rooting keeps one if any
+exists, so x's empty search proves there is none; hence no embedding maps
+q0 to y either.  Skipped roots have no embeddings, so the first witness,
+``find_all_induced`` and its order do not change.  A disconnected pattern
+may put a component outside every ball, and ``initial`` masks are not
+shift-invariant, so both turn the memo off.  The key is one big-int compare
+that rejects most non-translates; canonical ball codes would also match
+relabelled balls but cost more per root than they save.  How often a root
+is skipped depends on the labelling: gp(n) and h3(s) as the constructors
+label them (and as ``treefree gen`` writes them) skip most failing roots,
+while a relabelled host keeps its verdicts and witnesses but loses the gain.
 """
 
 from __future__ import annotations
@@ -110,6 +135,19 @@ def _orbit_reps(mask: int, gens: list[tuple[tuple[int, ...], int]]) -> int:
     return reps
 
 
+def _is_translate(hrow: list[int], ball: int, shift: int, image: int) -> bool:
+    """True iff v -> v + shift keeps every edge and non-edge inside ``ball``,
+    given that ``image`` is ``ball`` shifted by ``shift``."""
+    rest = ball
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        if (hrow[v] & ball) << shift != hrow[v + shift] & image:
+            return False
+    return True
+
+
 def _search(
     pattern: Graph,
     host: Graph,
@@ -139,14 +177,13 @@ def _search(
              for idx, q in enumerate(order)]
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
-    base = [0] * k
-    for q in range(k):
-        dq = pattern.degree(q)
-        m = 0
-        for x in range(n):
-            if hrow[x].bit_count() >= dq:
-                m |= 1 << x
-        base[q] = m if initial is None else m & initial[q]
+    # degree base: one mask of the host vertices of degree >= d per distinct d
+    hdeg = [row.bit_count() for row in hrow]
+    at_least = {d: sum(1 << x for x, dx in enumerate(hdeg) if dx >= d)
+                for d in set(map(pattern.degree, range(k)))}
+    base = [at_least[pattern.degree(q)] for q in range(k)]
+    if initial is not None:
+        base = [m & init for m, init in zip(base, initial)]
     # host vertex h -> [ball_0, ..., ball_maxr, full], ball_r = within r of h
     ball_rows: dict[int, list[int]] = {}
     mapping = [-1] * k
@@ -159,9 +196,9 @@ def _search(
             if support:
                 gens.append((tuple(perm), support))
 
-    def place(idx: int, cand: list[int], gens: list) -> bool:
+    def place(idx: int, cand: list[int], gens: list, m: int) -> bool:
+        """Try each host vertex of ``m`` as the image of order[idx]."""
         q = order[idx]
-        m = _orbit_reps(cand[q], gens) if gens else cand[q]
         while m:
             low = m & -m
             m ^= low
@@ -190,12 +227,34 @@ def _search(
                 mapping[q] = h
                 # below h: the generators that fix every placed vertex, h included
                 sub = [g for g in gens if not g[1] >> h & 1] if gens else gens
-                if place(idx + 1, nxt, sub):
+                c = nxt[order[idx + 1]]
+                if place(idx + 1, nxt, sub, _orbit_reps(c, sub) if sub else c):
                     return True
                 mapping[q] = -1
         return False
 
-    place(0, base, gens)
+    q0 = order[0]
+    roots = _orbit_reps(base[q0], gens) if gens else base[q0]
+    if initial is not None or min(pdist[q0]) < 0:
+        place(0, base, gens, roots)
+        return found
+    # failed roots by translation key; see the module docstring
+    radius = max(pdist[q0])
+    failed: dict[tuple[int, int], list[int]] = {}
+    for h in bits(roots):
+        rows = ball_rows.get(h)
+        if rows is None:
+            rows = ball_rows[h] = balls(host, 1 << h, maxr) + [full]
+        ball = rows[radius]
+        lo = (ball & -ball).bit_length() - 1
+        shaped = failed.setdefault((h - lo, ball >> lo), [])
+        if any(_is_translate(hrow, ball >> (h - x), h - x, ball) for x in shaped):
+            continue
+        before = len(found)
+        if place(0, base, gens, 1 << h):
+            break
+        if len(found) == before:
+            shaped.append(h)
     return found
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from treefree.core import Graph, build
 from treefree.embed import Embedding
@@ -323,36 +323,43 @@ def random_tree(rng: Random, n: int) -> Graph:
     return build(n, edges)
 
 
-def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
-    """Exhaustive assignment in natural vertex order.
+def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[Embedding]:
+    """Every induced embedding, by exhaustive assignment in natural vertex order.
 
     No degree filter, no reordering, no look-ahead; prefixes are abandoned
-    only once they already violate the induced condition.
+    only once they already violate the induced condition.  Embeddings come
+    in lexicographic order of their mapping.  There is no host cap: the cost
+    is up to n^k, so callers keep the host small or the pattern's natural
+    order connected.
     """
     k, n = pattern.n, host.n
     if k > ORACLE_PATTERN_CAP:
         raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
-    if n > ORACLE_HOST_CAP:
-        raise CapacityError(f"oracle host cap is {ORACLE_HOST_CAP}")
-    if k == 0:
-        return Embedding(())
     chosen: list[int] = []
 
-    def extend() -> bool:
+    def extend() -> Iterator[Embedding]:
         i = len(chosen)
         if i == k:
-            return True
+            yield Embedding(tuple(chosen))
+            return
         for h in range(n):
             if h in chosen:
                 continue
             if all(pattern.has_edge(i, j) == host.has_edge(h, chosen[j]) for j in range(i)):
                 chosen.append(h)
-                if extend():
-                    return True
+                yield from extend()
                 chosen.pop()
-        return False
 
-    return Embedding(tuple(chosen)) if extend() else None
+    return extend()
+
+
+def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
+    """The first of ``oracle_induced_maps``, on hosts of at most ORACLE_HOST_CAP vertices."""
+    if pattern.n > ORACLE_PATTERN_CAP:
+        raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
+    if host.n > ORACLE_HOST_CAP:
+        raise CapacityError(f"oracle host cap is {ORACLE_HOST_CAP}")
+    return next(oracle_induced_maps(pattern, host), None)
 
 
 def _distance_profile(g: Graph, v: int) -> tuple[int, ...]:

@@ -93,6 +93,24 @@ def test_diam_theorem_reaches_the_t8_clauses():
     assert rep.witness["T8_1"]["checked"]  # gp(129) reaches diam >= 20
 
 
+def test_diam_theorem_witnesses_are_pinned():
+    # the first embedding per clause, as the search has found it since the
+    # clauses were first exercised; a faster search must not move them
+    pinned = {
+        49: {"T9": [50, 1, 0, 48, 47, 46, 45, 44, 43, 49, 51]},
+        97: {"T8_1": [1, 0, 97, 99, 101, 4, 3, 100, 192, 95, 103, 5],
+             "T8_2": [101, 99, 97, 0, 1, 98, 100, 3, 192, 190, 96],
+             "T9": [98, 1, 0, 96, 95, 94, 93, 92, 91, 97, 99]},
+        129: {"T8_1": [1, 0, 129, 131, 133, 4, 3, 132, 256, 127, 135, 5],
+              "T8_2": [133, 131, 129, 0, 1, 130, 132, 3, 256, 254, 128],
+              "T9": [130, 1, 0, 128, 127, 126, 125, 124, 123, 129, 131]},
+    }
+    for n, embeddings in pinned.items():
+        expected = {name: {"checked": True, "found": True, "embedding": embeddings[name]}
+                    if name in embeddings else {"checked": False} for name, _ in DIAM_CLAUSES}
+        assert check_diam_theorem(gp(n).graph).witness == expected, n
+
+
 def test_maxdeg_theorem_reports():
     rep = check_maxdeg_theorem(h1(8).graph)
     assert rep.status == "vacuous"

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+from hashlib import sha256
 from random import Random
 
 import pytest
 
+from treefree import embed
 from treefree.cli import _freeness_sweep
 from treefree.core import build, induced
 from treefree.embed import (
     Embedding,
     _search,
+    _search_order,
     find_all_induced,
     find_induced,
     is_free,
@@ -20,7 +23,13 @@ from treefree.families import gp, h1, h1_u, h1_v, h2, h3, h4
 from treefree.graphio import checked
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
-from .oracles import oracle_find_induced, perm_isomorphic, random_graph, random_tree
+from .oracles import (
+    oracle_find_induced,
+    oracle_induced_maps,
+    perm_isomorphic,
+    random_graph,
+    random_tree,
+)
 
 K3 = build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -272,3 +281,113 @@ def test_a_failing_sweep_reports_the_unrooted_witness():
     expected = checked("lemma.test", fg.graph, False, {"failed_on": {"host": "h1:5", "pattern": "P9"}},
                        {"embedding": list(emb.mapping)})
     assert rep.to_dict() == expected.to_dict()
+
+
+# ---------------------------------------------------- translation memo
+
+def _in_search_order(pattern, embeddings):
+    """Embeddings sorted as the search meets them: by the image of each
+    pattern vertex, taken in placement order."""
+    order = _search_order(pattern)
+    return sorted(embeddings, key=lambda e: [e.mapping[q] for q in order])
+
+
+def _periodic(blocks, width, inner, link, flips=()):
+    """``blocks`` copies of a ``width``-vertex block, block b on ids
+    b*width .. b*width + width - 1: ``inner`` edges inside every block,
+    ``link`` edges (i, j) from vertex i of block b to vertex j of block b + 1,
+    then each pair in ``flips`` toggled.  Shifting by a multiple of
+    ``width`` is a partial automorphism away from the ends and the flips."""
+    edges = {(b * width + i, b * width + j) for b in range(blocks) for i, j in inner}
+    edges |= {(b * width + i, (b + 1) * width + j) for b in range(blocks - 1) for i, j in link}
+    edges = {(min(e), max(e)) for e in edges}
+    for u, v in flips:
+        edges ^= {(min(u, v), max(u, v))}
+    return build(blocks * width, sorted(edges))
+
+
+def _circulant_with_seam_cut(n, jumps):
+    edges = {(i, (i + j) % n) for i in range(n) for j in jumps}
+    return build(n, [e for e in edges if set(e) != {0, n - 1}])
+
+
+def _translation_rich_hosts():
+    return [
+        # a path with a hanging P2 at every spine vertex; one P2's tip re-hung
+        # on the next spine vertex
+        _periodic(12, 3, [(0, 1), (1, 2)], [(0, 0)], flips=[(17, 16), (17, 18)]),
+        # a strip of two parallel paths, a pendant on every spine vertex, and
+        # one chord on the second path
+        _periodic(10, 3, [(0, 1), (0, 2)], [(0, 0), (1, 1)], flips=[(13, 19)]),
+        # a path with one 5-cycle closed on it: same balls, other edges
+        _periodic(12, 1, [], [(0, 0)], flips=[(4, 8)]),
+        _circulant_with_seam_cut(20, (1, 3)),
+        _circulant_with_seam_cut(24, (1, 5)),
+        gp(5).graph, gp(7).graph, gp(9).graph, h3(4).graph,
+    ]
+
+
+def _translation_patterns():
+    """Connected patterns whose natural order is connected, which keeps the
+    oracle cheap: paths, cycles, a claw, a paw, a chair and random trees."""
+    rng = Random(47)
+    pats = [path(k).graph for k in range(2, 7)] + [cycle(k).graph for k in (4, 5, 6)]
+    pats += [build(4, [(0, 1), (0, 2), (0, 3)]), build(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+             build(5, [(0, 1), (1, 2), (1, 3), (3, 4)])]
+    return pats + [random_tree(rng, 6) for _ in range(3)]
+
+
+def test_translation_memo_keeps_witnesses_and_enumerations(monkeypatch):
+    # every skipped root must be one without embeddings, so the first witness,
+    # the whole enumeration and its order equal the oracle's
+    skips = []
+    is_translate = embed._is_translate
+    monkeypatch.setattr(embed, "_is_translate", lambda *a: skips.append(is_translate(*a)) or skips[-1])
+    for host in _translation_rich_hosts():
+        for pattern in _translation_patterns():
+            if host.n > 40 and pattern.n > 5:
+                continue  # keeps the oracle's n^k cost down on h3(4)
+            expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
+            assert find_all_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
+            assert find_induced(pattern, host) == (expected[0] if expected else None)
+            assert is_free(host, pattern) == (not expected)
+    assert skips.count(True) > 100 and skips.count(False) > 10
+
+
+def test_translation_memo_under_orbit_rooting():
+    for fg in (gp(5), gp(7), gp(9), h3(4)):
+        for pattern in _translation_patterns():
+            expected = next(oracle_induced_maps(pattern, fg.graph), None) is None
+            assert is_free(fg.graph, pattern, fg.generators) == expected, (fg, list(pattern.edges()))
+
+
+def test_disconnected_patterns_are_not_certified_by_translation():
+    # P3 + K3: the triangle may lie anywhere, outside every ball around the
+    # root, so a failed root says nothing about a shifted one
+    host = build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 2), (8, 1), (8, 0)])
+    pattern = build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
+    assert expected and find_induced(pattern, host) == expected[0]
+    assert find_all_induced(pattern, host) == expected
+
+
+def test_initial_masks_turn_the_translation_memo_off():
+    # candidate masks tie roots to their labels: root 2 of the path fails only
+    # because 1 and 3 are barred, and root 3, its shift, has embeddings
+    host, p3 = path(10).graph, path(3).graph
+    allowed = ((1 << 10) - 1) & ~0b1010
+    masks = [allowed, (1 << 10) - 1, allowed]
+    expected = _in_search_order(p3, [e for e in oracle_induced_maps(p3, host)
+                                     if all(masks[q] >> x & 1 for q, x in enumerate(e.mapping))])
+    assert Embedding((2, 3, 4)) in expected
+    assert _search(p3, host, None, initial=masks) == expected
+
+
+def test_p5_enumeration_in_gp9_is_pinned():
+    embs = find_all_induced(path(5).graph, gp(9).graph)
+    assert len(embs) == 342
+    assert [e.mapping for e in embs[:10]] == [
+        (8, 0, 1, 2, 3), (8, 0, 1, 2, 11), (9, 0, 1, 2, 3), (8, 0, 1, 10, 12), (9, 0, 1, 10, 12),
+        (9, 0, 1, 10, 17), (1, 0, 8, 7, 6), (1, 0, 8, 7, 16), (9, 0, 8, 7, 6), (1, 0, 8, 17, 15)]
+    digest = sha256(repr([e.mapping for e in embs]).encode()).hexdigest()
+    assert digest == "8e25f50f5496f60edd5f43e28aebab6e77bc7223cfd0c5b6f246eecc6363e0b1"
