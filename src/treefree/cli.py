@@ -16,7 +16,7 @@ from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
 from .core import Graph, GraphStats, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
-from .embed import find_induced, is_free, is_isomorphic
+from .embed import find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -49,15 +49,16 @@ def _freeness_sweep(
 ) -> Report:
     """Assert every host is free of every pattern; stop at the first hit.
 
-    Each search is orbit-rooted by the host's generators.  A hit reruns the
-    unrooted search, so a failure reports the same witness either way.
+    Each search is orbit-rooted by the host's generators.  Rooting keeps the
+    first embedding (see ``embed``), so a failure reports the witness an
+    unrooted search would find.
     """
     done = []
     for fg in hosts:
         for pat in forbidden:
             done.append({"host": f"{fg.family}:{fg.size}", "pattern": pat.pattern_id})
-            if not is_free(fg.graph, pat.graph, fg.generators):
-                emb = find_induced(pat.graph, fg.graph)
+            emb = find_induced(pat.graph, fg.graph, fg.generators)
+            if emb is not None:
                 return checked(check_id, fg.graph, False, {"failed_on": done[-1]},
                                {"embedding": list(emb.mapping)})
     return Report(check_id, {"checked": done}, passed=True)

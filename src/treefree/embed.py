@@ -1,46 +1,69 @@
 """Induced-subgraph containment, embedding enumeration, and isomorphism.
 
-One search core serves all three.  It places pattern vertices in a
-connected order (max-degree first) and forward-checks candidate bitmasks:
-adjacency and non-adjacency against every placed image, plus a distance
-filter (an induced image can only shrink distances, so the image of q lies
-within pattern-distance of the image of p).  A host vertex's distance balls
-come from ``core.balls`` only when the search first places it.
-Candidates are scanned in ascending host id, which makes every returned
-witness deterministic.  Isomorphism is an induced embedding between graphs
-of equal order and size, started from the color-refinement classes.
+One search core serves all three.  Each pattern is compiled once into a
+plan (``_plan``, a bounded cache keyed by the pattern): a connected
+placement order (max-degree first), the pattern's distances, and the
+forward checks each placement makes.  The search places pattern vertices in
+that order and forward-checks candidate bitmasks: adjacency and
+non-adjacency against every placed image, plus a distance filter (an
+induced image can only shrink distances, so the image of q lies within
+pattern-distance of the image of p).  A host vertex's distance balls come
+from ``core.balls`` only when the search first places it.  Candidates are
+scanned in ascending host id, so the search meets embeddings f in
+lexicographic order of (f(order[0]), f(order[1]), ...).  Isomorphism is an
+induced embedding between graphs of equal order and size, started from the
+color-refinement classes.
 
-Orbit rooting.  ``is_free`` may be given host automorphism generators (the
-family constructors supply them).  At depth d the search then tries only
-the lowest vertex of each orbit of H_d inside the candidate mask, where H_d
-is the group generated by the generators that fix every host vertex placed
-so far.  This is sound for existence.  H_d fixes the prefix pointwise, and
-the candidate mask is H_d-invariant: it is built from the degree base and
-from the adjacency rows, non-adjacency rows and distance balls of placed
-vertices, and an automorphism fixing those vertices preserves every one of
-them.  So if an embedding extends the prefix through candidate y, and g in
-H_d maps y to its orbit's lowest vertex x, then g composed with that
-embedding is an embedding that extends the same prefix through x.  Once no
-generator fixes a branch's prefix, the branch is searched in full.  Rooting
-skips embeddings, so it serves only the yes/no question: ``find_induced``,
-``find_all_induced`` and ``is_isomorphic`` search every candidate.
+One invariant: every pruning keeps the lex-least embedding f*.  The search
+meets embeddings in lex order and reports only embeddings, so the first one
+it reports is f*: ``find_induced`` returns the same witness and ``is_free``
+the same verdict whatever prunings ran.  An enumeration
+(``find_all_induced`` with any limit but 1) runs only the prunings that
+keep every embedding: the forward checks, which no embedding fails, and
+(c).  The three prunings:
 
-Failed roots certified by translation.  Let q0 be the first pattern vertex
-placed and R its eccentricity in the pattern.  When the pattern is
-connected and no ``initial`` masks are given, a root x (the image of q0)
-whose search ends with no embedding is recorded under the key
-(x - lo, B(x,R) >> lo), where B(x,R) is the host ball of radius R around x
-and lo its lowest id.  A later root y with the same key is skipped if, for
-every v in B(x,R), (row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).
-This is sound.  An equal key makes B(y,R) the shift of B(x,R), and the row
-test makes the shift s: v -> v + y - x keep every edge and non-edge inside
-it, so s is an isomorphism between the induced balls taking x to y.  Any
+(a) Symmetry breaking, in first-hit searches (``limit == 1``, no
+``initial`` masks).  For each idx >= 1 the plan holds the orbit of
+order[idx] under the pattern automorphisms that fix order[:idx] pointwise.
+Once order[idx] lands on host vertex h, every other vertex of that orbit is
+cut to ids above h: a lex-leader condition (Crawford, Ginsberg, Luks and
+Roy, KR 1996; Grochow and Kellis, RECOMB 2007).  If f* broke the cut at
+orbit vertex j, the automorphism tau that fixes order[:idx] and maps
+order[idx] to j would make f* o tau an embedding that agrees with f* on the
+prefix and is smaller at idx.  Each orbit member is confirmed by one
+pattern-to-pattern search with singleton ``initial`` masks, so Aut(P) is
+never listed (a 15-leaf star has 15! automorphisms), and the orbits are
+built the first time a pattern serves such a search.  With ``initial``
+masks, f* o tau may leave the masks, so they turn the cuts off.
+
+(b) Orbit rooting, when host automorphism ``generators`` are given (the
+family constructors supply them) and no ``initial`` masks.  At depth d the
+search tries only the lowest candidate of each orbit of H_d, the group
+generated by the generators that fix every host vertex placed so far.  Let
+y = f*(order[d]).  For g in H_d, g o f* is an embedding that agrees with f*
+on the prefix, so g(y) >= y: y is the least vertex of its H_d-orbit.  The
+candidate mask need not be H_d-invariant (the cuts of (a) are not), and
+``_orbit_reps`` keeps y anyway, because y's union-find root is the least
+vertex of a part of that orbit that contains y.  Once no generator fixes a
+branch's prefix, the branch is searched in full.
+
+(c) Failed roots certified by translation.  Let q0 = order[0] and R its
+eccentricity in the pattern.  When the pattern is connected and no
+``initial`` masks are given, a root x (the image of q0) whose search ends
+with no embedding is recorded under the key (x - lo, B(x,R) >> lo), where
+B(x,R) is the host ball of radius R around x and lo its lowest id.  A later
+root y with the same key is skipped if, for every v in B(x,R),
+(row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).  This is sound.
+First, x's empty search proves that no embedding sends q0 to x: the least
+embedding f_x among those that do would survive (a), whose tau fixes
+order[0], and (b), whose H_d fixes x for d >= 1, as in the arguments above.
+Second, an equal key makes B(y,R) the shift of B(x,R), and the row test
+makes the shift s: v -> v + y - x keep every edge and non-edge inside it,
+so s is an isomorphism between the induced balls taking x to y.  Any
 embedding f with f(q0) = y lies inside B(y,R): the pattern is connected,
 and the image of a pattern path is a host walk no longer than the path.
-So s^-1 o f is an embedding with q0 -> x.  The degree, adjacency and
-distance filters reject no embedding, and orbit rooting keeps one if any
-exists, so x's empty search proves there is none; hence no embedding maps
-q0 to y either.  Skipped roots have no embeddings, so the first witness,
+So s^-1 o f would send q0 to x; hence no embedding maps q0 to y either.
+Skipped roots have no embeddings, so the first witness,
 ``find_all_induced`` and its order do not change.  A disconnected pattern
 may put a component outside every ball, and ``initial`` masks are not
 shift-invariant, so both turn the memo off.  The key is one big-int compare
@@ -54,6 +77,7 @@ while a relabelled host keeps its verdicts and witnesses but loses the gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .core import Graph, balls, bfs_levels, bits
@@ -61,6 +85,7 @@ from .errors import CapacityError
 
 PATTERN_CAP = 16
 ISO_CAP = 64
+PLAN_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -95,17 +120,71 @@ def _search_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _all_pairs_dist(g: Graph) -> list[list[int]]:
-    return [bfs_levels(g, v) for v in range(g.n)]
+class _Plan:
+    """What a search needs from a non-empty pattern alone; see ``_plan``."""
+
+    __slots__ = ("pattern", "order", "pdist", "maxr", "steps", "degrees", "_cuts")
+
+    def __init__(self, pattern: Graph):
+        self.pattern = pattern
+        self.order = order = _search_order(pattern)
+        self.pdist = pdist = [bfs_levels(pattern, v) for v in range(pattern.n)]
+        self.maxr = max(max(row) for row in pdist)
+        # steps[idx]: the forward checks made once order[idx] is placed.  A
+        # pattern distance of -1 (another component) indexes the last ball
+        # row, which is the whole host: no distance bound.
+        self.steps = [[(r, pattern.has_edge(q, r), pdist[q][r]) for r in order[idx + 1:]]
+                      for idx, q in enumerate(order)]
+        self.degrees = [pattern.degree(q) for q in range(pattern.n)]
+        self._cuts: list[tuple[int, ...]] | None = None
+
+    def cuts(self) -> list[tuple[int, ...]]:
+        """The symmetry-breaking cuts, built on first use: ``_stabiliser_orbits``."""
+        if self._cuts is None:
+            self._cuts = _stabiliser_orbits(self.pattern, self.order)
+        return self._cuts
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(pattern: Graph) -> _Plan:
+    """The pattern's plan, built once while it stays among the last
+    PLAN_CACHE patterns searched (at most PATTERN_CAP vertices each)."""
+    return _Plan(pattern)
+
+
+def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]]:
+    """Entry idx: the vertices other than order[idx] in its orbit under the
+    automorphisms of ``pattern`` that fix order[:idx] pointwise; () at idx 0.
+
+    Each candidate j (a later vertex of equal degree) costs one search of
+    the pattern in itself with the prefix pinned and order[idx] -> j, so the
+    group is never enumerated.
+    """
+    k = pattern.n
+    masks = [(1 << k) - 1] * k
+    cuts: list[tuple[int, ...]] = [()]
+    for idx in range(1, k):
+        masks[order[idx - 1]] = 1 << order[idx - 1]
+        q = order[idx]
+        orbit = []
+        for j in order[idx + 1:]:
+            if pattern.degree(j) == pattern.degree(q):
+                masks[q] = 1 << j
+                if _search(pattern, pattern, 1, initial=masks):
+                    orbit.append(j)
+        cuts.append(tuple(orbit))
+    return cuts
 
 
 def _orbit_reps(mask: int, gens: list[tuple[tuple[int, ...], int]]) -> int:
-    """``mask`` cut to the lowest vertex of each orbit of the group ``gens``
-    generate; ``mask`` must be invariant under it.
+    """``mask`` cut to its union-find roots under the group ``gens`` generate.
 
     ``gens`` holds (permutation, support mask) pairs.  Union-find runs over
-    the candidates some generator moves, with the lowest id as each root;
-    the other candidates are fixed points and stay.
+    the candidates some generator moves and their images, with the lowest id
+    as each root; the other candidates are fixed points and stay.  Every
+    part lies inside one orbit, so a candidate that is the least vertex of
+    its whole orbit is always kept, whether or not ``mask`` is invariant
+    under the group.
     """
     moved = 0
     for _, support in gens:
@@ -159,29 +238,26 @@ def _search(
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
     ``generators`` are host automorphisms; with them and no ``initial`` the
-    search is orbit-rooted (see the module docstring), which keeps whether
-    an embedding exists but not which ones are found.
+    search is orbit-rooted (see the module docstring), which keeps the first
+    embedding but not the ones after it.
     """
     k, n = pattern.n, host.n
     if k == 0:
         return [Embedding(())]
     if k > n:
         return []
-    order = _search_order(pattern)
-    pdist = _all_pairs_dist(pattern)
-    maxr = max(max(row) for row in pdist)
-    # steps[idx]: the forward checks made once order[idx] is placed.  A
-    # pattern distance of -1 (another component) indexes the last ball row,
-    # which is the whole host: no distance bound.
-    steps = [[(r, pattern.has_edge(q, r), pdist[q][r]) for r in order[idx + 1:]]
-             for idx, q in enumerate(order)]
+    # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
+    # plan holds ~185 KB of forward checks
+    plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
+    order, steps, maxr, pdist = plan.order, plan.steps, plan.maxr, plan.pdist
+    cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
     # degree base: one mask of the host vertices of degree >= d per distinct d
     hdeg = [row.bit_count() for row in hrow]
     at_least = {d: sum(1 << x for x, dx in enumerate(hdeg) if dx >= d)
-                for d in set(map(pattern.degree, range(k)))}
-    base = [at_least[pattern.degree(q)] for q in range(k)]
+                for d in set(plan.degrees)}
+    base = [at_least[d] for d in plan.degrees]
     if initial is not None:
         base = [m & init for m, init in zip(base, initial)]
     # host vertex h -> [ball_0, ..., ball_maxr, full], ball_r = within r of h
@@ -216,6 +292,8 @@ def _search(
             adj = hrow[h]
             nonadj = full & ~adj & ~low
             nxt = cand[:]
+            for r in cuts[idx]:
+                nxt[r] &= -(low << 1)  # ids above h
             ok = True
             for r, is_adj, d in steps[idx]:
                 c = nxt[r] & adj if is_adj else nxt[r] & nonadj & rows[d]
@@ -258,9 +336,15 @@ def _search(
     return found
 
 
-def find_induced(pattern: Graph, host: Graph) -> Embedding | None:
-    """First induced embedding of ``pattern`` in ``host``, or None."""
-    out = find_all_induced(pattern, host, limit=1)
+def find_induced(
+    pattern: Graph, host: Graph, generators: Sequence[Sequence[int]] = ()
+) -> Embedding | None:
+    """First induced embedding of ``pattern`` in ``host``, or None.
+
+    ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
+    make the search try one host vertex per orbit; the result is the same.
+    """
+    out = _search(_capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None
 
 
@@ -276,12 +360,9 @@ def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> l
 
 
 def is_free(host: Graph, pattern: Graph, generators: Sequence[Sequence[int]] = ()) -> bool:
-    """True iff ``host`` contains no induced copy of ``pattern``.
-
-    ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
-    make the search try one host vertex per orbit; the verdict is the same.
-    """
-    return not _search(_capped(pattern), host, limit=1, generators=generators)
+    """True iff ``host`` contains no induced copy of ``pattern``; ``generators``
+    as in ``find_induced``."""
+    return find_induced(pattern, host, generators) is None
 
 
 def verify_embedding(

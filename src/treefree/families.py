@@ -6,9 +6,9 @@ named lemma checks can replay fixed witness sets by coordinate.
 Each constructor also returns automorphism generators: the symmetries its
 definition makes obvious (copy transpositions, rotations, reflections,
 gadget swaps), each a tuple ``perm`` with ``perm[x]`` the image of x.  They
-need not generate the whole automorphism group; ``embed.is_free`` uses them
-only to skip host vertices that some automorphism maps onto one already
-tried.  ``_validate`` checks every generator edge by edge at construction.
+need not generate the whole automorphism group; ``embed.find_induced`` and
+``embed.is_free`` use them only to skip host vertices that some automorphism
+maps onto one already tried.  ``_validate`` checks every generator edge by edge at construction.
 """
 
 from __future__ import annotations

@@ -362,6 +362,47 @@ def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
     return next(oracle_induced_maps(pattern, host), None)
 
 
+def oracle_maps_along(pattern: Graph, host: Graph, order: list[int]) -> Iterator[Embedding]:
+    """Every induced map, in lexicographic order of the images of ``order``.
+
+    Plain backtracking: pattern vertices are placed in ``order``, candidates
+    in ascending host id, and a partial map is dropped only once it breaks
+    the induced condition.  A vertex with an earlier neighbour p tries only
+    the host neighbours of p's image, which every induced map obeys.  No
+    caps: with ``order`` connected the cost is the number of induced maps of
+    its prefixes.
+    """
+    k = pattern.n
+    img = [-1] * k
+
+    def extend(i: int) -> Iterator[Embedding]:
+        if i == k:
+            yield Embedding(tuple(img))
+            return
+        q = order[i]
+        placed = order[:i]
+        anchor = next((p for p in placed if pattern.has_edge(p, q)), None)
+        options = range(host.n) if anchor is None else sorted(host.neighbors(img[anchor]))
+        for h in options:
+            if h in img:
+                continue
+            if all(pattern.has_edge(p, q) == host.has_edge(img[p], h) for p in placed):
+                img[q] = h
+                yield from extend(i + 1)
+                img[q] = -1
+
+    return extend(0)
+
+
+def oracle_stabiliser_orbits(pattern: Graph, order: list[int]) -> list[set[int]]:
+    """Entry idx: the orbit of order[idx] under the automorphisms of
+    ``pattern`` that fix order[:idx] pointwise, from the full group listed
+    by ``oracle_maps_along``."""
+    auts = [e.mapping for e in oracle_maps_along(pattern, pattern, order)]
+    return [{a[q] for a in auts if all(a[p] == p for p in order[:idx])}
+            for idx, q in enumerate(order)]
+
+
 def _distance_profile(g: Graph, v: int) -> tuple[int, ...]:
     """How many vertices lie at distance 0, 1, 2, ... from v: an automorphism invariant."""
     dist = {v: 0}

@@ -26,6 +26,8 @@ from treefree.patterns import cycle, make, path, petersen, tstar_tree
 from .oracles import (
     oracle_find_induced,
     oracle_induced_maps,
+    oracle_maps_along,
+    oracle_stabiliser_orbits,
     perm_isomorphic,
     random_graph,
     random_tree,
@@ -260,8 +262,11 @@ def test_rooted_and_unrooted_freeness_agree_on_every_family():
     patterns = [make(name).graph for name in CATALOG]
     patterns += [random_tree(rng, rng.randint(5, 12)) for _ in range(100)]
     for fg in (h1(2), h1(3), h2(1), h2(2), h3(4), h3(5), h4(2), h4(3), gp(7), gp(11)):
+        firsts = [find_induced(p, fg.graph) for p in patterns]
+        assert [find_induced(p, fg.graph, fg.generators) for p in patterns] == firsts, fg
         verdicts = [is_free(fg.graph, p) for p in patterns]
         assert [is_free(fg.graph, p, fg.generators) for p in patterns] == verdicts, fg
+        assert verdicts == [e is None for e in firsts]
         assert True in verdicts and False in verdicts, fg
 
 
@@ -391,3 +396,103 @@ def test_p5_enumeration_in_gp9_is_pinned():
         (9, 0, 1, 10, 17), (1, 0, 8, 7, 6), (1, 0, 8, 7, 16), (9, 0, 8, 7, 6), (1, 0, 8, 17, 15)]
     digest = sha256(repr([e.mapping for e in embs]).encode()).hexdigest()
     assert digest == "8e25f50f5496f60edd5f43e28aebab6e77bc7223cfd0c5b6f246eecc6363e0b1"
+
+
+# ------------------------------------------------- symmetry breaking
+
+def _spider(*legs):
+    """A centre 0 with a path of each given length hung on it."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return build(n, edges)
+
+
+def _symmetric_patterns():
+    """Patterns whose automorphisms fix their first placed vertex nontrivially."""
+    pats = [make(name).graph for name in ("S8:0001", "Tstar8", "S7:101", "T8_1", "C5", "C6")]
+    pats += [_spider(2, 2, 2), _spider(1, 1, 2, 3, 3), _spider(1, 1, 1, 1, 1, 1)]
+    return pats + [build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])]  # P3 + K3
+
+
+def _oracle_hosts():
+    """(host, generators): seeded random hosts, then family hosts."""
+    rng = Random(53)
+    hosts = [(random_graph(rng, rng.randint(8, 16), rng.uniform(0.15, 0.45)), ()) for _ in range(24)]
+    fams = (h1(2), h1(3), h2(1), h2(2), h3(4), h4(2), gp(7), gp(11))
+    return hosts + [(fg.graph, fg.generators) for fg in fams]
+
+
+def test_first_hits_are_the_least_map_in_search_order():
+    outcomes = set()
+    for host, gens in _oracle_hosts():
+        for pattern in _symmetric_patterns():
+            expected = next(oracle_maps_along(pattern, host, _search_order(pattern)), None)
+            where = (host.n, list(pattern.edges()))
+            assert find_induced(pattern, host) == expected, where
+            assert find_all_induced(pattern, host, limit=1) == ([expected] if expected else []), where
+            assert is_free(host, pattern) == (expected is None), where
+            if gens:
+                assert find_induced(pattern, host, gens) == expected, where
+                assert is_free(host, pattern, gens) == (expected is None), where
+            outcomes.add((bool(gens), expected is None))
+    assert len(outcomes) == 4
+
+
+def test_enumerations_keep_every_automorphic_copy():
+    rng = Random(61)
+    pats = [p for p in _symmetric_patterns() if p.n <= 7]
+    for _ in range(12):
+        host = random_graph(rng, rng.randint(8, 12), rng.uniform(0.2, 0.4))
+        for pattern in pats:
+            expected = list(oracle_maps_along(pattern, host, _search_order(pattern)))
+            assert find_all_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
+            assert find_all_induced(pattern, host, limit=2) == expected[:2]
+
+
+def test_stabiliser_orbits_are_pinned_and_agree_with_the_whole_group():
+    pinned = {
+        "S8:0001": ([2, 1, 3, 4, 5, 6, 8, 0, 7, 9, 10],
+                    [(), (8,), (), (), (), (), (), (), (10,), (), ()]),
+        "Tstar8": ([2, 1, 3, 4, 5, 6, 8, 10, 0, 7, 9, 11],
+                   [(), (8,), (), (), (), (10,), (), (), (), (), (), ()]),
+    }
+    for name, (order, cuts) in pinned.items():
+        plan = embed._plan(make(name).graph)
+        assert (plan.order, plan.cuts()) == (order, cuts)
+    for pattern in _symmetric_patterns():
+        plan = embed._plan(pattern)
+        orbits = oracle_stabiliser_orbits(pattern, plan.order)
+        assert plan.cuts()[0] == ()
+        assert [{q, *cut} for q, cut in zip(plan.order, plan.cuts())][1:] == orbits[1:]
+
+
+def test_initial_masks_turn_the_symmetry_cuts_off():
+    # P3 places its centre, then leaf 0, then leaf 2; the one allowed map
+    # sends leaf 2 below leaf 0, which a cut would drop: masks need not be
+    # invariant under the pattern's automorphisms
+    p3 = path(3).graph
+    assert embed._plan(p3).cuts() == [(), (2,), ()]
+    assert _search(p3, path(10).graph, 1, initial=[1 << 5, 1 << 4, 1 << 3]) == [Embedding((5, 4, 3))]
+
+
+def test_plan_cache_stays_bounded_and_isomorphism_builds_no_cuts(monkeypatch):
+    built = []
+    orbits = embed._stabiliser_orbits
+    monkeypatch.setattr(embed, "_stabiliser_orbits", lambda *a: built.append(a) or orbits(*a))
+    embed._plan.cache_clear()
+    rng = Random(59)
+    seen = set()
+    while len(seen) < 500:
+        g = random_graph(rng, rng.randint(5, 16), 0.4)
+        if g not in seen:
+            seen.add(g)
+            assert is_isomorphic(g, _relabel(rng, g))
+    big = gp(31).graph  # above the pattern cap: planned afresh, never cached
+    assert is_isomorphic(big, _relabel(rng, big))
+    info = embed._plan.cache_info()
+    assert info.misses == 500 and info.currsize == info.maxsize == embed.PLAN_CACHE
+    assert not built

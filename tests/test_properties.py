@@ -79,6 +79,7 @@ def test_find_induced_agrees_with_the_oracle(pattern, host):
 @given(st.sampled_from(HOSTS), trees(2, 10))
 def test_rooted_freeness_agrees_with_the_unrooted_search(fg, tree):
     assert is_free(fg.graph, tree, fg.generators) == is_free(fg.graph, tree)
+    assert find_induced(tree, fg.graph, fg.generators) == find_induced(tree, fg.graph)
 
 
 @PROPERTY
