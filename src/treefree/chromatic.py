@@ -92,55 +92,55 @@ def _pick(left: int, classes: list[int], rows: tuple[int, ...]) -> int:
     return best
 
 
-def _dsatur_upper(g: Graph) -> int:
-    rows = g._rows
-    classes: list[int] = []
-    left = (1 << g.n) - 1
-    while left:
-        v = _pick(left, classes, rows)
-        bit = 1 << v
-        row = rows[v]
-        left ^= bit
-        for i, c in enumerate(classes):
-            if not c & row:
-                classes[i] = c | bit
-                break
-        else:
-            classes.append(bit)
-    return len(classes)
-
-
 def _k_colorable(g: Graph, k: int) -> bool:
-    """Exact k-colorability: DSATUR-ordered backtracking, new colors last."""
+    """Exact k-colorability: DSATUR-ordered backtracking, new colors last, on
+    its own stack of placements, so depth is not bound by the recursion limit."""
     rows = g._rows
     classes: list[int] = []
-
-    def assign(left: int) -> bool:
-        if not left:
-            return True
-        v = _pick(left, classes, rows)
+    placed: list[tuple[int, int]] = []  # (vertex, index of its class), in placement order
+    left = (1 << g.n) - 1
+    v = -1  # the vertex being placed; -1 picks the next one
+    i = 0  # the first class index it may still take
+    while True:
+        if v < 0:
+            if not left:
+                return True
+            v, i = _pick(left, classes, rows), 0
         bit = 1 << v
         row = rows[v]
-        left ^= bit
-        for i in range(len(classes)):
-            if classes[i] & row:
-                continue
+        while i < len(classes) and classes[i] & row:
+            i += 1
+        if i < len(classes):
             classes[i] |= bit
-            if assign(left):
-                return True
-            classes[i] ^= bit
-        if len(classes) < k:
+        elif i == len(classes) < k:
             classes.append(bit)
-            if assign(left):
-                return True
-            classes.pop()
-        return False
-
-    return assign((1 << g.n) - 1)
+        else:
+            if not placed:
+                return False
+            v, i = placed.pop()
+            bit = 1 << v
+            left |= bit
+            if classes[i] == bit:  # v opened this class, the last one
+                classes.pop()
+            else:
+                classes[i] ^= bit
+            i += 1
+            continue
+        left ^= bit
+        placed.append((v, i))
+        v = -1
 
 
 def chi_exact(g: Graph, cap: int = DEFAULT_CAP) -> int:
-    """Exact chromatic number by branch and bound under a size cap."""
+    """Exact chromatic number under a size cap: the least k >= max(3, clique)
+    that ``_k_colorable`` accepts.
+
+    No greedy upper bound is needed: for k at least the greedy DSATUR colour
+    count, ``_k_colorable(g, k)`` makes the same ``_pick`` choices, takes the
+    same first fitting class and opens new classes last, so it is the greedy
+    pass and never backtracks.  The climb stops there at the latest, at the
+    cost of one greedy pass, and each k returned is certified by a colouring.
+    """
     if g.n > cap:
         raise CapacityError(f"chi_exact capped at {cap} vertices, got {g.n}")
     if g.n == 0:
@@ -149,10 +149,8 @@ def chi_exact(g: Graph, cap: int = DEFAULT_CAP) -> int:
         return 1
     if is_bipartite(g):
         return 2
-    low = max(3, _greedy_clique(g))
-    high = _dsatur_upper(g)
-    k = low
-    while k < high and not _k_colorable(g, k):
+    k = max(3, _greedy_clique(g))
+    while not _k_colorable(g, k):
         k += 1
     return k
 

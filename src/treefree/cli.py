@@ -16,7 +16,7 @@ from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
 from .core import Graph, GraphStats, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
-from .embed import find_induced, is_isomorphic
+from .embed import capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -64,22 +64,19 @@ def _freeness_sweep(
     return Report(check_id, {"checked": done}, passed=True)
 
 
-def _lemma_22_witnesses(s: int = 5) -> Report:
+def _lemma_22_witnesses(s: int) -> Report:
     """Replay the three fixed induced-subtree witnesses inside h1(s)."""
     if s < 5:
         raise UsageError(f"lemma 2.2w needs s >= 5 (its witnesses use five 6-cycles), got {s}")
     host = families.h1(s).graph
-    cases = [
-        ("Tstar9", _W22_TSTAR9, patterns.tstar_tree(9).graph),
-        ("S8:0001", _W22_S8_0001, patterns.s_tree(8, (0, 0, 0, 1)).graph),
-        ("S8_1", _W22_S8_1, patterns.s8_1().graph),
-    ]
+    cases = [("Tstar9", _W22_TSTAR9), ("S8:0001", _W22_S8_0001), ("S8_1", _W22_S8_1)]
     outcomes = {}
     ok = True
-    for name, spec, target in cases:
+    for name, spec in cases:
         ids = _h1_ids(s, spec)
         sub = induced(host, ids)
-        outcomes[name] = {"vertices": sorted(ids), "isomorphic": is_isomorphic(sub, target)}
+        outcomes[name] = {"vertices": sorted(ids),
+                          "isomorphic": is_isomorphic(sub, patterns.make(name).graph)}
         ok = ok and outcomes[name]["isomorphic"]
     return checked("lemma2.2w", host, ok, {"s": s}, outcomes)
 
@@ -100,12 +97,14 @@ def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
     return Report("lemma2.5p", {"blocks": len(blocks)}, passed=True)
 
 
-def _lemma_41_suite(seed: int, vw_samples: int | None) -> Report:
+def _lemma_41_suite(seed: int) -> Report:
+    """Path-pair properties at k = 4, 5: every non-adjacent (v, w) pair on
+    the small hosts, 40 seeded ones on gp(25)."""
     hosts = [
         ("C6", patterns.cycle(6).graph, None),
         ("C8", patterns.cycle(8).graph, None),
         ("h1:3", families.h1(3).graph, None),
-        ("gp:25", families.gp(25).graph, vw_samples),
+        ("gp:25", families.gp(25).graph, 40),
     ]
     total = 0
     for name, host, samples in hosts:
@@ -149,14 +148,15 @@ def sample_connected_bases(
     return out
 
 
-def _lemma_5x_suite(which: str, seed: int, samples: int) -> Report:
-    """Sampled closure-set checks on h1(5) and gp(25).
+def _lemma_5x_suite(which: str, seed: int) -> Report:
+    """Sampled closure-set checks on h1(5) and gp(25), 100 seeded bases each.
 
     '5.1' asserts the edge-emptiness conclusions, '5.3' the cardinality
     inequalities against the M_4/M_5 sums.
     """
     hosts = [("h1:5", families.h1(5).graph), ("gp:25", families.gp(25).graph)]
     rng = Random(seed)
+    samples = 100
     bases = 0
     for name, host in hosts:
         degs = [host.degree(v) for v in range(host.n)]
@@ -191,63 +191,51 @@ def _lemma_5x_suite(which: str, seed: int, samples: int) -> Report:
                   witness={"bases_checked": bases})
 
 
-_DEFAULT_RANGES = {
-    "2.2i": (5, 8),
-    "2.3": (3, 5),
-    "2.4": (4, 6),
-    "2.5": (3, 5),
-    "2.5p": (3, 5),
+# Lemma id -> default size range A..B.  None: the lemma runs on fixed hosts
+# (no --s) and samples them, so only these ids take a seed (default 0).
+_LEMMAS: dict[str, tuple[int, int] | None] = {
+    "2.2i": (5, 8), "2.3": (3, 5), "2.4": (4, 6), "2.5": (3, 5), "2.5p": (3, 5),
+    "2.2w": (5, 5), "4.1": None, "5.1": None, "5.3": None,
 }
-_SAMPLED = ("4.1", "5.1", "5.3")
-_LEMMAS = (*_DEFAULT_RANGES, "2.2w", *_SAMPLED)
+# Freeness lemmas: the host family and the catalog ids of the trees its members avoid.
+_FREENESS = {
+    "2.2i": (families.h1, ("P10",)),
+    "2.3": (families.h2, ("S8:0001", "Tstar8")),
+    "2.4": (families.h3, ("S7:101",)),
+    "2.5": (families.h4, ("S8_2",)),
+}
 
 
 @timed
 def verify_lemma(
-    lemma_id: str,
-    s_range: tuple[int, int] | None = None,
-    seed: int | None = None,
-    samples: int = 100,
+    lemma_id: str, s_range: tuple[int, int] | None = None, seed: int | None = None
 ) -> Report:
     """Run one named lemma check and return its report.
 
-    Lemmas 4.1, 5.1 and 5.3 run on fixed hosts and take no ``s_range``;
-    2.2w replays its witnesses at one size, so its range must be ``(s, s)``.
-    Only 4.1, 5.1 and 5.3 sample, so only they take a ``seed`` (default 0).
+    ``s_range`` and ``seed`` are allowed as ``_LEMMAS`` says; 2.2w replays
+    its witnesses at one size, so its range must be ``(s, s)``.
     """
     if lemma_id not in _LEMMAS:
         raise UsageError(f"unknown lemma id {lemma_id!r}")
-    if s_range is not None and lemma_id in _SAMPLED:
-        raise UsageError(f"lemma {lemma_id} runs on fixed hosts and takes no size range")
-    if seed is not None and lemma_id not in _SAMPLED:
+    sizes = _LEMMAS[lemma_id]
+    if sizes is None:
+        if s_range is not None:
+            raise UsageError(f"lemma {lemma_id} runs on fixed hosts and takes no size range")
+        if lemma_id == "4.1":
+            return _lemma_41_suite(seed or 0)
+        return _lemma_5x_suite(lemma_id, seed or 0)
+    if seed is not None:
         raise UsageError(f"lemma {lemma_id} does not sample and takes no seed")
-    if lemma_id in ("2.2i", "2.3", "2.4", "2.5"):
-        lo, hi = s_range or _DEFAULT_RANGES[lemma_id]
-        svals = range(lo, hi + 1)
-        if lemma_id == "2.2i":
-            hosts = [families.h1(s) for s in svals]
-            forb = [patterns.path(10)]
-        elif lemma_id == "2.3":
-            hosts = [families.h2(s) for s in svals]
-            forb = [patterns.s_tree(8, (0, 0, 0, 1)), patterns.tstar_tree(8)]
-        elif lemma_id == "2.4":
-            hosts = [families.h3(s) for s in svals]
-            forb = [patterns.s_tree(7, (1, 0, 1))]
-        else:
-            hosts = [families.h4(s) for s in svals]
-            forb = [patterns.s8_2()]
-        return _freeness_sweep(f"lemma{lemma_id}", hosts, forb)
-    if lemma_id == "2.2w":
-        lo, hi = s_range or (5, 5)
-        if lo != hi:
-            raise UsageError(f"lemma 2.2w replays its witnesses at one size, got {lo}..{hi}")
-        return _lemma_22_witnesses(lo)
+    lo, hi = s_range or sizes
+    if lemma_id in _FREENESS:
+        family, tree_ids = _FREENESS[lemma_id]
+        return _freeness_sweep(f"lemma{lemma_id}", [family(s) for s in range(lo, hi + 1)],
+                               [patterns.make(t) for t in tree_ids])
     if lemma_id == "2.5p":
-        lo, hi = s_range or _DEFAULT_RANGES["2.5p"]
         return _lemma_25_petersen(range(lo, hi + 1))
-    if lemma_id == "4.1":
-        return _lemma_41_suite(seed=seed or 0, vw_samples=40)
-    return _lemma_5x_suite(lemma_id, seed=seed or 0, samples=samples)
+    if lo != hi:
+        raise UsageError(f"lemma 2.2w replays its witnesses at one size, got {lo}..{hi}")
+    return _lemma_22_witnesses(lo)
 
 
 def _gate(g: Graph) -> tuple[str | None, GraphStats]:
@@ -271,7 +259,7 @@ def _gate_reason(key: str, st: GraphStats) -> str:
 
 def _implication_report(
     check_id: str, g: Graph, gate: tuple[str | None, GraphStats], quantity: str, value: int,
-    clauses: tuple[tuple[str, int], ...], assume_met: bool = False,
+    clauses: tuple[tuple[str, int], ...],
 ) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
     hypothesis ``gate`` failed or no threshold is reached."""
@@ -287,7 +275,7 @@ def _implication_report(
     any_checked = False
     all_found = True
     for name, thr in clauses:
-        if value >= thr or assume_met:
+        if value >= thr:
             any_checked = True
             emb = find_induced(patterns.make(name).graph, g)
             outcomes[name] = {"checked": True, "found": emb is not None,
@@ -310,11 +298,15 @@ def check_diam_theorem(g: Graph) -> Report:
 
 
 @timed
-def check_maxdeg_theorem(g: Graph, assume_met: bool = False) -> Report:
-    """Max-degree thresholds; vacuous at desk scale, and the report says so."""
+def check_maxdeg_theorem(g: Graph) -> Report:
+    """Max-degree thresholds; vacuous at desk scale, and the report says so.
+
+    The smallest threshold, 190375, exceeds every degree a graph under the
+    65535-vertex cap can have, so no input reaches the clause searches.
+    """
     gate = _gate(g)
     return _implication_report("theorem.maxdeg", g, gate, "max_degree",
-                               gate[1].max_degree, MAXDEG_CLAUSES, assume_met=assume_met)
+                               gate[1].max_degree, MAXDEG_CLAUSES)
 
 
 @timed
@@ -326,6 +318,7 @@ def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
     and the members, not the corpus.
     """
     pat = patterns.make(tree_id)
+    capped(pat.graph)  # refused before any record is read
     if not patterns.is_tree(pat.graph):
         raise UsageError(f"{tree_id!r} is not a catalog tree")
     tallies = {"disconnected": 0, "min_degree": 0, "c3_c4": 0, "tree_present": 0}
@@ -401,6 +394,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     pat = patterns.make(args.pattern)
+    capped(pat.graph)  # refused before any record is read
     for index, g in stream_corpus(args.host):
         emb = find_induced(pat.graph, g)
         if emb is None:
@@ -469,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("verify", help="run a named lemma check")
-    p.add_argument("--lemma", required=True)
+    p.add_argument("--lemma", required=True, help=", ".join(_LEMMAS))
     p.add_argument("--s", type=_parse_range, default=None, help="size range A..B")
     p.add_argument("--seed", type=int, default=None, help="lemmas 4.1, 5.1, 5.3 only")
     p.add_argument("--report", default=None)

@@ -344,11 +344,12 @@ def find_induced(
     ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
     make the search try one host vertex per orbit; the result is the same.
     """
-    out = _search(_capped(pattern), host, limit=1, generators=generators)
+    out = _search(capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None
 
 
-def _capped(pattern: Graph) -> Graph:
+def capped(pattern: Graph) -> Graph:
+    """``pattern`` itself; CapacityError when it has more than PATTERN_CAP vertices."""
     if pattern.n > PATTERN_CAP:
         raise CapacityError(f"pattern has {pattern.n} > {PATTERN_CAP} vertices")
     return pattern
@@ -356,7 +357,7 @@ def _capped(pattern: Graph) -> Graph:
 
 def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[Embedding]:
     """Every induced embedding (up to ``limit``), in deterministic order."""
-    return _search(_capped(pattern), host, limit=limit)
+    return _search(capped(pattern), host, limit=limit)
 
 
 def is_free(host: Graph, pattern: Graph, generators: Sequence[Sequence[int]] = ()) -> bool:

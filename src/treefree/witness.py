@@ -383,6 +383,11 @@ def verify_ramsey_small(t: int) -> Report:
     isomorphism.  The check passes iff some survive on R - 1 vertices (the
     first is the lower-bound witness) and none on R; ``level_classes``
     counts the classes on 1..R vertices.
+
+    A failed report's counterexample is the first class on R vertices,
+    which refutes R(3,t) <= R.  When none survive on R - 1 vertices the
+    table is too large and no graph refutes it, so the counterexample is
+    the empty graph.
     """
     if not 2 <= t <= max(_R3):
         raise UnsupportedRamseyError(f"verify_ramsey_small supports t in 2..{max(_R3)}, got {t}")
@@ -392,8 +397,8 @@ def verify_ramsey_small(t: int) -> Report:
         "lower_bound_witness": emit_graph6(levels[-2][0]) if levels[-2] else None,
         "level_classes": [len(level) for level in levels],
     }
-    return Report(f"ramsey3{t}", {"t": t, "value": _R3[t]}, passed, witness=detail,
-                  counterexample=None if passed else "?")
+    refuter = levels[-1][0] if levels[-1] else Graph(0, ())
+    return checked(f"ramsey3{t}", refuter, passed, {"t": t, "value": _R3[t]}, detail)
 
 
 @timed

@@ -149,6 +149,21 @@ def brute_chi(g: Graph) -> int:
     return k
 
 
+def dsatur_greedy_colours(g: Graph) -> int:
+    """Colours used by one greedy DSATUR pass (Brelaz 1979): pick the vertex
+    seeing the most colours, then of highest degree, then of lowest id, and
+    give it the lowest colour none of its neighbours has."""
+    colour: dict[int, int] = {}
+    while len(colour) < g.n:
+        def key(x: int) -> tuple[int, int, int]:
+            return len({colour[u] for u in g.neighbors(x) if u in colour}), g.degree(x), -x
+
+        v = max((x for x in range(g.n) if x not in colour), key=key)
+        used = {colour[u] for u in g.neighbors(v) if u in colour}
+        colour[v] = min(c for c in range(g.n) if c not in used)
+    return len(set(colour.values()))
+
+
 def lowest_id_peel(g: Graph) -> tuple[list[int], list[int]]:
     """Removal order and 3-core of peeling the lowest-id vertex of degree <= 2, by set scans."""
     alive = set(range(g.n))

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import sys
 from random import Random
 
 import pytest
 
-from treefree.chromatic import _dsatur_upper, _k_colorable, _pick, chi_exact, chi_structured, peel
+from treefree import chromatic
+from treefree.chromatic import _k_colorable, _pick, chi_exact, chi_structured, peel
 from treefree.core import build, is_bipartite, mask_of
 from treefree.errors import CapacityError
 from treefree.patterns import cycle, heawood, path, petersen
 
 from .oracles import (
     brute_chi,
+    dsatur_greedy_colours,
     lowest_id_peel,
     mycielski,
     peel_fixpoint_core,
@@ -124,9 +127,36 @@ def test_k_colorable_and_dsatur_bound_brute_chi():
         chi = brute_chi(g)
         assert not _k_colorable(g, chi - 1)
         assert _k_colorable(g, chi)
-        assert _dsatur_upper(g) >= chi
-        if chi <= 2:  # DSATUR is exact on bipartite graphs
-            assert _dsatur_upper(g) == chi
+
+
+def test_k_colorable_with_the_greedy_colour_count_is_one_greedy_pass(monkeypatch):
+    # chi_exact needs no greedy upper bound because, given at least as many
+    # colours as the greedy DSATUR pass uses, the search is that pass and
+    # never backtracks: one pick per vertex
+    calls = 0
+
+    def counting_pick(*args):
+        nonlocal calls
+        calls += 1
+        return _pick(*args)
+
+    monkeypatch.setattr(chromatic, "_pick", counting_pick)
+    rng = Random(37)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 18), rng.uniform(0.1, 0.9))
+        for k in (dsatur_greedy_colours(g), g.n):
+            calls = 0
+            assert _k_colorable(g, k)
+            assert calls == g.n, k
+
+
+def test_colouring_search_is_not_bounded_by_the_recursion_limit():
+    # one search level per vertex: an odd cycle longer than the recursion
+    # limit is 3-coloured, and refuting 2 backtracks through every level
+    n = (sys.getrecursionlimit() + 1) | 1
+    g = cycle(n).graph
+    assert chi_exact(g, cap=n) == 3
+    assert not _k_colorable(g, 2)
 
 
 def test_planted_colorings_need_backtracking_undo():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import json
@@ -55,8 +56,8 @@ def test_verify_lemma_quick_slices():
 
 def test_verify_lemma_property_suites():
     assert verify_lemma("4.1", seed=1).passed
-    assert verify_lemma("5.1", samples=10).passed
-    assert verify_lemma("5.3", samples=10).passed
+    assert verify_lemma("5.1").passed
+    assert verify_lemma("5.3").passed
 
 
 def test_sampled_lemma_reports_are_pinned():
@@ -115,8 +116,30 @@ def test_maxdeg_theorem_reports():
     rep = check_maxdeg_theorem(h1(8).graph)
     assert rep.status == "vacuous"
     assert rep.params["thresholds"] == {"T8_1": 943218, "T8_2": 190375, "T9": 197433}
-    forced = check_maxdeg_theorem(h1(8).graph, assume_met=True)
-    assert forced.status == "checked"  # search path exercised
+
+
+def _digest(rep):
+    payload = rep.to_dict()
+    del payload["runtime_ms"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_lemma_and_maxdeg_reports_are_pinned():
+    # sha256 prefixes of every report (runtime_ms dropped) as the lemma
+    # catalogue produced them before it became one table; a change to any
+    # verdict, witness or parameter moves its digest
+    pinned = {
+        "2.2i": "f0e70920c07f5129", "2.3": "5d0b67096e84d05d", "2.4": "fe4e35060e14a67c",
+        "2.5": "51238cd0e0906a24", "2.5p": "29812d1246d622b6", "2.2w": "c81823b3395143c1",
+        "4.1": "310b2d30ed31d94e", "5.1": "20b2285168dc0423", "5.3": "99acd6d981bb4d95",
+    }
+    for lemma_id, digest in pinned.items():
+        assert _digest(verify_lemma(lemma_id)) == digest, lemma_id
+    seeded = {"4.1": "31c8423332bca0e8", "5.1": "a6f9fdd4ecd46e8d", "5.3": "60a907c8e7a4dfe2"}
+    for lemma_id, digest in seeded.items():
+        assert _digest(verify_lemma(lemma_id, seed=1)) == digest, lemma_id
+    assert _digest(check_maxdeg_theorem(h1(8).graph)) == "a95bd3d1219a8257"
+    assert _digest(check_maxdeg_theorem(petersen().graph)) == "d56d835fb4234d49"
 
 
 def test_scan_corpus_returns_the_three_named_graphs():
@@ -162,7 +185,7 @@ def test_every_report_is_stamped_by_the_one_clock(monkeypatch):
         assert_stamped(verify_lemma(lemma_id, s_range=(s, s)))
     assert_stamped(verify_lemma("4.1"), nested=8)  # four hosts x k in {4, 5}
     for lemma_id in ("5.1", "5.3"):
-        rep = verify_lemma(lemma_id, samples=5)  # one derived_sets per base
+        rep = verify_lemma(lemma_id)  # one derived_sets per base
         assert_stamped(rep, nested=rep.witness["bases_checked"])
     assert_stamped(check_diam_theorem(gp(25).graph))
     assert_stamped(check_maxdeg_theorem(petersen().graph))
@@ -291,7 +314,7 @@ def test_cli_seed_on_a_lemma_that_does_not_sample_exits_two(capsys):
             verify_lemma(lemma_id, seed=0)
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "9.9", "--seed", "9"], "unknown lemma")
     # the sampling lemmas keep seed 0 when none is given
-    assert verify_lemma("5.1", samples=5).params["seed"] == 0
+    assert verify_lemma("5.1").params["seed"] == 0
 
 
 def test_cli_chi_cap_below_one_exits_two(capsys, tmp_path):
@@ -310,6 +333,17 @@ def test_cli_missing_corpus_exits_two(capsys, tmp_path):
 
 def test_cli_lemma_22w_below_witness_size_exits_two(capsys):
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "1"], "s >= 5")
+
+
+def test_cli_pattern_over_the_cap_exits_two_whatever_the_corpus(capsys, tmp_path):
+    # K3 fails the hypothesis gate, so no search would ever see the pattern;
+    # the cap is checked before any record is read
+    k3 = tmp_path / "k3.g6"
+    k3.write_text("Bw\n")
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    _exit_two_with_one_line(capsys, ["scan", "--corpus", str(k3), "--tree", "P17"], "17 > 16")
+    _exit_two_with_one_line(capsys, ["check", "--host", str(empty), "--pattern", "P17"], "17 > 16")
 
 
 

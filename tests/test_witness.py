@@ -233,6 +233,22 @@ def test_ramsey_2_and_3():
         verify_ramsey_small(5)
 
 
+def test_failed_ramsey_report_names_a_refuting_graph(monkeypatch):
+    from treefree import witness
+    from treefree.embed import is_isomorphic
+
+    # R(3,3) = 6, so a table claiming 5 is refuted by C5 on 5 vertices
+    monkeypatch.setitem(witness._R3, 3, 5)
+    rep = verify_ramsey_small(3)
+    assert rep.status == "checked" and not rep.passed
+    assert is_isomorphic(parse_graph6(rep.counterexample), cycle(5).graph)
+    # a table claiming 7 is too large: nothing survives on 6 vertices, and
+    # no graph refutes it, so the counterexample is the empty graph
+    monkeypatch.setitem(witness._R3, 3, 7)
+    rep = verify_ramsey_small(3)
+    assert not rep.passed and rep.counterexample == "?"
+
+
 def test_bitset_independence_test_matches_subset_enumeration():
     rng = Random(61)
     graphs = [build(0, [])] + [random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.7))
