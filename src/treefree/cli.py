@@ -16,7 +16,7 @@ from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
 from .core import Graph, GraphStats, bfs_levels, bits, diameter, induced, is_c3c4_free, mask_of, stats
-from .embed import capped, find_induced, is_isomorphic
+from .embed import ball_radius, capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -259,10 +259,11 @@ def _gate_reason(key: str, st: GraphStats) -> str:
 
 def _implication_report(
     check_id: str, g: Graph, gate: tuple[str | None, GraphStats], quantity: str, value: int,
-    clauses: tuple[tuple[str, int], ...],
+    clauses: tuple[tuple[str, int], ...], levels: list[list[int]] | None = None,
 ) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis ``gate`` failed or no threshold is reached."""
+    hypothesis ``gate`` failed or no threshold is reached.  Every search reads
+    its ball rows from the host's ``levels`` when they are given."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
@@ -277,7 +278,7 @@ def _implication_report(
     for name, thr in clauses:
         if value >= thr:
             any_checked = True
-            emb = find_induced(patterns.make(name).graph, g)
+            emb = find_induced(patterns.make(name).graph, g, levels=levels)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": list(emb.mapping) if emb else None}
             all_found = all_found and emb is not None
@@ -291,10 +292,17 @@ def _implication_report(
 
 @timed
 def check_diam_theorem(g: Graph) -> Report:
-    """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively."""
+    """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
+
+    The diameter sweep keeps its ball levels up to the largest radius any
+    clause search reads, and the clause searches share them.
+    """
     gate = _gate(g)
-    value = diameter(g) if gate[0] is None else -1
-    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES)
+    if gate[0] is not None:
+        return _implication_report("theorem.diam", g, gate, "diameter", -1, DIAM_CLAUSES)
+    radius = max(ball_radius(patterns.make(name).graph) for name, _ in DIAM_CLAUSES)
+    value, levels = diameter(g, keep=radius)
+    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, levels)
 
 
 @timed
@@ -366,9 +374,8 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
-def _emit_reports(reports: list[Report], path: str | None) -> None:
-    for rep in reports:
-        print(rep.to_json())
+def _write_reports(reports: list[Report], path: str | None) -> None:
+    """Write the reports to ``path`` as JSON (one report as an object), if given."""
     if path:
         payload = [r.to_dict() for r in reports]
         Path(path).write_text(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
@@ -376,6 +383,13 @@ def _emit_reports(reports: list[Report], path: str | None) -> None:
 
 def _exit_code(reports: list[Report]) -> int:
     return 1 if any(r.is_failure for r in reports) else 0
+
+
+def _emit_report(rep: Report, path: str | None) -> int:
+    """Print one report, write it to ``path`` if given, and return its exit code."""
+    print(rep.to_json())
+    _write_reports([rep], path)
+    return _exit_code([rep])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -411,26 +425,27 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rep = verify_lemma(args.lemma, s_range=args.s, seed=args.seed)
-    _emit_reports([rep], args.report)
-    return _exit_code([rep])
+    return _emit_report(verify_lemma(args.lemma, s_range=args.s, seed=args.seed), args.report)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    rep = scan_corpus(args.corpus, args.tree, lenient=args.lenient)
-    _emit_reports([rep], args.report)
-    return _exit_code([rep])
+    return _emit_report(scan_corpus(args.corpus, args.tree, lenient=args.lenient), args.report)
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
-    reports = []
-    for index, g in stream_corpus(args.input):
-        if args.which == "diam":
-            reports.append(check_diam_theorem(g))
-        else:
-            reports.append(check_maxdeg_theorem(g))
-    _emit_reports(reports, args.report)
-    return _exit_code(reports)
+    """One report per record, printed as soon as it is made, so a bad record
+    later in the corpus leaves the earlier reports on stdout."""
+    check = check_diam_theorem if args.which == "diam" else check_maxdeg_theorem
+    kept = []
+    failed = False
+    for _, g in stream_corpus(args.input):
+        rep = check(g)
+        print(rep.to_json())
+        failed = failed or rep.is_failure
+        if args.report:
+            kept.append(rep)
+    _write_reports(kept, args.report)
+    return 1 if failed else 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -7,8 +7,10 @@ forward checks each placement makes.  The search places pattern vertices in
 that order and forward-checks candidate bitmasks: adjacency and
 non-adjacency against every placed image, plus a distance filter (an
 induced image can only shrink distances, so the image of q lies within
-pattern-distance of the image of p).  A host vertex's distance balls come
-from ``core.balls`` only when the search first places it.  Candidates are
+pattern-distance of the image of p).  A host vertex's distance balls are
+built only when the search first places it: grown by ``core.balls``, or
+read from prebuilt ``levels``, such as the ball levels ``core.diameter``
+keeps, which are the same masks.  Candidates are
 scanned in ascending host id, so the search meets embeddings f in
 lexicographic order of (f(order[0]), f(order[1]), ...).  Isomorphism is an
 induced embedding between graphs of equal order and size, started from the
@@ -51,7 +53,9 @@ branch's prefix, the branch is searched in full.
 eccentricity in the pattern.  When the pattern is connected and no
 ``initial`` masks are given, a root x (the image of q0) whose search ends
 with no embedding is recorded under the key (x - lo, B(x,R) >> lo), where
-B(x,R) is the host ball of radius R around x and lo its lowest id.  A later
+B(x,R) is the host ball of radius R around x and lo its lowest id.  A ball
+read from ``levels`` is the mask ``core.balls`` grows, so the keys, the row
+test below and the argument are the same whichever source built it.  A later
 root y with the same key is skipped if, for every v in B(x,R),
 (row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).  This is sound.
 First, x's empty search proves that no embedding sends q0 to x: the least
@@ -233,13 +237,17 @@ def _search(
     limit: int | None,
     initial: Sequence[int] | None = None,
     generators: Sequence[Sequence[int]] = (),
+    levels: Sequence[Sequence[int]] | None = None,
 ) -> list[Embedding]:
     """Induced embeddings in search order, stopping after ``limit``.
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
     ``generators`` are host automorphisms; with them and no ``initial`` the
     search is orbit-rooted (see the module docstring), which keeps the first
-    embedding but not the ones after it.
+    embedding but not the ones after it.  ``levels[r][h]``, when given, is
+    the host ball of radius r around h for r up to at least
+    ``ball_radius(pattern)``, as ``core.diameter`` keeps them; without them
+    the balls are grown by ``core.balls``.
     """
     k, n = pattern.n, host.n
     if k == 0:
@@ -254,14 +262,26 @@ def _search(
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
     # degree base: one mask of the host vertices of degree >= d per distinct d
-    hdeg = [row.bit_count() for row in hrow]
-    at_least = {d: sum(1 << x for x, dx in enumerate(hdeg) if dx >= d)
-                for d in set(plan.degrees)}
+    of_degree: dict[int, int] = {}
+    for x, row in enumerate(hrow):
+        dx = row.bit_count()
+        of_degree[dx] = of_degree.get(dx, 0) | 1 << x
+    at_least = {d: sum(m for dx, m in of_degree.items() if dx >= d) for d in set(plan.degrees)}
     base = [at_least[d] for d in plan.degrees]
     if initial is not None:
         base = [m & init for m, init in zip(base, initial)]
     # host vertex h -> [ball_0, ..., ball_maxr, full], ball_r = within r of h
     ball_rows: dict[int, list[int]] = {}
+    if levels is None:
+        def ball_row(h: int) -> list[int]:
+            return balls(host, 1 << h, maxr) + [full]
+    else:
+        if len(levels) <= maxr:
+            raise ValueError(f"ball levels end at radius {len(levels) - 1}, the pattern needs {maxr}")
+        top = levels[:maxr + 1]
+
+        def ball_row(h: int) -> list[int]:
+            return [level[h] for level in top] + [full]
     mapping = [-1] * k
     found: list[Embedding] = []
     # (permutation, support mask) per generator that moves something
@@ -288,7 +308,7 @@ def _search(
                 continue
             rows = ball_rows.get(h)
             if rows is None:
-                rows = ball_rows[h] = balls(host, 1 << h, maxr) + [full]
+                rows = ball_rows[h] = ball_row(h)
             adj = hrow[h]
             nonadj = full & ~adj & ~low
             nxt = cand[:]
@@ -322,7 +342,7 @@ def _search(
     for h in bits(roots):
         rows = ball_rows.get(h)
         if rows is None:
-            rows = ball_rows[h] = balls(host, 1 << h, maxr) + [full]
+            rows = ball_rows[h] = ball_row(h)
         ball = rows[radius]
         lo = (ball & -ball).bit_length() - 1
         shaped = failed.setdefault((h - lo, ball >> lo), [])
@@ -337,15 +357,27 @@ def _search(
 
 
 def find_induced(
-    pattern: Graph, host: Graph, generators: Sequence[Sequence[int]] = ()
+    pattern: Graph,
+    host: Graph,
+    generators: Sequence[Sequence[int]] = (),
+    *,
+    levels: Sequence[Sequence[int]] | None = None,
 ) -> Embedding | None:
     """First induced embedding of ``pattern`` in ``host``, or None.
 
     ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
-    make the search try one host vertex per orbit; the result is the same.
+    make the search try one host vertex per orbit; ``levels`` (the host's
+    ball levels up to ``ball_radius(pattern)``, from ``core.diameter``) spare
+    it the ball growing.  Neither changes the result.
     """
-    out = _search(capped(pattern), host, limit=1, generators=generators)
+    out = _search(capped(pattern), host, limit=1, generators=generators, levels=levels)
     return out[0] if out else None
+
+
+def ball_radius(pattern: Graph) -> int:
+    """The largest host ball radius a search for ``pattern`` reads: the
+    pattern's diameter, from its plan."""
+    return _plan(capped(pattern)).maxr if pattern.n else 0
 
 
 def capped(pattern: Graph) -> Graph:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import VERTEX_CAP, Graph, build, is_c3c4_free, is_connected, stats
+from .core import VERTEX_CAP, Graph, build, is_c3c4_free, is_connected
 from .errors import ConstructionError
 
 
@@ -58,10 +58,11 @@ def _validate(fg: FamilyGraph, order: int, min_degree: int, regular: int | None 
         raise ConstructionError(f"{fg.family}({fg.size}): disconnected")
     if not is_c3c4_free(g):
         raise ConstructionError(f"{fg.family}({fg.size}): contains a C3 or C4")
-    st = stats(g)
-    if st.min_degree < min_degree:
-        raise ConstructionError(f"{fg.family}({fg.size}): min degree {st.min_degree} < {min_degree}")
-    if regular is not None and (st.min_degree != regular or st.max_degree != regular):
+    degrees = [g.degree(v) for v in range(g.n)]
+    low, high = min(degrees), max(degrees)
+    if low < min_degree:
+        raise ConstructionError(f"{fg.family}({fg.size}): min degree {low} < {min_degree}")
+    if regular is not None and (low != regular or high != regular):
         raise ConstructionError(f"{fg.family}({fg.size}): not {regular}-regular")
     return fg
 

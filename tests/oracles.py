@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator
 
-from treefree.core import Graph, build
+from treefree.core import Graph, build, is_c3c4_free, is_connected
 from treefree.embed import Embedding
 from treefree.errors import CapacityError
 
@@ -336,6 +336,37 @@ def canonical_classes(n: int, masks: Iterable[int]) -> set[int]:
 def random_tree(rng: Random, n: int) -> Graph:
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     return build(n, edges)
+
+
+def random_girth5_cubic(rng: Random, n: int) -> Graph:
+    """A connected cubic graph of girth >= 5 on n (even) vertices: pairing
+    model, resampled until the pairing is simple, connected and C3/C4-free."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            g = build(n, edges)
+            if is_connected(g) and is_c3c4_free(g):
+                return g
+
+
+def random_girth5_necklace(rng: Random, copies: int, n: int) -> Graph:
+    """A ring of ``copies`` beads, cubic with girth >= 5 and a long diameter.
+
+    Each bead is a ``random_girth5_cubic`` graph on n vertices with one edge
+    ab cut; b of each bead is joined to a of the next.  A cycle that stays in
+    one bead is a cycle of that bead, and one around the ring crosses every
+    bead from a to b (at least 4 steps, as ab closed no shorter cycle).
+    """
+    beads = [random_girth5_cubic(rng, n) for _ in range(copies)]
+    cuts = [rng.choice(list(bead.edges())) for bead in beads]
+    edges = []
+    for i, (bead, (a, b)) in enumerate(zip(beads, cuts)):
+        edges += [(i * n + u, i * n + v) for u, v in bead.edges() if (u, v) != (a, b)]
+        j = (i + 1) % copies
+        edges.append((i * n + b, j * n + cuts[j][0]))
+    return build(copies * n, edges)
 
 
 def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[Embedding]:

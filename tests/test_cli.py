@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import treefree
-from treefree import graphio
+from treefree import cli, core, embed, graphio
 from treefree.cli import (
     DIAM_CLAUSES,
     check_diam_theorem,
@@ -24,7 +25,7 @@ from treefree.cli import (
 from treefree.core import build
 from treefree.embed import verify_embedding
 from treefree.errors import UsageError
-from treefree.families import gp, h1
+from treefree.families import gp, h1, h3
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import contracted_heawood, cycle, heawood, make, petersen
 from treefree.witness import (
@@ -34,6 +35,8 @@ from treefree.witness import (
     scan_path_pairs,
     verify_ramsey_small,
 )
+
+from .oracles import random_girth5_cubic, random_girth5_necklace
 
 
 def _named_graph_corpus():
@@ -110,6 +113,50 @@ def test_diam_theorem_witnesses_are_pinned():
         expected = {name: {"checked": True, "found": True, "embedding": embeddings[name]}
                     if name in embeddings else {"checked": False} for name, _ in DIAM_CLAUSES}
         assert check_diam_theorem(gp(n).graph).witness == expected, n
+
+
+def _unstamped(rep):
+    out = rep.to_dict()
+    out.pop("runtime_ms")
+    return out
+
+
+def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatch):
+    # the clause searches read their ball rows from the diameter sweep's
+    # levels; with the levels withheld each search grows its own, and every
+    # report must come out the same
+    rng = Random(512)
+    hosts = [gp(n).graph for n in range(25, 130, 4)] + [h3(s).graph for s in range(4, 25)]
+    hosts += [random_girth5_cubic(rng, 2 * rng.randint(12, 20)) for _ in range(3)]
+    hosts += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9)) for copies in (4, 7)]
+    grown = []  # hosts and patterns whose balls a search grew
+    with monkeypatch.context() as m:
+        m.setattr(embed, "balls", lambda g, *args: grown.append(id(g)) or core.balls(g, *args))
+        tabled = [_unstamped(check_diam_theorem(g)) for g in hosts]
+    assert not set(grown) & {id(g) for g in hosts}
+    monkeypatch.setattr(cli, "diameter", lambda g, keep: (core.diameter(g), None))
+    untabled = [_unstamped(check_diam_theorem(g)) for g in hosts]
+    assert tabled == untabled
+    # every clause is searched somewhere, and some hosts are vacuous
+    assert {rep["status"] for rep in tabled} == {"checked", "vacuous"}
+    assert all(any(rep["witness"] and rep["witness"][name]["checked"] for rep in tabled)
+               for name, _ in DIAM_CLAUSES)
+
+
+def test_theorem_prints_each_report_before_a_bad_record(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(emit_graph6(gp(53).graph) + "\nBw!\n")
+    assert main(["theorem", "--input", str(corpus), "--which", "diam"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out)["params"]["diameter"] == core.diameter(gp(53).graph)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # with --report the reports are also kept and written as one list
+    corpus.write_text(emit_graph6(gp(53).graph) + "\n" + emit_graph6(petersen().graph) + "\n")
+    report = tmp_path / "reports.json"
+    assert main(["theorem", "--input", str(corpus), "--which", "diam", "--report", str(report)]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["status"] for r in printed] == ["checked", "vacuous"]
+    assert json.loads(report.read_text()) == printed
 
 
 def test_maxdeg_theorem_reports():

@@ -5,13 +5,14 @@ from random import Random
 
 import pytest
 
-from treefree import embed
+from treefree import core, embed
 from treefree.cli import _freeness_sweep
-from treefree.core import build, induced
+from treefree.core import build, diameter, induced
 from treefree.embed import (
     Embedding,
     _search,
     _search_order,
+    ball_radius,
     find_all_induced,
     find_induced,
     is_free,
@@ -29,6 +30,7 @@ from .oracles import (
     oracle_maps_along,
     oracle_stabiliser_orbits,
     perm_isomorphic,
+    random_connected_graph,
     random_graph,
     random_tree,
 )
@@ -496,3 +498,32 @@ def test_plan_cache_stays_bounded_and_isomorphism_builds_no_cuts(monkeypatch):
     info = embed._plan.cache_info()
     assert info.misses == 500 and info.currsize == info.maxsize == embed.PLAN_CACHE
     assert not built
+
+
+def test_ball_levels_keep_every_first_hit_and_grow_no_ball(monkeypatch):
+    # rows read from core.diameter's levels are the masks core.balls grows, so
+    # the witnesses and the translation memo's keys do not move
+    rng = Random(77)
+    cases = [(make(t).graph, gp(n).graph) for t in ("T8_1", "T8_2", "T9", "S8:0001") for n in (41, 97)]
+    cases += [(make(t).graph, h3(5).graph) for t in ("T8_1", "T9", "S7:101")]
+    cases.append((build(4, [(0, 1), (2, 3)]), gp(25).graph))  # disconnected: no memo
+    for _ in range(60):
+        host = random_connected_graph(rng, rng.randint(6, 30), rng.uniform(0.08, 0.3))
+        cases.append((random_tree(rng, rng.randint(2, 8)), host))
+    expected = [find_induced(p, h) for p, h in cases]
+    tables = [diameter(h, keep=ball_radius(p))[1] for p, h in cases]
+    grown = []  # hosts and patterns whose balls a search grew
+    monkeypatch.setattr(embed, "balls", lambda g, *args: grown.append(id(g)) or core.balls(g, *args))
+    for (p, h), levels, emb in zip(cases, tables, expected):
+        assert find_induced(p, h, levels=levels) == emb
+    assert not set(grown) & {id(h) for _, h in cases}
+
+
+def test_ball_levels_must_reach_the_pattern_diameter():
+    tree = make("T9").graph
+    host = gp(49).graph
+    _, levels = diameter(host, keep=ball_radius(tree) - 1)
+    with pytest.raises(ValueError, match="radius 7"):
+        find_induced(tree, host, levels=levels)
+    _, levels = diameter(host, keep=ball_radius(tree) + 2)
+    assert find_induced(tree, host, levels=levels) == find_induced(tree, host)
