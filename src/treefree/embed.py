@@ -14,7 +14,7 @@ keeps, which are the same masks.  Candidates are
 scanned in ascending host id, so the search meets embeddings f in
 lexicographic order of (f(order[0]), f(order[1]), ...).  Isomorphism is an
 induced embedding between graphs of equal order and size, started from the
-color-refinement classes.
+degree classes.
 
 One invariant: every pruning keeps the lex-least embedding f*.  The search
 meets embeddings in lex order and reports only embeddings, so the first one
@@ -39,15 +39,18 @@ built the first time a pattern serves such a search.  With ``initial``
 masks, f* o tau may leave the masks, so they turn the cuts off.
 
 (b) Orbit rooting, when host automorphism ``generators`` are given (the
-family constructors supply them) and no ``initial`` masks.  At depth d the
-search tries only the lowest candidate of each orbit of H_d, the group
-generated by the generators that fix every host vertex placed so far.  Let
-y = f*(order[d]).  For g in H_d, g o f* is an embedding that agrees with f*
-on the prefix, so g(y) >= y: y is the least vertex of its H_d-orbit.  The
-candidate mask need not be H_d-invariant (the cuts of (a) are not), and
-``_orbit_reps`` keeps y anyway, because y's union-find root is the least
-vertex of a part of that orbit that contains y.  Once no generator fixes a
-branch's prefix, the branch is searched in full.
+family constructors supply them) and no ``initial`` masks.  The search
+numbers the generators that move some vertex, and ``fixing[h]`` masks those
+that fix host vertex h.  Each node carries ``sub``, its parent's ``sub &
+fixing[h]``: the generators that fix every host vertex placed so far.  Let
+H_d be the group they generate at depth d.  The candidates there are cut to
+``least[sub]``, the vertices that are the least of their H_d-orbit, a mask
+``_orbit_least`` builds once per distinct ``sub`` and search.  Let y =
+f*(order[d]).  For g in H_d, g o f* is an embedding that agrees with f* on
+the prefix, so g(y) >= y: y is the least vertex of its whole H_d-orbit, and
+the cut keeps it whatever the rest of the candidate mask holds.  Once no
+generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
+full.
 
 (c) Failed roots certified by translation.  Let q0 = order[0] and R its
 eccentricity in the pattern.  When the pattern is connected and no
@@ -180,22 +183,11 @@ def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]
     return cuts
 
 
-def _orbit_reps(mask: int, gens: list[tuple[tuple[int, ...], int]]) -> int:
-    """``mask`` cut to its union-find roots under the group ``gens`` generate.
-
-    ``gens`` holds (permutation, support mask) pairs.  Union-find runs over
-    the candidates some generator moves and their images, with the lowest id
-    as each root; the other candidates are fixed points and stay.  Every
-    part lies inside one orbit, so a candidate that is the least vertex of
-    its whole orbit is always kept, whether or not ``mask`` is invariant
-    under the group.
-    """
-    moved = 0
-    for _, support in gens:
-        moved |= support
-    todo = mask & moved
-    if not todo:
-        return mask
+def _orbit_least(gens: Sequence[tuple[Sequence[int], Sequence[int]]], n: int) -> int:
+    """The mask of the host vertices 0..n-1 that are the least of their orbit
+    under the group generated by ``gens``, (permutation, vertices it moves)
+    pairs.  One union-find over the moved vertices, with the lowest id as
+    each root; a vertex no generator moves is its own orbit."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -206,16 +198,13 @@ def _orbit_reps(mask: int, gens: list[tuple[tuple[int, ...], int]]) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    for perm, support in gens:
-        for x in bits(todo & support):
+    for perm, moved in gens:
+        for x in moved:
             a, b = find(x), find(perm[x])
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    reps = mask & ~moved
-    for x in bits(todo):
-        if parent.get(x, x) == x:
-            reps |= 1 << x
-    return reps
+    # every key of parent is a vertex above its root
+    return (1 << n) - 1 - sum(1 << x for x in parent)
 
 
 def _is_translate(hrow: list[int], ball: int, shift: int, image: int) -> bool:
@@ -284,16 +273,31 @@ def _search(
             return [level[h] for level in top] + [full]
     mapping = [-1] * k
     found: list[Embedding] = []
-    # (permutation, support mask) per generator that moves something
+    # orbit rooting: generator i moves something, and fixing[h] has bit i iff
+    # it fixes h; least[sub] masks the least vertex of each orbit of the
+    # group the generators in ``sub`` generate, built once per distinct sub
     gens = []
     if initial is None:
         for perm in generators:
-            support = sum(1 << x for x, y in enumerate(perm) if x != y)
-            if support:
-                gens.append((tuple(perm), support))
+            moved = [x for x, y in enumerate(perm) if x != y]
+            if moved:
+                gens.append((perm, moved))
+    every = (1 << len(gens)) - 1
+    fixing = [every] * n if gens else []
+    for i, (_, moved) in enumerate(gens):
+        for x in moved:
+            fixing[x] &= ~(1 << i)
+    least: dict[int, int] = {}
 
-    def place(idx: int, cand: list[int], gens: list, m: int) -> bool:
-        """Try each host vertex of ``m`` as the image of order[idx]."""
+    def least_of(sub: int) -> int:
+        m = least.get(sub)
+        if m is None:
+            m = least[sub] = _orbit_least([gens[i] for i in bits(sub)], n)
+        return m
+
+    def place(idx: int, cand: list[int], sub: int, m: int) -> bool:
+        """Try each host vertex of ``m`` as the image of order[idx]; ``sub``
+        masks the generators that fix every vertex placed before it."""
         q = order[idx]
         while m:
             low = m & -m
@@ -323,18 +327,17 @@ def _search(
                 nxt[r] = c
             if ok:
                 mapping[q] = h
-                # below h: the generators that fix every placed vertex, h included
-                sub = [g for g in gens if not g[1] >> h & 1] if gens else gens
                 c = nxt[order[idx + 1]]
-                if place(idx + 1, nxt, sub, _orbit_reps(c, sub) if sub else c):
+                below = sub and sub & fixing[h]
+                if place(idx + 1, nxt, below, c & least_of(below) if below else c):
                     return True
                 mapping[q] = -1
         return False
 
     q0 = order[0]
-    roots = _orbit_reps(base[q0], gens) if gens else base[q0]
+    roots = base[q0] & least_of(every) if gens else base[q0]
     if initial is not None or min(pdist[q0]) < 0:
-        place(0, base, gens, roots)
+        place(0, base, every, roots)
         return found
     # failed roots by translation key; see the module docstring
     radius = max(pdist[q0])
@@ -349,7 +352,7 @@ def _search(
         if any(_is_translate(hrow, ball >> (h - x), h - x, ball) for x in shaped):
             continue
         before = len(found)
-        if place(0, base, gens, 1 << h):
+        if place(0, base, every, 1 << h):
             break
         if len(found) == before:
             shaped.append(h)
@@ -421,36 +424,20 @@ def verify_embedding(
     return True
 
 
-def _joint_wl_colors(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Neighbor-color refinement over both graphs against one shared table.
-
-    Ranks are assigned from the sorted signature set of the union, so equal
-    colors mean equal refinement signatures across the two graphs.
-    """
-    cg = [g.degree(v) for v in range(g.n)]
-    ch = [h.degree(v) for v in range(h.n)]
-    for _ in range(max(g.n, h.n)):
-        sig_g = [(cg[v], tuple(sorted(cg[u] for u in g.neighbors(v)))) for v in range(g.n)]
-        sig_h = [(ch[v], tuple(sorted(ch[u] for u in h.neighbors(v)))) for v in range(h.n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig_g + sig_h)))}
-        new_g = [rank[s] for s in sig_g]
-        new_h = [rank[s] for s in sig_h]
-        if new_g == cg and new_h == ch:
-            break
-        cg, ch = new_g, new_h
-    return tuple(cg), tuple(ch)
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism: an induced embedding of g onto h that keeps refinement colors."""
+    """Exact isomorphism: an induced embedding of g onto h that keeps degrees.
+
+    The search starts from the degree classes; its adjacency forward checks
+    and distance filter do the refining."""
     if g.n > ISO_CAP or h.n > ISO_CAP:
         raise CapacityError(f"isomorphism cap is {ISO_CAP} vertices")
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    gc, hc = _joint_wl_colors(g, h)
-    if sorted(gc) != sorted(hc):
+    dg = [g.degree(v) for v in range(g.n)]
+    dh = [h.degree(x) for x in range(h.n)]
+    if sorted(dg) != sorted(dh):
         return False
     classes: dict[int, int] = {}
-    for x, c in enumerate(hc):
-        classes[c] = classes.get(c, 0) | 1 << x
-    return bool(_search(g, h, limit=1, initial=[classes[c] for c in gc]))
+    for x, d in enumerate(dh):
+        classes[d] = classes.get(d, 0) | 1 << x
+    return bool(_search(g, h, limit=1, initial=[classes[d] for d in dg]))

@@ -161,7 +161,7 @@ def stream_corpus(
             raise FormatError(exc.message, offset=exc.offset, record=record) from exc
 
 
-_STATUSES = ("checked", "vacuous", "error")
+_STATUSES = ("checked", "vacuous")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from treefree.core import Graph, build, is_c3c4_free, is_connected
 from treefree.embed import Embedding
@@ -532,4 +532,28 @@ def automorphism_orbits(g: Graph) -> list[list[int]]:
                 break
         else:
             orbits.append([v])
+    return orbits
+
+
+def generator_orbits(n: int, generators: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits on 0..n-1 of the group generated by the permutations
+    ``generators``, each sorted, listed by lowest vertex.  Each orbit is closed by
+    applying every generator to every vertex found so far; in a finite group
+    a generator's inverse is one of its powers, so forward images suffice.
+    """
+    seen: set[int] = set()
+    orbits: list[list[int]] = []
+    for v in range(n):
+        if v in seen:
+            continue
+        orbit = {v}
+        todo = [v]
+        while todo:
+            x = todo.pop()
+            for perm in generators:
+                if perm[x] not in orbit:
+                    orbit.add(perm[x])
+                    todo.append(perm[x])
+        seen |= orbit
+        orbits.append(sorted(orbit))
     return orbits

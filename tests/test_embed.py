@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from hashlib import sha256
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -25,6 +26,7 @@ from treefree.graphio import checked
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
 from .oracles import (
+    generator_orbits,
     oracle_find_induced,
     oracle_induced_maps,
     oracle_maps_along,
@@ -254,6 +256,50 @@ def test_iso_agrees_with_networkx_up_to_64_vertices():
         assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))
 
 
+def _prufer_tree(seq):
+    """The labelled tree on len(seq) + 2 vertices with Prüfer sequence ``seq``;
+    vertex v has degree 1 + the number of times v occurs in it."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return build(n, edges)
+
+
+def test_iso_agrees_with_networkx_on_equal_degree_sequences():
+    # the search alone must tell these apart: order, size and degree
+    # sequence agree, so no check before it answers
+    nx = pytest.importorskip("networkx")
+    rng = Random(53)
+    pairs = []
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(8, 40), rng.uniform(0.15, 0.3))
+        h = g
+        for _ in range(rng.randint(0, 2)):
+            h = _two_switch(rng, h)
+        pairs.append((g, _relabel(rng, h)))
+    for _ in range(100):
+        n = rng.randint(4, embed.ISO_CAP)
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        shuffled = seq[:]
+        rng.shuffle(shuffled)
+        pairs.append((_prufer_tree(seq), _relabel(rng, _prufer_tree(shuffled))))
+    verdicts = set()
+    for g, h in pairs:
+        assert sorted(map(g.degree, range(g.n))) == sorted(map(h.degree, range(h.n)))
+        verdict = is_isomorphic(g, h)
+        assert verdict == nx.is_isomorphic(_nx(g), _nx(h))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 CATALOG = ("P5", "P6", "P7", "P8", "P9", "P10", "T5", "T6", "T7", "T8", "T9",
            "Tstar6", "Tstar7", "Tstar8", "Tstar9", "S7:101", "S8:0001", "S8:0110",
            "T8_1", "T8_2", "S8_1", "S8_2", "T8star:1,1", "C5", "C6", "petersen")
@@ -270,6 +316,18 @@ def test_rooted_and_unrooted_freeness_agree_on_every_family():
         assert [is_free(fg.graph, p, fg.generators) for p in patterns] == verdicts, fg
         assert verdicts == [e is None for e in firsts]
         assert True in verdicts and False in verdicts, fg
+
+
+@pytest.mark.parametrize("fg", [h1(3), h2(2), h3(4), h4(2), gp(7)], ids=lambda fg: f"{fg.family}({fg.size})")
+def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
+    # the full generator set and every subset of at most two generators, as
+    # the orbit tables meet them below a placed prefix
+    n = fg.graph.n
+    gens = [(perm, [x for x, y in enumerate(perm) if x != y]) for perm in fg.generators]
+    subsets = [gens] + [list(c) for r in (0, 1, 2) for c in combinations(gens, r)]
+    for sub in subsets:
+        expected = sum(1 << orbit[0] for orbit in generator_orbits(n, [perm for perm, _ in sub]))
+        assert embed._orbit_least(sub, n) == expected
 
 
 def test_rooting_is_ignored_when_candidates_are_given():

@@ -10,7 +10,6 @@ from treefree.core import VERTEX_CAP, diameter, girth, induced, is_c3c4_free, st
 from treefree.embed import is_isomorphic, verify_embedding
 from treefree.errors import ConstructionError
 from treefree.families import (
-    FamilyGraph,
     gp,
     h1,
     h1_v,
@@ -31,7 +30,7 @@ from treefree.families import (
 )
 from treefree.patterns import path, petersen, s_tree, t_tree
 
-from .oracles import automorphism_orbits
+from .oracles import automorphism_orbits, generator_orbits
 
 
 def test_h1_orders_and_degrees():
@@ -176,25 +175,6 @@ def test_low_s_values():
     assert is_isomorphic(h4(1).graph, petersen().graph)
 
 
-def _generator_orbits(fg: FamilyGraph) -> list[list[int]]:
-    """Orbits of the group the generators generate, by merging x with perm[x]."""
-    root = list(range(fg.graph.n))
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for perm in fg.generators:
-        for x, y in enumerate(perm):
-            a, b = find(x), find(y)
-            root[max(a, b)] = min(a, b)
-    orbits: dict[int, list[int]] = {}
-    for x in range(fg.graph.n):
-        orbits.setdefault(find(x), []).append(x)
-    return list(orbits.values())
-
-
 @pytest.mark.parametrize("make, size, count", [
     (h1, 2, 2), (h1, 4, 2), (h2, 2, 3), (h2, 4, 3), (h3, 4, 3), (h3, 5, 3),
     (h4, 2, 3), (h4, 4, 3), (gp, 7, 2), (gp, 9, 2),
@@ -205,7 +185,7 @@ def test_generators_reach_every_automorphism_orbit(make, size, count):
     fg = make(size)
     orbits = automorphism_orbits(fg.graph)
     assert len(orbits) == count
-    assert _generator_orbits(fg) == orbits
+    assert generator_orbits(fg.graph.n, fg.generators) == orbits
 
 
 def test_generators_are_edge_preserving_permutations():

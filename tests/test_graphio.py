@@ -194,6 +194,8 @@ def test_report_schema_and_invariants():
     with pytest.raises(ValueError):
         Report(check_id="x", passed=True, status="vacuous")
     with pytest.raises(ValueError):
+        Report(check_id="x", passed=False, status="error")
+    with pytest.raises(ValueError):
         Report(check_id="x", passed=False, status="checked")  # missing counterexample
     with pytest.raises(ValueError):
         Report(check_id="x", passed=True, status="checked", counterexample="Bw")
