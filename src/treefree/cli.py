@@ -260,10 +260,13 @@ def _gate_reason(key: str, degrees: list[int]) -> str:
 def _implication_report(
     check_id: str, g: Graph, gate: tuple[str | None, list[int]], quantity: str, value: int,
     clauses: tuple[tuple[str, int], ...], levels: list[list[int]] | None = None,
+    graphs: dict[str, Graph] | None = None,
 ) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
     hypothesis ``gate`` failed or no threshold is reached.  Every search reads
-    its ball rows from the host's ``levels`` when they are given."""
+    its ball rows from the host's ``levels`` when they are given, and its
+    pattern from ``graphs`` (by clause name) when given, else from
+    ``patterns.make``."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
@@ -278,7 +281,8 @@ def _implication_report(
     for name, thr in clauses:
         if value >= thr:
             any_checked = True
-            emb = find_induced(patterns.make(name).graph, g, levels=levels)
+            pattern = graphs[name] if graphs else patterns.make(name).graph
+            emb = find_induced(pattern, g, levels=levels)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": list(emb.mapping) if emb else None}
             all_found = all_found and emb is not None
@@ -294,15 +298,16 @@ def _implication_report(
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
 
-    The diameter sweep keeps its ball levels up to the largest radius any
-    clause search reads, and the clause searches share them.
+    The clause trees are built once per call.  The diameter sweep keeps its
+    ball levels up to the largest radius any clause search reads, and the
+    clause searches share them.
     """
     gate = _gate(g)
     if gate[0] is not None:
         return _implication_report("theorem.diam", g, gate, "diameter", -1, DIAM_CLAUSES)
-    radius = max(ball_radius(patterns.make(name).graph) for name, _ in DIAM_CLAUSES)
-    value, levels = diameter(g, keep=radius)
-    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, levels)
+    graphs = {name: patterns.make(name).graph for name, _ in DIAM_CLAUSES}
+    value, levels = diameter(g, keep=max(map(ball_radius, graphs.values())))
+    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, levels, graphs)
 
 
 @timed

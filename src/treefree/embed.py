@@ -4,13 +4,16 @@ One search core serves all three.  Each pattern is compiled once into a
 plan (``_plan``, a bounded cache keyed by the pattern): a connected
 placement order (max-degree first), the pattern's distances, and the
 forward checks each placement makes.  The search places pattern vertices in
-that order and forward-checks candidate bitmasks: adjacency and
-non-adjacency against every placed image, plus a distance filter (an
-induced image can only shrink distances, so the image of q lies within
-pattern-distance of the image of p).  A host vertex's distance balls are
-built only when the search first places it: grown by ``core.balls``, or
-read from prebuilt ``levels``, such as the ball levels ``core.diameter``
-keeps, which are the same masks.  Candidates are
+that order and forward-checks candidate bitmasks against every placed
+image: adjacency, non-adjacency, and a distance filter (an induced image can
+only shrink distances, so the image of q lies within pattern-distance of
+the image of p).  Each check is one AND with one entry of the placed host
+vertex h's check row, picked by the pattern distance d from p to q: N(h)
+for d = 1, B(h,d) minus N[h] for d >= 2 (B(h,d) the host ball of radius d
+around h), and every non-neighbour of h for q in another component.  A
+check row is built only when the search first places its host vertex, from
+balls grown by ``core.balls`` or read from prebuilt ``levels``, such as the
+ball levels ``core.diameter`` keeps, which are the same masks.  Candidates are
 scanned in ascending host id, so the search meets embeddings f in
 lexicographic order of (f(order[0]), f(order[1]), ...).  Isomorphism is an
 induced embedding between graphs of equal order and size, started from the
@@ -52,33 +55,46 @@ the cut keeps it whatever the rest of the candidate mask holds.  Once no
 generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
 full.
 
-(c) Failed roots certified by translation.  Let q0 = order[0] and R its
-eccentricity in the pattern.  When the pattern is connected and no
-``initial`` masks are given, a root x (the image of q0) whose search ends
-with no embedding is recorded under the key (x - lo, B(x,R) >> lo), where
-B(x,R) is the host ball of radius R around x and lo its lowest id.  A ball
-read from ``levels`` is the mask ``core.balls`` grows, so the keys, the row
-test below and the argument are the same whichever source built it.  A later
-root y with the same key is skipped if, for every v in B(x,R),
-(row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).  This is sound.
-First, x's empty search proves that no embedding sends q0 to x: the least
-embedding f_x among those that do would survive (a), whose tau fixes
-order[0], and (b), whose H_d fixes x for d >= 1, as in the arguments above.
-Second, an equal key makes B(y,R) the shift of B(x,R), and the row test
-makes the shift s: v -> v + y - x keep every edge and non-edge inside it,
-so s is an isomorphism between the induced balls taking x to y.  Any
-embedding f with f(q0) = y lies inside B(y,R): the pattern is connected,
-and the image of a pattern path is a host walk no longer than the path.
-So s^-1 o f would send q0 to x; hence no embedding maps q0 to y either.
-Skipped roots have no embeddings, so the first witness,
-``find_all_induced`` and its order do not change.  A disconnected pattern
-may put a component outside every ball, and ``initial`` masks are not
-shift-invariant, so both turn the memo off.  The key is one big-int compare
-that rejects most non-translates; canonical ball codes would also match
+(c) Roots certified by translation.  Let q0 = order[0] and R >= 1 its
+eccentricity in the pattern.  When the pattern is connected, has an edge,
+and no ``initial`` masks are given, each root x (the image of q0) is keyed
+by (x - lo, B(x,R) >> lo), with lo the lowest id in B(x,R), the check row's
+entry R joined with N[x].  A ball read from ``levels`` is the mask
+``core.balls`` grows, so the keys, the tests below and the argument are the
+same whichever source built it.  A root y is skipped when, for an earlier
+root x of its key with no embedding, one of two certificates shows that
+the shift s: v -> v + (y - x) keeps every edge and non-edge inside B(x,R):
+
+- the mask test, against the latest such x of the key, searched or skipped:
+  B(x,R) & defect(y - x) == 0, where defect(t) masks every v with v + t >= n
+  or row(v) << t != row(v + t), built in O(n) once per distinct shift and
+  search;
+- failing that, the row test, against each searched x of the key: for every
+  v in B(x,R), (row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).
+
+An equal key makes B(y,R) = B(x,R) << (y - x), so the mask test implies the
+row test: row(v) << t == row(v + t) gives (row(v) & B(x,R)) << t ==
+(row(v) << t) & (B(x,R) << t) == row(v + t) & B(y,R).  Where the mask
+test fails the row test runs against every searched root of the key, so the
+memo skips at least the roots the row test alone would skip.  This is sound.  First, no embedding sends q0 to x.  For a searched
+x, its empty search proves it: the least embedding f_x among those that do
+would survive (a), whose tau fixes order[0], and (b), whose H_d fixes x for
+d >= 1, as in the arguments above.  For a skipped x it holds by induction
+on the roots in ascending order.  Second, s is an isomorphism between the
+induced balls taking x to y.  Any embedding f with f(q0) = y lies inside
+B(y,R): the pattern is connected, and the image of a pattern path is a host
+walk no longer than the path.  So s^-1 o f would send q0 to x; hence no
+embedding maps q0 to y either.  Skipped roots have no embeddings, so the
+first witness, ``find_all_induced`` and its order do not change.  A
+disconnected pattern may put a component outside every ball, ``initial``
+masks are not shift-invariant, and a one-vertex pattern embeds at every
+root, so all three turn the memo off.  The key is one big-int compare that
+rejects most non-translates; canonical ball codes would also match
 relabelled balls but cost more per root than they save.  How often a root
 is skipped depends on the labelling: gp(n) and h3(s) as the constructors
 label them (and as ``treefree gen`` writes them) skip most failing roots,
-while a relabelled host keeps its verdicts and witnesses but loses the gain.
+nearly all by the mask test at shift 1 (gp) or 14 (h3), while a relabelled
+host keeps its verdicts and witnesses but loses the gain.
 """
 
 from __future__ import annotations
@@ -137,11 +153,10 @@ class _Plan:
         self.order = order = _search_order(pattern)
         self.pdist = pdist = [bfs_levels(pattern, v) for v in range(pattern.n)]
         self.maxr = max(max(row) for row in pdist)
-        # steps[idx]: the forward checks made once order[idx] is placed.  A
-        # pattern distance of -1 (another component) indexes the last ball
-        # row, which is the whole host: no distance bound.
-        self.steps = [[(r, pattern.has_edge(q, r), pdist[q][r]) for r in order[idx + 1:]]
-                      for idx, q in enumerate(order)]
+        # steps[idx]: the forward checks made once order[idx] is placed, as
+        # (r, pattern distance from order[idx] to r) pairs; each reads that
+        # entry of the placed host vertex's check row (see ``_search``)
+        self.steps = [[(r, pdist[q][r]) for r in order[idx + 1:]] for idx, q in enumerate(order)]
         self.degrees = [pattern.degree(q) for q in range(pattern.n)]
         self._cuts: list[tuple[int, ...]] | None = None
 
@@ -207,6 +222,32 @@ def _orbit_least(gens: Sequence[tuple[Sequence[int], Sequence[int]]], n: int) ->
     return (1 << n) - 1 - sum(1 << x for x in parent)
 
 
+def _defect(hrow: list[int], shift: int) -> int:
+    """The mask of the host vertices v whose row v -> v + shift does not carry
+    onto row(v + shift): v + shift >= n, or row(v) << shift != row(v + shift)."""
+    n = len(hrow)
+    top = n - shift
+    defect = ((1 << n) - 1) ^ ((1 << top) - 1)
+    for v in range(top):
+        if hrow[v] << shift != hrow[v + shift]:
+            defect |= 1 << v
+    return defect
+
+
+def _certified(hrow: list[int], defects: dict[int, int], ball: int, y: int, latest: int,
+               failed: list[int]) -> bool:
+    """True iff root y, whose ball of radius R is ``ball``, is certified a
+    translate of an earlier root: of ``latest`` by one defect-mask test, or
+    else of a root in ``failed`` by the row test.  ``defects`` keeps the
+    search's defect masks by shift."""
+    shift = y - latest
+    defect = defects.get(shift)
+    if defect is None:
+        defect = defects[shift] = _defect(hrow, shift)
+    return ball >> shift & defect == 0 or any(
+        _is_translate(hrow, ball >> (y - x), y - x, ball) for x in failed)
+
+
 def _is_translate(hrow: list[int], ball: int, shift: int, image: int) -> bool:
     """True iff v -> v + shift keeps every edge and non-edge inside ``ball``,
     given that ``image`` is ``ball`` shifted by ``shift``."""
@@ -244,7 +285,7 @@ def _search(
     if k > n:
         return []
     # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
-    # plan holds ~185 KB of forward checks
+    # plan holds ~160 KB of forward checks
     plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
     order, steps, maxr, pdist = plan.order, plan.steps, plan.maxr, plan.pdist
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
@@ -259,18 +300,27 @@ def _search(
     base = [at_least[d] for d in plan.degrees]
     if initial is not None:
         base = [m & init for m, init in zip(base, initial)]
-    # host vertex h -> [ball_0, ..., ball_maxr, full], ball_r = within r of h
-    ball_rows: dict[int, list[int]] = {}
-    if levels is None:
-        def ball_row(h: int) -> list[int]:
-            return balls(host, 1 << h, maxr) + [full]
-    else:
-        if len(levels) <= maxr:
-            raise ValueError(f"ball levels end at radius {len(levels) - 1}, the pattern needs {maxr}")
-        top = levels[:maxr + 1]
+    # host vertex h -> its check row, built when h is first placed: entry d
+    # masks the candidates for a pattern vertex at pattern distance d from
+    # the one on h.  Entry 1 is N(h), entry d >= 2 is B(h,d) - N[h], and the
+    # last entry, read for d = -1 (another component), is every non-neighbour
+    # of h.  With no edge in the pattern (maxr 0) that last entry is entry 1.
+    checks: dict[int, list[int]] = {}
+    if levels is not None and len(levels) <= maxr:
+        raise ValueError(f"ball levels end at radius {len(levels) - 1}, the pattern needs {maxr}")
+    top = None if levels is None else levels[:maxr + 1]
 
-        def ball_row(h: int) -> list[int]:
-            return [level[h] for level in top] + [full]
+    def check_row(h: int) -> list[int]:
+        apart = full & ~hrow[h] & ~(1 << h)
+        if top is None:
+            row = [ball & apart for ball in balls(host, 1 << h, maxr)]
+        else:
+            row = [level[h] & apart for level in top]
+        row.append(apart)
+        if maxr:
+            row[1] = hrow[h]
+        return row
+
     mapping = [-1] * k
     found: list[Embedding] = []
     # orbit rooting: generator i moves something, and fixing[h] has bit i iff
@@ -310,17 +360,15 @@ def _search(
                 if limit is not None and len(found) >= limit:
                     return True
                 continue
-            rows = ball_rows.get(h)
-            if rows is None:
-                rows = ball_rows[h] = ball_row(h)
-            adj = hrow[h]
-            nonadj = full & ~adj & ~low
+            fc = checks.get(h)
+            if fc is None:
+                fc = checks[h] = check_row(h)
             nxt = cand[:]
             for r in cuts[idx]:
                 nxt[r] &= -(low << 1)  # ids above h
             ok = True
-            for r, is_adj, d in steps[idx]:
-                c = nxt[r] & adj if is_adj else nxt[r] & nonadj & rows[d]
+            for r, d in steps[idx]:
+                c = nxt[r] & fc[d]
                 if c == 0:
                     ok = False
                     break
@@ -336,26 +384,31 @@ def _search(
 
     q0 = order[0]
     roots = base[q0] & least_of(every) if gens else base[q0]
-    if initial is not None or min(pdist[q0]) < 0:
+    if initial is not None or min(pdist[q0]) < 0 or not maxr:
         place(0, base, every, roots)
         return found
-    # failed roots by translation key; see the module docstring
+    # roots certified by translation; see the module docstring
     radius = max(pdist[q0])
-    failed: dict[tuple[int, int], list[int]] = {}
+    latest: dict[tuple[int, int], int] = {}  # key -> latest root with no embedding
+    failed: dict[tuple[int, int], list[int]] = {}  # key -> searched roots with none
+    defects: dict[int, int] = {}
     for h in bits(roots):
-        rows = ball_rows.get(h)
-        if rows is None:
-            rows = ball_rows[h] = ball_row(h)
-        ball = rows[radius]
+        fc = checks.get(h)
+        if fc is None:
+            fc = checks[h] = check_row(h)
+        ball = fc[radius] | hrow[h] | 1 << h  # B(h, radius), radius >= 1
         lo = (ball & -ball).bit_length() - 1
-        shaped = failed.setdefault((h - lo, ball >> lo), [])
-        if any(_is_translate(hrow, ball >> (h - x), h - x, ball) for x in shaped):
+        key = (h - lo, ball >> lo)
+        x = latest.get(key)
+        if x is not None and _certified(hrow, defects, ball, h, x, failed[key]):
+            latest[key] = h
             continue
         before = len(found)
         if place(0, base, every, 1 << h):
             break
         if len(found) == before:
-            shaped.append(h)
+            latest[key] = h
+            failed.setdefault(key, []).append(h)
     return found
 
 

@@ -97,6 +97,17 @@ def test_diam_theorem_reaches_the_t8_clauses():
     assert rep.witness["T8_1"]["checked"]  # gp(129) reaches diam >= 20
 
 
+def test_diam_theorem_builds_each_clause_tree_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli.patterns, "make", lambda name: built.append(name) or make(name))
+    rep = check_diam_theorem(gp(129).graph)  # every clause searched
+    assert all(rep.witness[name]["found"] for name, _ in DIAM_CLAUSES)
+    assert sorted(built) == sorted(name for name, _ in DIAM_CLAUSES)
+    built.clear()
+    check_diam_theorem(cycle(9).graph)  # the gate fails before any tree is needed
+    assert built == []
+
+
 def test_diam_theorem_witnesses_are_pinned():
     # the first embedding per clause, as the search has found it since the
     # clauses were first exercised; a faster search must not move them

@@ -194,6 +194,27 @@ def test_pattern_components_may_land_beyond_every_pattern_distance():
     assert all(verify_embedding(two_k2, p5, e) for e in embs)
 
 
+def test_check_rows_of_edgeless_and_disconnected_patterns():
+    # 3K1 has no pattern edge, so its check rows hold no N(h) entry; K2+K1
+    # and P3+K3 read the non-neighbour entry across their components
+    three_k1 = build(3, [])
+    k2_k1 = build(3, [(0, 1)])
+    p3_k3 = build(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    p5_k3 = build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+    hosts = [path(6).graph, cycle(7).graph, K3, build(5, []), p5_k3]
+    rng = Random(61)
+    hosts += [random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.6)) for _ in range(12)]
+    seen = set()
+    for host in hosts:
+        for pattern in (three_k1, k2_k1, p3_k3):
+            expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
+            assert find_all_induced(pattern, host) == expected, (pattern.n, list(host.edges()))
+            assert find_induced(pattern, host) == (expected[0] if expected else None)
+            if expected:
+                seen.add(pattern)
+    assert seen == {three_k1, k2_k1, p3_k3}
+
+
 def _nx(g):
     import networkx as nx
 
@@ -232,13 +253,35 @@ def _move_edge(rng, g):
     return build(g.n, [e for e in edges if e != gone] + [rng.choice(non_edges)])
 
 
-def _two_switch(rng, g):
-    """Same degree sequence: edges ab, cd become ac, bd."""
+def _two_switch(rng, g, tries=100):
+    """Same degree sequence: edges ab, cd become ac, bd.  Up to ``tries``
+    random picks, then the valid switches listed and one drawn from them;
+    ``g`` itself when it has none."""
+
+    def valid(a, b, c, d):
+        return len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d)
+
     edges = list(g.edges())
-    while True:
+    for _ in range(tries if len(edges) > 1 else 0):
         (a, b), (c, d) = rng.sample(edges, 2)
-        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
-            return build(g.n, [e for e in edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)])
+        if valid(a, b, c, d):
+            break
+    else:
+        switches = [(e, f) for e in edges for f in edges if valid(*e, *f)]
+        if not switches:
+            return g
+        (a, b), (c, d) = rng.choice(switches)
+    return build(g.n, [e for e in edges if e not in ((a, b), (c, d))] + [(a, c), (b, d)])
+
+
+def test_two_switch_returns_the_graph_when_no_switch_is_valid():
+    # every pair of edges of a 4-edge star shares the centre
+    star = build(9, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert _two_switch(Random(5), star) is star
+    two_paths = build(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    switched = _two_switch(Random(5), two_paths, tries=0)
+    assert switched.edge_count == 4 and switched != two_paths
+    assert sorted(map(switched.degree, range(6))) == sorted(map(two_paths.degree, range(6)))
 
 
 def test_iso_agrees_with_networkx_up_to_64_vertices():
@@ -406,8 +449,8 @@ def test_translation_memo_keeps_witnesses_and_enumerations(monkeypatch):
     # every skipped root must be one without embeddings, so the first witness,
     # the whole enumeration and its order equal the oracle's
     skips = []
-    is_translate = embed._is_translate
-    monkeypatch.setattr(embed, "_is_translate", lambda *a: skips.append(is_translate(*a)) or skips[-1])
+    certified = embed._certified
+    monkeypatch.setattr(embed, "_certified", lambda *a: skips.append(certified(*a)) or skips[-1])
     for host in _translation_rich_hosts():
         for pattern in _translation_patterns():
             if host.n > 40 and pattern.n > 5:
@@ -417,6 +460,66 @@ def test_translation_memo_keeps_witnesses_and_enumerations(monkeypatch):
             assert find_induced(pattern, host) == (expected[0] if expected else None)
             assert is_free(host, pattern) == (not expected)
     assert skips.count(True) > 100 and skips.count(False) > 10
+
+
+def _keyed_balls(host, radius):
+    """Host vertices grouped by translation key at ``radius``, as (h, B(h,radius))."""
+    keyed = {}
+    for h in range(host.n):
+        ball = core.balls(host, 1 << h, radius)[radius]
+        lo = (ball & -ball).bit_length() - 1
+        keyed.setdefault((h - lo, ball >> lo), []).append((h, ball))
+    return keyed.values()
+
+
+def test_defect_mask_never_certifies_what_the_row_test_rejects():
+    rng = Random(59)
+    hosts = _translation_rich_hosts()
+    for _ in range(20):
+        width = rng.randint(1, 4)
+        pairs = [(i, j) for i in range(width) for j in range(width)]
+        inner = [(i, j) for i, j in pairs if i < j and rng.random() < 0.5]
+        link = [p for p in pairs if rng.random() < 0.4] or [(0, 0)]
+        n = width * rng.randint(4, 10)
+        flips = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+        hosts.append(_periodic(n // width, width, inner, link, flips))
+    hosts += [random_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.3)) for _ in range(20)]
+    by_mask = by_rows_only = 0
+    for host in hosts:
+        n = host.n
+        hrow = [host.row(v) for v in range(n)]
+        defects = [None] + [embed._defect(hrow, s) for s in range(1, n)]
+        for s in range(1, n):
+            moved = [v for v in range(n) if v + s >= n or hrow[v] << s != hrow[v + s]]
+            assert defects[s] == sum(1 << v for v in moved)
+        for radius in (1, 2, 3):
+            for group in _keyed_balls(host, radius):
+                for (x, ball_x), (y, ball_y) in combinations(group, 2):
+                    exact = embed._is_translate(hrow, ball_x, y - x, ball_y)
+                    if ball_x & defects[y - x] == 0:
+                        assert exact, (n, list(host.edges()), x, y, radius)
+                        by_mask += 1
+                    else:
+                        by_rows_only += exact
+    assert by_mask > 1000 and by_rows_only > 1000
+
+
+def test_the_row_test_certifies_where_the_defect_mask_fails(monkeypatch):
+    # path 0..8 with a pendant 9 on vertex 1: row(1) << 1 != row(2) because
+    # of the pendant, outside B(2,1) = {1,2,3}, so root 3 of K3 is certified
+    # by the row test against root 2; a triangle 6, 7, 10 has the embeddings
+    host = build(11, [(i, i + 1) for i in range(8)] + [(1, 9), (6, 10), (7, 10)])
+    hrow = [host.row(v) for v in range(host.n)]
+    assert embed._defect(hrow, 1) >> 1 & 1
+    assert embed._is_translate(hrow, 0b1110, 1, 0b11100)
+    exact = []
+    is_translate = embed._is_translate
+    monkeypatch.setattr(embed, "_is_translate", lambda *a: exact.append(is_translate(*a)) or exact[-1])
+    for pattern in (K3, cycle(4).graph, build(4, [(0, 1), (1, 2), (0, 2), (2, 3)])):
+        expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
+        assert find_all_induced(pattern, host) == expected
+        assert find_induced(pattern, host) == (expected[0] if expected else None)
+    assert True in exact
 
 
 def test_translation_memo_under_orbit_rooting():
