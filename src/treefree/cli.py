@@ -44,10 +44,12 @@ def _h1_ids(s: int, spec: Iterable) -> list[int]:
 
 def _freeness_sweep(
     check_id: str,
-    hosts: list[families.FamilyGraph],
+    hosts: Iterable[families.FamilyGraph],
     forbidden: list[patterns.PatternSpec],
 ) -> Report:
     """Assert every host is free of every pattern; stop at the first hit.
+    Hosts are taken one at a time, so a lazy ``hosts`` builds the next one
+    only once the last is done.
 
     Each search is orbit-rooted by the host's generators.  Rooting keeps the
     first embedding (see ``embed``), so a failure reports the witness an
@@ -191,19 +193,15 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
                   witness={"bases_checked": bases})
 
 
-# Lemma id -> default size range A..B.  None: the lemma runs on fixed hosts
-# (no --s) and samples them, so only these ids take a seed (default 0).
-_LEMMAS: dict[str, tuple[int, int] | None] = {
-    "2.2i": (5, 8), "2.3": (3, 5), "2.4": (4, 6), "2.5": (3, 5), "2.5p": (3, 5),
-    "2.2w": (5, 5), "4.1": None, "5.1": None, "5.3": None,
+# Lemma id -> (host family, default size range A..B).  None: the lemma runs
+# on fixed hosts (no --s) and samples them, so only these ids take a seed
+# (default 0).
+_LEMMAS: dict[str, tuple[str, int, int] | None] = {
+    "2.2i": ("h1", 5, 8), "2.3": ("h2", 3, 5), "2.4": ("h3", 4, 6), "2.5": ("h4", 3, 5),
+    "2.5p": ("h4", 3, 5), "2.2w": ("h1", 5, 5), "4.1": None, "5.1": None, "5.3": None,
 }
-# Freeness lemmas: the host family and the catalog ids of the trees its members avoid.
-_FREENESS = {
-    "2.2i": (families.h1, ("P10",)),
-    "2.3": (families.h2, ("S8:0001", "Tstar8")),
-    "2.4": (families.h3, ("S7:101",)),
-    "2.5": (families.h4, ("S8_2",)),
-}
+# Freeness lemmas: the catalog ids of the trees their hosts avoid.
+_FREENESS = {"2.2i": ("P10",), "2.3": ("S8:0001", "Tstar8"), "2.4": ("S7:101",), "2.5": ("S8_2",)}
 
 
 @timed
@@ -217,8 +215,8 @@ def verify_lemma(
     """
     if lemma_id not in _LEMMAS:
         raise UsageError(f"unknown lemma id {lemma_id!r}")
-    sizes = _LEMMAS[lemma_id]
-    if sizes is None:
+    spec = _LEMMAS[lemma_id]
+    if spec is None:
         if s_range is not None:
             raise UsageError(f"lemma {lemma_id} runs on fixed hosts and takes no size range")
         if lemma_id == "4.1":
@@ -226,11 +224,12 @@ def verify_lemma(
         return _lemma_5x_suite(lemma_id, seed or 0)
     if seed is not None:
         raise UsageError(f"lemma {lemma_id} does not sample and takes no seed")
-    lo, hi = s_range or sizes
+    family, lo, hi = spec
+    lo, hi = s_range or (lo, hi)
+    families.order(family, hi)  # a range ending above the vertex cap is refused before any build
     if lemma_id in _FREENESS:
-        family, tree_ids = _FREENESS[lemma_id]
-        return _freeness_sweep(f"lemma{lemma_id}", [family(s) for s in range(lo, hi + 1)],
-                               [patterns.make(t) for t in tree_ids])
+        hosts = map(families.FAMILIES[family], range(lo, hi + 1))
+        return _freeness_sweep(f"lemma{lemma_id}", hosts, [patterns.make(t) for t in _FREENESS[lemma_id]])
     if lemma_id == "2.5p":
         return _lemma_25_petersen(range(lo, hi + 1))
     if lo != hi:

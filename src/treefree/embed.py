@@ -24,8 +24,8 @@ meets embeddings in lex order and reports only embeddings, so the first one
 it reports is f*: ``find_induced`` returns the same witness and ``is_free``
 the same verdict whatever prunings ran.  An enumeration
 (``find_all_induced`` with any limit but 1) runs only the prunings that
-keep every embedding: the forward checks, which no embedding fails, and
-(c).  The three prunings:
+keep every embedding: the forward checks, which no embedding fails, (c)
+and (d).  The four prunings:
 
 (a) Symmetry breaking, in first-hit searches (``limit == 1``, no
 ``initial`` masks).  For each idx >= 1 the plan holds the orbit of
@@ -95,6 +95,27 @@ is skipped depends on the labelling: gp(n) and h3(s) as the constructors
 label them (and as ``treefree gen`` writes them) skip most failing roots,
 nearly all by the mask test at shift 1 (gp) or 14 (h3), while a relabelled
 host keeps its verdicts and witnesses but loses the gain.
+
+(d) Sibling pigeonhole, in every search.  The search keeps a pattern
+vertex's image off the images of other vertices only through the forward
+checks, so two unplaced neighbours of one placed vertex can be left with
+the same single candidate, and the clash would show only once both are
+placed.  The plan holds ``kids[idx]``, the later neighbours of order[idx]
+when there are two or more.  Once order[idx] lands on h and the forward
+checks pass, the search ORs the kids' candidate masks and skips h if the
+union has fewer vertices than there are kids: distinct pattern vertices
+need distinct images, so no embedding extends that prefix.  This is the
+distinctness half of the all-different filter (Regin, AAAI 1994), applied
+to the one group where it is cheap and sharp: after the checks the kids'
+masks lie inside N(h), so it fires when host degrees are close to pattern
+degrees, as on sparse min-degree-3 hosts.  It removes only subtrees with no
+embedding, so it keeps f*, every enumeration and its order, and (c)'s
+premise that a searched root has no embedding.  It reads the masks after
+(a)'s cuts and the ``initial`` masks are applied, so it drops nothing those
+keep; (b) cuts only the candidates of the next vertex to place, so the
+union there is over supersets and the cut stays sound.  The search for
+S8:0001 in h2(3) without generators (which finds none) visits 4464 nodes
+(calls of ``place``) with the cut against 17134 without it.
 """
 
 from __future__ import annotations
@@ -146,7 +167,7 @@ def _search_order(pattern: Graph) -> list[int]:
 class _Plan:
     """What a search needs from a non-empty pattern alone; see ``_plan``."""
 
-    __slots__ = ("pattern", "order", "pdist", "maxr", "steps", "degrees", "_cuts")
+    __slots__ = ("pattern", "order", "pdist", "maxr", "steps", "kids", "degrees", "_cuts")
 
     def __init__(self, pattern: Graph):
         self.pattern = pattern
@@ -157,6 +178,10 @@ class _Plan:
         # (r, pattern distance from order[idx] to r) pairs; each reads that
         # entry of the placed host vertex's check row (see ``_search``)
         self.steps = [[(r, pdist[q][r]) for r in order[idx + 1:]] for idx, q in enumerate(order)]
+        # kids[idx]: the later neighbours of order[idx] when there are two or
+        # more, else (); pruning (d) reads their masks
+        self.kids = [kids if len(kids) > 1 else () for kids in
+                     (tuple(r for r, d in step if d == 1) for step in self.steps)]
         self.degrees = [pattern.degree(q) for q in range(pattern.n)]
         self._cuts: list[tuple[int, ...]] | None = None
 
@@ -287,7 +312,7 @@ def _search(
     # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
     # plan holds ~160 KB of forward checks
     plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
-    order, steps, maxr, pdist = plan.order, plan.steps, plan.maxr, plan.pdist
+    order, steps, kids, maxr, pdist = plan.order, plan.steps, plan.kids, plan.maxr, plan.pdist
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
@@ -373,6 +398,12 @@ def _search(
                     ok = False
                     break
                 nxt[r] = c
+            if ok and kids[idx]:
+                # (d): the later neighbours of q need distinct images
+                union = 0
+                for r in kids[idx]:
+                    union |= nxt[r]
+                ok = union.bit_count() >= len(kids[idx])
             if ok:
                 mapping[q] = h
                 c = nxt[order[idx + 1]]

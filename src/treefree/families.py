@@ -8,7 +8,12 @@ definition makes obvious (copy transpositions, rotations, reflections,
 gadget swaps), each a tuple ``perm`` with ``perm[x]`` the image of x.  They
 need not generate the whole automorphism group; ``embed.find_induced`` and
 ``embed.is_free`` use them only to skip host vertices that some automorphism
-maps onto one already tried.  ``_validate`` checks every generator edge by edge at construction.
+maps onto one already tried.  ``_validate`` checks every generator at
+construction, reading only the rows of the vertices it moves.
+
+``order`` reads each family's order off its size, so the constructors and
+callers that sweep sizes refuse a size above the vertex cap before
+anything is built.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import VERTEX_CAP, Graph, build, is_c3c4_free, is_connected
+from .core import VERTEX_CAP, Graph, bits, build, is_c3c4_free, is_connected
 from .errors import ConstructionError
 
 
@@ -33,24 +38,42 @@ def _perm(n: int, image: Callable[[int], int]) -> tuple[int, ...]:
     return tuple(image(x) for x in range(n))
 
 
-def _order(family: str, size: int, n: int) -> int:
+_ORDERS: dict[str, Callable[[int], int]] = {
+    "h1": lambda s: 6 * s + 3,
+    "h2": lambda s: 15 * s + 1,
+    "h3": lambda s: 14 * s,
+    "h4": lambda s: 9 * s + 1,
+    "gp": lambda n: 2 * n,
+}
+
+
+def order(family: str, size: int) -> int:
     """The order n of family(size), refused above the cap before anything is built."""
+    n = _ORDERS[family](size)
     if n > VERTEX_CAP:
         raise ConstructionError(f"{family}({size}) has {n} vertices, above the cap of {VERTEX_CAP}")
     return n
 
 
 def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
-    """A permutation of range(n) that maps every edge to an edge, in O(m)."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+    """A permutation of range(n) that maps every edge to an edge.
+
+    Only the rows of the vertices ``perm`` moves are read.  The moved set
+    must map onto itself, which makes ``perm`` a permutation, and each moved
+    v must carry N(v) onto N(perm[v]).  A fixed vertex x needs nothing more:
+    a moved neighbour u of x lands in N(x), since x is in N(u) and stays put,
+    so the permutation carries N(x) into N(x), hence onto it.
+    """
+    if len(perm) != g.n:
         return False
-    return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+    moved = [x for x, y in enumerate(perm) if x != y]
+    if sorted(perm[x] for x in moved) != moved:
+        return False
+    return all(sum(1 << perm[u] for u in bits(g.row(v))) == g.row(perm[v]) for v in moved)
 
 
-def _validate(fg: FamilyGraph, order: int, min_degree: int, regular: int | None = None) -> FamilyGraph:
+def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> FamilyGraph:
     g = fg.graph
-    if g.n != order:
-        raise ConstructionError(f"{fg.family}({fg.size}): order {g.n} != {order}")
     for k, perm in enumerate(fg.generators):
         if not _is_automorphism(g, perm):
             raise ConstructionError(f"{fg.family}({fg.size}): generator {k} is not an automorphism")
@@ -101,7 +124,7 @@ def h1(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h1 needs s >= 1")
-    n = _order("h1", s, 6 * s + 3)
+    n = order("h1", s)
     edges = []
     labels = {}
     for i in range(1, s + 1):
@@ -119,7 +142,7 @@ def h1(s: int) -> FamilyGraph:
 
     gens = _copy_swaps(n, 6, s) + [_first_copy(n, [(j + 3) % 6 for j in range(6)]), turn(1), turn(-1)]
     fg = FamilyGraph("h1", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 6 * s + 3, 3 if s >= 2 else 2)
+    return _validate(fg, 3 if s >= 2 else 2)
 
 
 # ---------------------------------------------------------------- h2
@@ -148,7 +171,7 @@ def h2(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h2 needs s >= 1")
-    n = _order("h2", s, 15 * s + 1)
+    n = order("h2", s)
     edges = []
     labels = {h2_z(s): "z"}
     for i in range(1, s + 1):
@@ -169,7 +192,7 @@ def h2(s: int) -> FamilyGraph:
         _first_copy(n, [(x + 5) % 10 if x < 10 else x for x in range(15)]),
     ]
     fg = FamilyGraph("h2", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 15 * s + 1, 3)
+    return _validate(fg, 3)
 
 
 # ---------------------------------------------------------------- h3
@@ -229,7 +252,7 @@ def h3(s: int) -> FamilyGraph:
     """
     if s < 4:
         raise ConstructionError("h3 needs s >= 4")
-    n = _order("h3", s, 14 * s)
+    n = order("h3", s)
     edges = []
     labels = {}
     for i in range(1, s + 1):
@@ -245,7 +268,7 @@ def h3(s: int) -> FamilyGraph:
         _perm(n, lambda x: (-(x // 14)) % s * 14 + side[x % 14]),
     ] + [_first_copy(n, _h3_local(swaps)) for swaps in _H3_BRANCH_SWAPS]
     fg = FamilyGraph("h3", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 14 * s, 3, regular=3)
+    return _validate(fg, 3, regular=3)
 
 
 # ---------------------------------------------------------------- h4
@@ -270,7 +293,7 @@ def h4(s: int) -> FamilyGraph:
     """
     if s < 1:
         raise ConstructionError("h4 needs s >= 1")
-    n = _order("h4", s, 9 * s + 1)
+    n = order("h4", s)
     edges = []
     labels = {h4_z(s): "z"}
     for i in range(1, s + 1):
@@ -287,7 +310,7 @@ def h4(s: int) -> FamilyGraph:
         for step in (1, -1)
     ]
     fg = FamilyGraph("h4", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 9 * s + 1, 3)
+    return _validate(fg, 3)
 
 
 # ---------------------------------------------------------------- gp
@@ -301,7 +324,7 @@ def gp(n: int) -> FamilyGraph:
     """
     if n < 5 or n % 2 == 0:
         raise ConstructionError("gp needs odd n >= 5")
-    _order("gp", n, 2 * n)
+    vertices = order("gp", n)
     edges = []
     labels = {}
     for i in range(n):
@@ -310,26 +333,26 @@ def gp(n: int) -> FamilyGraph:
         edges.append((n + i, n + (i + 2) % n))
         labels[i] = f"u{i}"
         labels[n + i] = f"v{i}"
-    gens = tuple(_perm(2 * n, lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
-    fg = FamilyGraph("gp", n, build(2 * n, edges), labels, gens)
-    return _validate(fg, 2 * n, 3, regular=3)
+    gens = tuple(_perm(vertices, lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
+    fg = FamilyGraph("gp", n, build(vertices, edges), labels, gens)
+    return _validate(fg, 3, regular=3)
 
 
-_FAMILIES: dict[str, Callable[[int], FamilyGraph]] = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
+FAMILIES: dict[str, Callable[[int], FamilyGraph]] = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
 
 
 def is_family_id(family_id: str) -> bool:
     """True iff the id's head names a family, whatever follows it ("h1", "h3:2", "gp:x")."""
-    return family_id.strip().lower().partition(":")[0] in _FAMILIES
+    return family_id.strip().lower().partition(":")[0] in FAMILIES
 
 
 def make_family(family_id: str) -> FamilyGraph:
     """Resolve a CLI family id like "h1:5" or "gp:25"."""
     head, sep, tail = family_id.strip().lower().partition(":")
-    if not sep or head not in _FAMILIES:
+    if not sep or head not in FAMILIES:
         raise ConstructionError(f"unknown family id {family_id!r}")
     try:
         size = int(tail)
     except ValueError:
         raise ConstructionError(f"bad size in family id {family_id!r}") from None
-    return _FAMILIES[head](size)
+    return FAMILIES[head](size)

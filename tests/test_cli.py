@@ -6,6 +6,7 @@ import os
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from random import Random
@@ -13,7 +14,7 @@ from random import Random
 import pytest
 
 import treefree
-from treefree import cli, core, embed, graphio
+from treefree import cli, core, embed, families, graphio
 from treefree.cli import (
     DIAM_CLAUSES,
     check_diam_theorem,
@@ -362,6 +363,33 @@ def test_cli_bad_size_range_exits_two(capsys):
         _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--s", s],
                                 "takes no size range")
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "5..9"], "one size")
+
+
+def test_cli_verify_range_above_the_cap_exits_two_before_building(capsys):
+    # the last size of each range is the first above the vertex cap; no host
+    # of the range is built before the refusal
+    for lemma_id, s, family in (("2.3", "3..4369", "h2(4369)"), ("2.2i", "5..10923", "h1(10923)"),
+                                ("2.4", "4..4682", "h3(4682)"), ("2.5", "3..7282", "h4(7282)"),
+                                ("2.5p", "3..7282", "h4(7282)"), ("2.2w", "10923", "h1(10923)")):
+        start = time.perf_counter()
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--s", s],
+                                f"{family} has")
+        assert time.perf_counter() - start < 1.0
+
+
+def test_freeness_sweep_builds_each_host_after_the_last_is_searched(monkeypatch):
+    events = []
+    build_h2, search = families.FAMILIES["h2"], cli.find_induced
+    monkeypatch.setitem(families.FAMILIES, "h2", lambda s: events.append(f"h2({s})") or build_h2(s))
+    monkeypatch.setattr(cli, "find_induced",
+                        lambda p, g, gens=(): events.append(g.n) or search(p, g, gens))
+    assert verify_lemma("2.3", (3, 4)).passed
+    assert events == ["h2(3)", 46, 46, "h2(4)", 61, 61]
+    # a sweep stops building at its first hit
+    built = []
+    hosts = (built.append(s) or h1(s) for s in (5, 6))
+    assert not cli._freeness_sweep("lemma.test", hosts, [make("S8:0001")]).passed
+    assert built == [5]
 
 
 def test_cli_seed_on_a_lemma_that_does_not_sample_exits_two(capsys):

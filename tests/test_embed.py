@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from hashlib import sha256
 from itertools import combinations
 from random import Random
@@ -33,6 +34,7 @@ from .oracles import (
     oracle_stabiliser_orbits,
     perm_isomorphic,
     random_connected_graph,
+    random_girth5_cubic,
     random_graph,
     random_tree,
 )
@@ -688,3 +690,64 @@ def test_ball_levels_must_reach_the_pattern_diameter():
         find_induced(tree, host, levels=levels)
     _, levels = diameter(host, keep=ball_radius(tree) + 2)
     assert find_induced(tree, host, levels=levels) == find_induced(tree, host)
+
+
+# ------------------------------------------------- sibling pigeonhole cut
+
+def _pigeonhole_hosts():
+    """(host, generators) cases, each a host where the cut fires for S8:0001:
+    small family hosts and two seeded girth-5 cubic graphs."""
+    fams = [h1(2), h1(3), h2(1), h2(2), gp(7)]
+    cases = [pytest.param(fg.graph, fg.generators, id=f"{fg.family}:{fg.size}") for fg in fams]
+    return cases + [pytest.param(random_girth5_cubic(Random(67 + n), n), (), id=f"cubic{n}")
+                    for n in (20, 24)]
+
+
+def _pigeonhole_patterns():
+    """Lemma and clause trees, a path, and one non-tree: a 6-cycle with a
+    pendant on two opposite vertices."""
+    pats = [make(name).graph for name in ("S8:0001", "T8_2", "Tstar8", "P6")]
+    return pats + [build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (3, 7)])]
+
+
+@pytest.mark.parametrize("host, gens", _pigeonhole_hosts())
+def test_pigeonhole_cut_keeps_every_embedding_and_the_first_hit(monkeypatch, host, gens):
+    for pattern in _pigeonhole_patterns():
+        expected = list(oracle_maps_along(pattern, host, _search_order(pattern)))
+        first = expected[0] if expected else None
+        where = list(pattern.edges())
+        assert find_all_induced(pattern, host) == expected, where
+        assert find_induced(pattern, host) == first, where
+        assert find_induced(pattern, host, gens) == first, where
+    # the cut fires here: S8:0001's enumeration visits fewer nodes with it
+    tree = make("S8:0001").graph
+    with_cut = _nodes(lambda: find_all_induced(tree, host))
+    monkeypatch.setattr(embed._plan(tree), "kids", [()] * tree.n)
+    assert _nodes(lambda: find_all_induced(tree, host)) > with_cut
+
+
+def _nodes(search) -> int:
+    """How many search nodes (calls of the search's ``place``) ``search()`` visits."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        calls += event == "call" and code.co_name == "place" and code.co_filename == embed.__file__
+
+    sys.setprofile(profile)
+    try:
+        search()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_pigeonhole_cut_fires_on_the_hub_host(monkeypatch):
+    # S8:0001 is absent from h2(3); searched without generators, two leaves of
+    # one placed vertex are often left the same single candidate
+    tree, host = make("S8:0001").graph, h2(3).graph
+    assert find_induced(tree, host) is None
+    with_cut = _nodes(lambda: find_induced(tree, host))
+    monkeypatch.setattr(embed._plan(tree), "kids", [()] * tree.n)
+    assert _nodes(lambda: find_induced(tree, host)) >= 3 * with_cut

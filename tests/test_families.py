@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,7 @@ from treefree.families import (
     h4_z,
     make_family,
 )
-from treefree.patterns import path, petersen, s_tree, t_tree
+from treefree.patterns import cycle, path, petersen, s_tree, t_tree
 
 from .oracles import automorphism_orbits, generator_orbits
 
@@ -215,3 +216,46 @@ def test_a_non_permutation_generator_fails_construction(monkeypatch):
     monkeypatch.setattr(families, "_perm", lambda n, image: real(n, image)[:-1] + (0,))
     with pytest.raises(ConstructionError, match="not an automorphism"):
         h1(3)
+
+
+def _edge_preserving(g, perm) -> bool:
+    """The definition, edge by edge: a permutation of range(n) that keeps every edge."""
+    return sorted(perm) == list(range(g.n)) and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+
+@pytest.mark.parametrize("make, size", [(h1, 3), (h2, 2), (h3, 4), (h4, 2), (gp, 7)])
+def test_a_corrupted_generator_fails_construction(make, size):
+    """Each generator with the images of its two lowest moved vertices
+    swapped, and each one that fixes a vertex with its highest fixed vertex
+    (the hub of h1, h2 and h4) moved: exchanged with its lowest moved vertex.
+    The check reads only the rows of the moved vertices, and still agrees
+    with the edge-by-edge definition on the generators and their products."""
+    fg = make(size)
+    g = fg.graph
+    corrupted = []
+    for perm in fg.generators:
+        moved = [x for x, y in enumerate(perm) if x != y]
+        fixed = [x for x, y in enumerate(perm) if x == y]
+        pairs = [moved[:2]] + ([[fixed[-1], moved[0]]] if fixed else [])
+        for a, b in pairs:
+            bad = list(perm)
+            bad[a], bad[b] = perm[b], perm[a]
+            corrupted.append(tuple(bad))
+    assert len(corrupted) > len(fg.generators)  # some corruption moved a fixed vertex
+    for bad in corrupted:
+        assert not families._is_automorphism(g, bad) and not _edge_preserving(g, bad)
+        with pytest.raises(ConstructionError, match="generator 0 is not an automorphism"):
+            families._validate(replace(fg, generators=(bad,)), 3)
+    for p in fg.generators:
+        for q in fg.generators:
+            product = tuple(p[x] for x in q)
+            assert families._is_automorphism(g, product) and _edge_preserving(g, product)
+
+
+def test_a_map_that_keeps_the_moved_rows_must_still_be_a_permutation():
+    # in C4, 0 -> 2 carries N(0) onto N(2) = N(0), so only the check that the
+    # moved set maps onto itself tells this map from an automorphism
+    c4 = cycle(4).graph
+    assert not families._is_automorphism(c4, (2, 1, 2, 3))
+    assert families._is_automorphism(c4, (2, 1, 0, 3))
+    assert not families._is_automorphism(c4, (2, 1, 0))
