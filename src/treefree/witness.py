@@ -4,6 +4,12 @@ Everything here is phrased around a fixed root w: M_k collects the second
 vertices of induced v-w paths on k vertices, L(U) the vertices reaching w by
 an order-4 path avoiding U, and the Y/Z sets are the closure sets whose
 sizes bound how much of N(w) a connected set X can touch.
+
+Work that depends only on the host and the root is done once per root: one
+path table per (w, k) (``vw_paths``) and one ``RootTable`` per w for the
+closure sets, which ``closure_masks`` reads for each base X.  The sampled
+lemma checks evaluate every base and path pair on bitmasks and build a
+``Report`` (``derived_sets``, ``check_path_pair``) only for a failing one.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Graph, balls, bits, mask_of
 from .errors import (
@@ -33,9 +39,12 @@ def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
 
 def _nbhd(g: Graph, mask: int) -> int:
     """Union of the rows of the vertices in ``mask``."""
+    rows = g._rows
     out = 0
-    for v in bits(mask):
-        out |= g.row(v)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= rows[low.bit_length() - 1]
     return out
 
 
@@ -53,15 +62,25 @@ def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
     rows = g._rows
     frontier = [((w,), 1 << w)]
     for _ in range(k - 2):
-        frontier = [
-            (p + (x,), seen | rows[p[-1]] | 1 << x)
-            for p, seen in frontier
-            for x in bits(rows[p[-1]] & ~seen)
-        ]
+        grown = []
+        for p, seen in frontier:
+            last = rows[p[-1]]
+            ext = last & ~seen
+            seen |= last
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                grown.append((p + (low.bit_length() - 1,), seen | low))
+        frontier = grown
     table: dict[int, list[Path]] = {}
     for p, seen in frontier:
-        for v in bits(rows[p[-1]] & ~seen):
-            table.setdefault(v, []).append((v, *reversed(p)))
+        ext = rows[p[-1]] & ~seen
+        rev = p[::-1]
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            table.setdefault(v, []).append((v, *rev))
     for paths in table.values():
         paths.sort()
     return table
@@ -103,41 +122,41 @@ def _validate_vw_path(g: Graph, q: Sequence[int], k: int) -> None:
 
 
 def _path_pair_clauses(
-    g: Graph, q1: Sequence[int], q2: Sequence[int], k: int, m4: frozenset[int] | None
+    rows: Sequence[int], q1: Sequence[int], q2: Sequence[int], k: int, m4: int | None
 ) -> dict[str, bool]:
-    """Evaluate the applicable disjointness clauses for one ordered pair."""
-    edge = g.has_edge
-    clauses: dict[str, bool] = {}
-    clauses["i"] = not ({q1[1], q1[2]} & {q2[1], q2[2]})
+    """Evaluate the applicable disjointness clauses for one ordered pair.
+
+    ``rows`` are the host's adjacency rows and ``m4`` the mask of M_4(v, w)
+    (k = 5 only).  Path vertices are distinct, so clearing one bit of q2's
+    inner mask drops exactly the pair a clause allows.
+    """
+    a1, a2, b1, b2 = q1[1], q1[2], q2[1], q2[2]
+    clauses = {"i": a1 != b1 and a1 != b2 and a2 != b1 and a2 != b2}
     if k == 4:
-        clauses["iii"] = not any(edge(a, b) for a in (q1[1], q1[2]) for b in (q2[1], q2[2]))
-    if k == 5:
-        clauses["ii"] = not ({q1[1], q1[2], q1[3]} & {q2[1], q2[2]})
-        if q1[3] != q2[3]:
-            allowed = {(q1[1], q2[3]), (q1[2], q2[2]), (q1[3], q2[1])}
-            extra = [
-                (a, b)
-                for a in (q1[1], q1[2], q1[3])
-                for b in (q2[1], q2[2], q2[3])
-                if edge(a, b) and (a, b) not in allowed
-            ]
-            clauses["iv"] = not extra
-            if m4 is not None and q1[1] not in m4:
-                # clause (v): with q1[1] outside M_4, the a1-c2 edge is gone too
-                allowed_v = {(q1[2], q2[2]), (q1[3], q2[1])}
-                extra_v = [
-                    (a, b)
-                    for a in (q1[1], q1[2], q1[3])
-                    for b in (q2[1], q2[2], q2[3])
-                    if edge(a, b) and (a, b) not in allowed_v
-                ]
-                clauses["v"] = not extra_v
+        clauses["iii"] = not (rows[a1] | rows[a2]) & (1 << b1 | 1 << b2)
+        return clauses
+    a3, b3 = q1[3], q2[3]
+    clauses["ii"] = clauses["i"] and a3 != b1 and a3 != b2
+    if a3 != b3:
+        inner = 1 << b1 | 1 << b2 | 1 << b3
+        # edges from a2 and a3 beyond the allowed a2-b2 and a3-b1
+        rest = rows[a2] & inner & ~(1 << b2) or rows[a3] & inner & ~(1 << b1)
+        clauses["iv"] = not (rest or rows[a1] & inner & ~(1 << b3))
+        if m4 is not None and not m4 >> a1 & 1:
+            # clause (v): with q1[1] outside M_4, the a1-c2 edge is gone too
+            clauses["v"] = not (rest or rows[a1] & inner)
     return clauses
+
+
+def _check_pair_order(k: int) -> None:
+    if k not in (4, 5):
+        raise DomainError("path pairs are checked with k in {4, 5}")
 
 
 @timed
 def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> Report:
-    """Check the Lemma-4.1 clauses on one ordered pair of (v,w;k)-paths."""
+    """Check the Lemma-4.1 clauses on one ordered pair of (v,w;k)-paths, k in {4, 5}."""
+    _check_pair_order(k)
     q1, q2 = tuple(q1), tuple(q2)
     _validate_vw_path(g, q1, k)
     _validate_vw_path(g, q2, k)
@@ -145,8 +164,8 @@ def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> R
         raise InvalidWitnessError("paths must share both endpoints")
     if q1[1] == q2[1]:
         raise InvalidWitnessError("second vertices must differ")
-    m4 = compute_Mk(g, q1[0], q1[-1], 4) if k == 5 else None
-    clauses = _path_pair_clauses(g, q1, q2, k, m4)
+    m4 = mask_of(compute_Mk(g, q1[0], q1[-1], 4)) if k == 5 else None
+    clauses = _path_pair_clauses(g._rows, q1, q2, k, m4)
     return checked(
         "lemma4.1.pair", g, all(clauses.values()),
         {"k": k, "v": q1[0], "w": q1[-1], "q1": list(q1), "q2": list(q2)},
@@ -162,18 +181,16 @@ def scan_path_pairs(
     vw_samples: int | None = None,
     host_name: str = "host",
 ) -> Report:
-    """Exhaust Lemma-4.1 clauses over all ordered path pairs of sampled (v,w).
+    """Exhaust Lemma-4.1 clauses over all ordered path pairs of sampled (v,w), k in {4, 5}.
 
     With ``vw_samples`` unset every non-adjacent pair is used.  Returns the
     number of ordered path pairs inspected in the witness.
     """
+    _check_pair_order(k)
+    rows = g._rows
+    full = (1 << g.n) - 1
     # ordered (v,w): the k=5 clauses are not symmetric under path reversal
-    nonadj = [
-        (v, w)
-        for v in range(g.n)
-        for w in range(g.n)
-        if v != w and not g.has_edge(v, w)
-    ]
+    nonadj = [(v, w) for v in range(g.n) for w in bits(full & ~(rows[v] | 1 << v))]
     if vw_samples is not None and vw_samples < len(nonadj):
         nonadj = Random(seed).sample(nonadj, vw_samples)
     pair_count = 0
@@ -189,13 +206,13 @@ def scan_path_pairs(
         paths = paths_to(v, w, k)
         if len(paths) < 2:
             continue
-        m4 = frozenset(p[1] for p in paths_to(v, w, 4)) if k == 5 else None
+        m4 = mask_of(p[1] for p in paths_to(v, w, 4)) if k == 5 else None
         for q1 in paths:
             for q2 in paths:
-                if q1 is q2 or q1[1] == q2[1]:
+                if q1[1] == q2[1]:
                     continue
                 pair_count += 1
-                clauses = _path_pair_clauses(g, q1, q2, k, m4)
+                clauses = _path_pair_clauses(rows, q1, q2, k, m4)
                 if not all(clauses.values()):
                     violations.append({"q1": list(q1), "q2": list(q2), "clauses": clauses})
     return checked(
@@ -221,6 +238,77 @@ def compute_L(g: Graph, w: int, avoid: Iterable[int]) -> frozenset[int]:
     return frozenset(bits(_nbhd(g, q2) & ~umask & ~g.row(w) & ~(1 << w)))
 
 
+class RootTable:
+    """Everything the closure sets read that depends only on the host and w.
+
+    ``closed`` is N[w], ``n2`` is N2(w), ``ring`` is N(N(w)) - w (the first
+    ring of every L(X) once X misses N[w]), and ``spokes`` lists, for each a
+    in N(w) in ascending order, a with its balls N[a] and N<=2(a).  A caller
+    checking many bases under one root builds one table and passes it to
+    ``closure_masks`` for each.
+    """
+
+    __slots__ = ("host", "w", "nw", "closed", "n2", "ring", "spokes")
+
+    def __init__(self, g: Graph, w: int):
+        _check_vertices(g, (w,))
+        _, closed, within2 = balls(g, 1 << w, 2)
+        self.host, self.w, self.nw = g, w, g.row(w)
+        self.closed, self.n2 = closed, within2 & ~closed
+        self.ring = _nbhd(g, self.nw) & ~(1 << w)
+        self.spokes = [(a, *balls(g, 1 << a, 2)[1:]) for a in bits(self.nw)]
+
+
+class ClosureMasks(NamedTuple):
+    """The five closure sets of one base, and the a in N(w) breaking each clause."""
+
+    y1: int
+    y2: int
+    z1: int
+    z2: int
+    z3: int
+    clause_i: int
+    clause_ii: int
+
+
+def closure_masks(root: RootTable, xmask: int) -> ClosureMasks:
+    """The Y/Z sets of the base ``xmask`` under ``root``, all as bitmasks.
+
+    Y1 = (X u N(X)) n N2(w);       Y2 = N(Y1) n N(w)
+    Z1 = N(X) n L(X)
+    Z2 = (X u N(Z1 u X)) n N2(w);  Z3 = N(Z2) n N(w)
+
+    X misses N[w], so the order-4 paths of L(X) start w, N(w), ring - X:
+    Z1 keeps the y in N(X) outside X u N[w] with a neighbour in ring - X.
+    Clause (i) fails at a in N(w) - Y2 when N(X) meets N[a]; clause (ii) at
+    a in N(w) - Z3 when N(X) meets N<=2(a) - Z3.
+    """
+    g = root.host
+    if xmask & root.closed or xmask >> g.n:
+        raise DomainError("base set must lie in N_{>=2}(w)")
+    rows = g._rows
+    nx = _nbhd(g, xmask)
+    y1 = (xmask | nx) & root.n2
+    y2 = _nbhd(g, y1) & root.nw
+    q2 = root.ring & ~xmask
+    z1 = 0
+    cand = nx & ~(xmask | root.closed)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if rows[low.bit_length() - 1] & q2:
+            z1 |= low
+    z2 = (xmask | nx | _nbhd(g, z1)) & root.n2
+    z3 = _nbhd(g, z2) & root.nw
+    clause_i = clause_ii = 0
+    for a, ball1, ball2 in root.spokes:
+        if nx & ball1 and not y2 >> a & 1:
+            clause_i |= 1 << a
+        if nx & ball2 & ~z3 and not z3 >> a & 1:
+            clause_ii |= 1 << a
+    return ClosureMasks(y1, y2, z1, z2, z3, clause_i, clause_ii)
+
+
 @dataclass(frozen=True)
 class WitnessSets:
     """The five closure sets derived from a base X under a fixed root w."""
@@ -242,50 +330,28 @@ _CLOSURE_SETS = ("y1", "y2", "z1", "z2", "z3")
 def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
     """Compute Y1, Y2, Z1, Z2, Z3 from X and check the edge-emptiness claims.
 
-    Y1 = (X u N(X)) n N2(w);       Y2 = N(Y1) n N(w)
-    Z1 = N(X) n L(X)
-    Z2 = (X u N(Z1 u X)) n N2(w);  Z3 = N(Z2) n N(w)
-
-    When the host is C3/C4-free, every a in N(w)-Y2 has no edge from X into
-    N<=1(a), and every a in N(w)-Z3 has no edge from X into N<=2(a)-Z3; both
-    are asserted in the attached report, whose witness lists the five sets.
+    The sets are those of ``closure_masks``.  When the host is C3/C4-free,
+    every a in N(w)-Y2 has no edge from X into N<=1(a), and every a in
+    N(w)-Z3 has no edge from X into N<=2(a)-Z3; both are asserted in the
+    attached report, whose witness lists the five sets.
     """
     X = frozenset(base)
-    report = _closure_report(g, w, X)
+    root = RootTable(g, w)
+    _check_vertices(g, X)
+    report = _closure_report(root, X)
     sets = {name: frozenset(report.witness[name]) for name in _CLOSURE_SETS}
     return WitnessSets(host=g, w=w, base=X, report=report, **sets)
 
 
 @timed
-def _closure_report(g: Graph, w: int, X: frozenset[int]) -> Report:
+def _closure_report(root: RootTable, X: frozenset[int]) -> Report:
     """The lemma-5.1 report of ``derived_sets``."""
-    _check_vertices(g, (w, *X))
-    _, closed, within2 = balls(g, 1 << w, 2)
-    xmask = mask_of(X)
-    if xmask & closed:
-        raise DomainError("base set must lie in N_{>=2}(w)")
-    n2 = within2 & ~closed
-    nw = g.row(w)
-
-    y1 = (xmask | _nbhd(g, xmask)) & n2
-    y2 = _nbhd(g, y1) & nw
-    lset = mask_of(compute_L(g, w, X))
-    z1 = _nbhd(g, xmask) & lset
-    z2 = (xmask | _nbhd(g, z1 | xmask)) & n2
-    z3 = _nbhd(g, z2) & nw
-
-    balls1 = {a: (1 << a) | g.row(a) for a in bits(nw)}
-    violations = []
-    for a in bits(nw & ~y2):
-        if any(g.row(x) & balls1[a] for x in X):
-            violations.append({"clause": "i", "a": a})
-    for a in bits(nw & ~z3):
-        ball2 = balls1[a] | _nbhd(g, g.row(a))
-        if any(g.row(x) & ball2 & ~z3 for x in X):
-            violations.append({"clause": "ii", "a": a})
-    witness = {name: sorted(bits(m)) for name, m in zip(_CLOSURE_SETS, (y1, y2, z1, z2, z3))}
+    masks = closure_masks(root, mask_of(X))
+    witness: dict = {name: list(bits(m)) for name, m in zip(_CLOSURE_SETS, masks)}
+    violations = [{"clause": "i", "a": a} for a in bits(masks.clause_i)]
+    violations += [{"clause": "ii", "a": a} for a in bits(masks.clause_ii)]
     witness["violations"] = violations
-    return checked("lemma5.1", g, not violations, {"w": w, "X": sorted(X)}, witness)
+    return checked("lemma5.1", root.host, not violations, {"w": root.w, "X": sorted(X)}, witness)
 
 
 _R3 = {1: 1, 2: 3, 3: 6, 4: 9}
@@ -305,25 +371,20 @@ def survivor_bound(h: int, m: int) -> int:
     return h * m - m + 1
 
 
-def _independence_number_at_most(g: Graph, limit: int) -> bool:
-    """True iff g has no independent set on limit + 1 vertices.
+def _has_independent_set(rows: Sequence[int], cand: int, need: int) -> bool:
+    """True iff the vertices of ``cand`` hold an independent set on ``need`` vertices.
 
     Branches on the lowest candidate: an independent set either holds it,
     leaving its non-neighbours above it as candidates, or does not.
     """
-    rows = g._rows
-
-    def grows(cand: int, need: int) -> bool:
-        if need == 0:
+    if need == 0:
+        return True
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low
+        if _has_independent_set(rows, cand & ~rows[low.bit_length() - 1], need - 1):
             return True
-        while cand.bit_count() >= need:
-            low = cand & -cand
-            cand ^= low
-            if grows(cand & ~rows[low.bit_length() - 1], need - 1):
-                return True
-        return False
-
-    return not grows((1 << g.n) - 1, limit + 1)
+    return False
 
 
 def _independent_sets(g: Graph) -> Iterator[int]:
@@ -347,6 +408,12 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
     class on n + 1 vertices is a class on n vertices plus one vertex; the
     growth tries each class with every new neighbourhood that keeps it
     triangle-free and keeps the first graph of each new class.
+
+    A candidate is compared with the kept graphs of its degree bucket with
+    the kept graph as the pattern: ``is_isomorphic`` compiles its pattern
+    into a cached plan, so each kept graph is compiled once and serves every
+    later candidate, where a fresh candidate as pattern would be compiled
+    anew for each comparison.
     """
     from .embed import is_isomorphic
 
@@ -356,17 +423,19 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
         seen: dict[tuple, list[Graph]] = {}
         for g in levels[-1]:
             # the new vertex keeps the graph triangle-free iff its
-            # neighborhood is independent, so only those are tried
+            # neighborhood is independent, so only those are tried; g has no
+            # independent t-set, so a new one holds the new vertex and t - 1
+            # of its non-neighbours
             for nb in _independent_sets(g):
+                if _has_independent_set(g._rows, (1 << n) - 1 & ~nb, t - 1):
+                    continue
                 rows = list(g._rows) + [nb]
                 for v in bits(nb):
                     rows[v] |= 1 << n
                 cand = Graph(n + 1, rows)
-                if not _independence_number_at_most(cand, t - 1):
-                    continue
                 key = (cand.edge_count, tuple(sorted(cand.degree(v) for v in range(cand.n))))
                 bucket = seen.setdefault(key, [])
-                if any(is_isomorphic(cand, other) for other in bucket):
+                if any(is_isomorphic(other, cand) for other in bucket):
                     continue
                 bucket.append(cand)
                 nxt.append(cand)

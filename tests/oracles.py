@@ -272,7 +272,7 @@ def mk_oracle(g: Graph, v: int, w: int, k: int) -> set[int]:
 
 
 def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
-    """Order-4 w-reaching vertices by full triple enumeration."""
+    """Order-4 w-reaching vertices by full enumeration of the walks v, q2, q3, w."""
     from treefree.core import bfs_levels
 
     dist = bfs_levels(g, w)
@@ -282,15 +282,81 @@ def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
     for v in range(g.n):
         if dist[v] not in (2, 3) or v in avoid:
             continue
-        for q2 in range(g.n):
-            for q3 in range(g.n):
+        for q2 in g.neighbors(v):
+            for q3 in g.neighbors(q2):
                 if len({v, q2, q3, w}) != 4:
                     continue
                 if q2 in avoid or q3 in avoid:
                     continue
-                if g.has_edge(v, q2) and g.has_edge(q2, q3) and g.has_edge(q3, w):
+                if g.has_edge(q3, w):
                     out.add(v)
     return out
+
+
+def closure_oracle(g: Graph, w: int, X: Iterable[int]) -> dict:
+    """The Y/Z closure sets of base X under root w, and the a in N(w) breaking
+    each edge-emptiness clause, straight from the set definitions."""
+    from treefree.core import bfs_levels
+
+    X = set(X)
+    dist = bfs_levels(g, w)
+    nw = {v for v in range(g.n) if dist[v] == 1}
+    n2 = {v for v in range(g.n) if dist[v] == 2}
+
+    def nbhd(vertices: set[int]) -> set[int]:
+        return {u for v in vertices for u in range(g.n) if g.has_edge(v, u)}
+
+    y1 = (X | nbhd(X)) & n2
+    y2 = nbhd(y1) & nw
+    z1 = nbhd(X) & l_oracle(g, w, X)
+    z2 = (X | nbhd(z1 | X)) & n2
+    z3 = nbhd(z2) & nw
+
+    def edge_from_x(targets: set[int]) -> bool:
+        return any(g.has_edge(x, u) for x in X for u in targets)
+
+    clause_i, clause_ii = [], []
+    for a in sorted(nw):
+        dist_a = bfs_levels(g, a)
+        if a not in y2 and edge_from_x({u for u in range(g.n) if 0 <= dist_a[u] <= 1}):
+            clause_i.append(a)
+        if a not in z3 and edge_from_x({u for u in range(g.n) if 0 <= dist_a[u] <= 2} - z3):
+            clause_ii.append(a)
+    return {"y1": y1, "y2": y2, "z1": z1, "z2": z2, "z3": z3,
+            "clause_i": clause_i, "clause_ii": clause_ii}
+
+
+def path_pair_oracle(
+    g: Graph, q1: Sequence[int], q2: Sequence[int], k: int, m4: frozenset[int] | None
+) -> dict[str, bool]:
+    """Evaluate the applicable disjointness clauses for one ordered pair."""
+    edge = g.has_edge
+    clauses: dict[str, bool] = {}
+    clauses["i"] = not ({q1[1], q1[2]} & {q2[1], q2[2]})
+    if k == 4:
+        clauses["iii"] = not any(edge(a, b) for a in (q1[1], q1[2]) for b in (q2[1], q2[2]))
+    if k == 5:
+        clauses["ii"] = not ({q1[1], q1[2], q1[3]} & {q2[1], q2[2]})
+        if q1[3] != q2[3]:
+            allowed = {(q1[1], q2[3]), (q1[2], q2[2]), (q1[3], q2[1])}
+            extra = [
+                (a, b)
+                for a in (q1[1], q1[2], q1[3])
+                for b in (q2[1], q2[2], q2[3])
+                if edge(a, b) and (a, b) not in allowed
+            ]
+            clauses["iv"] = not extra
+            if m4 is not None and q1[1] not in m4:
+                # clause (v): with q1[1] outside M_4, the a1-c2 edge is gone too
+                allowed_v = {(q1[2], q2[2]), (q1[3], q2[1])}
+                extra_v = [
+                    (a, b)
+                    for a in (q1[1], q1[2], q1[3])
+                    for b in (q2[1], q2[2], q2[3])
+                    if edge(a, b) and (a, b) not in allowed_v
+                ]
+                clauses["v"] = not extra_v
+    return clauses
 
 
 def independence_at_most(g: Graph, limit: int) -> bool:

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from treefree.core import bfs_levels, build, diameter
+from treefree.core import bfs_levels, bits, build, diameter, mask_of
 from treefree.errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -16,9 +16,12 @@ from treefree.graphio import parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
     _R3,
-    _independence_number_at_most,
+    RootTable,
+    _has_independent_set,
+    _path_pair_clauses,
     check_geodesic,
     check_path_pair,
+    closure_masks,
     compute_L,
     compute_Mk,
     derived_sets,
@@ -33,9 +36,11 @@ from treefree.witness import (
 from .oracles import (
     all_vw_paths,
     canonical_classes,
+    closure_oracle,
     independence_at_most,
     l_oracle,
     mk_oracle,
+    path_pair_oracle,
     ramsey_labelled,
     random_graph,
 )
@@ -140,6 +145,99 @@ def test_scan_violations_match_the_single_pair_check():
                 assert single.witness["clauses"] == bad["clauses"]
                 seen_v += "v" in bad["clauses"]
     assert seen_v > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_path_pair_checks_need_k_4_or_5(k):
+    # clause (i) reads only q[1] and q[2], so without the check k = 3 or k >= 6 passes on it alone
+    c6 = cycle(6).graph
+    with pytest.raises(DomainError):
+        scan_path_pairs(c6, k)
+    q1, q2 = (0, 1, 2, 3, 4, 5)[:k], (0, 5, 4, 3, 2, 1)[:k]
+    with pytest.raises(DomainError):
+        check_path_pair(c6, q1, q2, k)
+
+
+def test_mask_clauses_match_the_set_oracle():
+    """Every ordered pair of (v,w;k)-paths with distinct second vertices; gp(25)'s
+    5-cycles give the pairs whose only cross edge is the allowed a2-b2 one."""
+    rng = Random(71)
+    hosts = [*LEMMA_41_HOSTS]
+    hosts += [random_graph(rng, rng.randint(6, 10), 0.35) for _ in range(30)]
+    failing = 0
+    for g in hosts:
+        for w in range(g.n):
+            tables = {k: vw_paths(g, w, k) for k in (4, 5)}
+            for k in (4, 5):
+                for v, paths in tables[k].items():
+                    m4 = frozenset(p[1] for p in tables[4].get(v, ())) if k == 5 else None
+                    m4mask = None if m4 is None else mask_of(m4)
+                    for q1 in paths:
+                        for q2 in paths:
+                            if q1[1] == q2[1]:
+                                continue
+                            want = path_pair_oracle(g, q1, q2, k, m4)
+                            assert _path_pair_clauses(g._rows, q1, q2, k, m4mask) == want
+                            failing += not all(want.values())
+    assert failing > 0
+
+
+def _closure_agrees(g, w, root, base):
+    want = closure_oracle(g, w, base)
+    got = closure_masks(root, mask_of(base))
+    for name in ("y1", "y2", "z1", "z2", "z3"):
+        assert set(bits(getattr(got, name))) == want[name], (name, w, sorted(base))
+    assert list(bits(got.clause_i)) == want["clause_i"]
+    assert list(bits(got.clause_ii)) == want["clause_ii"]
+    ws = derived_sets(g, w, base)
+    assert (ws.y1, ws.y2, ws.z1, ws.z2, ws.z3) == tuple(want[n] for n in ("y1", "y2", "z1", "z2", "z3"))
+    violations = [{"clause": "i", "a": a} for a in want["clause_i"]]
+    violations += [{"clause": "ii", "a": a} for a in want["clause_ii"]]
+    assert ws.report.witness["violations"] == violations
+    assert ws.report.passed == (not violations)
+    return bool(violations)
+
+
+def _connected_bases(g, region, sizes):
+    """Every connected vertex set of the given sizes inside ``region``."""
+    found = set()
+    layer = {frozenset([v]) for v in region}
+    for size in range(2, max(sizes) + 1):
+        layer = {s | {u} for s in layer for v in s for u in g.neighbors(v)
+                 if u in region and u not in s}
+        if size in sizes:
+            found |= layer
+    return sorted(found, key=sorted)
+
+
+def test_closure_sets_match_the_oracle_on_every_small_base_of_the_hub_hosts():
+    for g in (h1(5).graph, gp(25).graph):
+        degs = [g.degree(v) for v in range(g.n)]
+        w = degs.index(max(degs))
+        root = RootTable(g, w)
+        dist = bfs_levels(g, w)
+        region = {v for v in range(g.n) if dist[v] >= 2}
+        bases = _connected_bases(g, region, (2, 3, 4))
+        assert len(bases) > 400
+        assert not any(_closure_agrees(g, w, root, base) for base in bases)
+
+
+def test_closure_sets_match_the_oracle_on_hosts_with_short_cycles():
+    # C3/C4 hosts break the edge-emptiness clauses, so violations occur
+    rng = Random(73)
+    broken = 0
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(7, 11), 0.3)
+        w = rng.randrange(g.n)
+        dist = bfs_levels(g, w)
+        region = [v for v in range(g.n) if dist[v] >= 2]
+        if not region:
+            continue
+        root = RootTable(g, w)
+        for _ in range(6):
+            base = rng.sample(region, rng.randint(1, min(4, len(region))))
+            broken += _closure_agrees(g, w, root, base)
+    assert broken > 10
 
 
 def test_compute_l_on_c8():
@@ -254,8 +352,9 @@ def test_bitset_independence_test_matches_subset_enumeration():
     graphs = [build(0, [])] + [random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.7))
                                for _ in range(120)]
     for g in graphs:
+        full = (1 << g.n) - 1
         for limit in range(0, 6):
-            assert _independence_number_at_most(g, limit) == independence_at_most(g, limit)
+            assert _has_independent_set(g._rows, full, limit + 1) != independence_at_most(g, limit)
 
 
 @pytest.mark.parametrize("t, classes", [(2, [1, 1, 0]), (3, [1, 2, 2, 3, 1, 0])])
