@@ -215,8 +215,9 @@ def verify_lemma(
 ) -> Report:
     """Run one named lemma check and return its report.
 
-    ``s_range`` and ``seed`` are allowed as ``_LEMMAS`` says; 2.2w replays
-    its witnesses at one size, so its range must be ``(s, s)``.
+    ``s_range`` and ``seed`` are allowed as ``_LEMMAS`` says.  A range
+    ``(A, B)`` needs 1 <= A <= B; 2.2w replays its witnesses at one size, so
+    its range must be ``(s, s)``.
     """
     if lemma_id not in _LEMMAS:
         raise UsageError(f"unknown lemma id {lemma_id!r}")
@@ -231,6 +232,8 @@ def verify_lemma(
         raise UsageError(f"lemma {lemma_id} does not sample and takes no seed")
     family, lo, hi = spec
     lo, hi = s_range or (lo, hi)
+    if not 1 <= lo <= hi:
+        raise UsageError(f"size range {lo}..{hi} needs 1 <= A <= B")
     families.order(family, hi)  # a range ending above the vertex cap is refused before any build
     if lemma_id in _FREENESS:
         hosts = map(families.FAMILIES[family], range(lo, hi + 1))
@@ -361,15 +364,12 @@ def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
 # ------------------------------------------------------------------ CLI
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """``A..B`` or ``A`` as a size range with 1 <= A <= B."""
+    """``A..B`` or ``A`` as a size range (A, B); ``verify_lemma`` checks 1 <= A <= B."""
     lo, sep, hi = text.partition("..")
     try:
-        bounds = int(lo), int(hi if sep else lo)
+        return int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid size range {text!r}, expected A..B") from None
-    if not 1 <= bounds[0] <= bounds[1]:
-        raise argparse.ArgumentTypeError(f"size range {text!r} needs 1 <= A <= B")
-    return bounds
 
 
 def _parse_cap(text: str) -> int:

@@ -42,18 +42,21 @@ built the first time a pattern serves such a search.  With ``initial``
 masks, f* o tau may leave the masks, so they turn the cuts off.
 
 (b) Orbit rooting, when host automorphism ``generators`` are given (the
-family constructors supply them) and no ``initial`` masks.  The search
-numbers the generators that move some vertex, and ``fixing[h]`` masks those
-that fix host vertex h.  Each node carries ``sub``, its parent's ``sub &
-fixing[h]``: the generators that fix every host vertex placed so far.  Let
-H_d be the group they generate at depth d.  The candidates there are cut to
-``least[sub]``, the vertices that are the least of their H_d-orbit, a mask
-``_orbit_least`` builds once per distinct ``sub`` and search.  Let y =
-f*(order[d]).  For g in H_d, g o f* is an embedding that agrees with f* on
-the prefix, so g(y) >= y: y is the least vertex of its whole H_d-orbit, and
-the cut keeps it whatever the rest of the candidate mask holds.  Once no
-generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
-full.
+family constructors supply them) and no ``initial`` masks.  Each generator
+is given by its moves, a dict from each vertex it moves to its image, with
+every vertex it leaves out fixed, so the search reads the moved vertices
+off the keys and never scans a full-length permutation.  The search
+numbers the generators that move some vertex, and ``fixing[h]`` masks
+those that fix host vertex h.  Each node carries ``sub``, its parent's
+``sub & fixing[h]``: the generators that fix every host vertex placed so
+far.  Let H_d be the group they generate at depth d.  The candidates there
+are cut to ``least[sub]``, the vertices that are the least of their
+H_d-orbit, a mask ``_orbit_least`` builds once per distinct ``sub`` and
+search.  Let y = f*(order[d]).  For g in H_d, g o f* is an embedding that
+agrees with f* on the prefix, so g(y) >= y: y is the least vertex of its
+whole H_d-orbit, and the cut keeps it whatever the rest of the candidate
+mask holds.  Once no generator fixes a branch's prefix (``sub`` is 0), the
+branch is searched in full.
 
 (c) Roots certified by translation.  Let q0 = order[0] and R >= 1 its
 eccentricity in the pattern.  When the pattern is connected, has an edge,
@@ -138,12 +141,6 @@ class Embedding:
 
     mapping: tuple[int, ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.mapping))
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
 
 def _search_order(pattern: Graph) -> list[int]:
     """Connected placement order starting from a maximum-degree vertex."""
@@ -223,11 +220,11 @@ def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]
     return cuts
 
 
-def _orbit_least(gens: Sequence[tuple[Sequence[int], Sequence[int]]], n: int) -> int:
+def _orbit_least(gens: Sequence[Mapping[int, int]], n: int) -> int:
     """The mask of the host vertices 0..n-1 that are the least of their orbit
-    under the group generated by ``gens``, (permutation, vertices it moves)
-    pairs.  One union-find over the moved vertices, with the lowest id as
-    each root; a vertex no generator moves is its own orbit."""
+    under the group generated by ``gens``, each given by its moves.  One
+    union-find over the moved vertices, with the lowest id as each root; a
+    vertex no generator moves is its own orbit."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -238,9 +235,9 @@ def _orbit_least(gens: Sequence[tuple[Sequence[int], Sequence[int]]], n: int) ->
             parent[x], x = root, parent[x]
         return root
 
-    for perm, moved in gens:
-        for x in moved:
-            a, b = find(x), find(perm[x])
+    for moves in gens:
+        for x, y in moves.items():
+            a, b = find(x), find(y)
             if a != b:
                 parent[max(a, b)] = min(a, b)
     # every key of parent is a vertex above its root
@@ -291,15 +288,15 @@ def _search(
     host: Graph,
     limit: int | None,
     initial: Sequence[int] | None = None,
-    generators: Sequence[Sequence[int]] = (),
+    generators: Sequence[Mapping[int, int]] = (),
     levels: Sequence[Sequence[int]] | None = None,
 ) -> list[Embedding]:
     """Induced embeddings in search order, stopping after ``limit``.
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
-    ``generators`` are host automorphisms; with them and no ``initial`` the
-    search is orbit-rooted (see the module docstring), which keeps the first
-    embedding but not the ones after it.  ``levels[r][h]``, when given, is
+    ``generators`` are host automorphisms, each given by its moves; with
+    them and no ``initial`` the search is orbit-rooted (see the module
+    docstring), which keeps the first embedding but not the ones after it.  ``levels[r][h]``, when given, is
     the host ball of radius r around h for r up to at least
     ``ball_radius(pattern)``, as ``core.diameter`` keeps them; without them
     the balls are grown by ``core.balls``.
@@ -351,16 +348,11 @@ def _search(
     # orbit rooting: generator i moves something, and fixing[h] has bit i iff
     # it fixes h; least[sub] masks the least vertex of each orbit of the
     # group the generators in ``sub`` generate, built once per distinct sub
-    gens = []
-    if initial is None:
-        for perm in generators:
-            moved = [x for x, y in enumerate(perm) if x != y]
-            if moved:
-                gens.append((perm, moved))
+    gens = [moves for moves in generators if moves] if initial is None else []
     every = (1 << len(gens)) - 1
     fixing = [every] * n if gens else []
-    for i, (_, moved) in enumerate(gens):
-        for x in moved:
+    for i, moves in enumerate(gens):
+        for x in moves:
             fixing[x] &= ~(1 << i)
     least: dict[int, int] = {}
 
@@ -446,14 +438,15 @@ def _search(
 def find_induced(
     pattern: Graph,
     host: Graph,
-    generators: Sequence[Sequence[int]] = (),
+    generators: Sequence[Mapping[int, int]] = (),
     *,
     levels: Sequence[Sequence[int]] | None = None,
 ) -> Embedding | None:
     """First induced embedding of ``pattern`` in ``host``, or None.
 
-    ``generators`` (host automorphisms, such as ``FamilyGraph.generators``)
-    make the search try one host vertex per orbit; ``levels`` (the host's
+    ``generators`` (host automorphisms, each a dict from every vertex it
+    moves to its image, such as ``FamilyGraph.generators``) make the search
+    try one host vertex per orbit; ``levels`` (the host's
     ball levels up to ``ball_radius(pattern)``, from ``core.diameter``) spare
     it the ball growing.  Neither changes the result.
     """
@@ -479,7 +472,7 @@ def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> l
     return _search(capped(pattern), host, limit=limit)
 
 
-def is_free(host: Graph, pattern: Graph, generators: Sequence[Sequence[int]] = ()) -> bool:
+def is_free(host: Graph, pattern: Graph, generators: Sequence[Mapping[int, int]] = ()) -> bool:
     """True iff ``host`` contains no induced copy of ``pattern``; ``generators``
     as in ``find_induced``."""
     return find_induced(pattern, host, generators) is None

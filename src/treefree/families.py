@@ -5,11 +5,14 @@ named lemma checks can replay fixed witness sets by coordinate.
 
 Each constructor also returns automorphism generators: the symmetries its
 definition makes obvious (copy transpositions, rotations, reflections,
-gadget swaps), each a tuple ``perm`` with ``perm[x]`` the image of x.  They
-need not generate the whole automorphism group; ``embed.find_induced`` and
-``embed.is_free`` use them only to skip host vertices that some automorphism
-maps onto one already tried.  ``_validate`` checks every generator at
-construction, reading only the rows of the vertices it moves.
+gadget swaps), each stored as its moves, a dict that maps every vertex the
+generator moves to its image and leaves out every vertex it fixes.  A copy
+swap in h1, h2 or h4 names only the vertices of its two copies, so the
+generators of every family total O(n) entries.  They need not generate the
+whole automorphism group; ``embed.find_induced`` and ``embed.is_free`` use
+them only to skip host vertices that some automorphism maps onto one
+already tried.  ``_validate`` checks every generator at construction,
+reading only the rows of the vertices it moves.
 
 ``order`` reads each family's order off its size, so the constructors and
 callers that sweep sizes refuse a size above the vertex cap before
@@ -19,7 +22,7 @@ anything is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import VERTEX_CAP, Graph, bits, build, is_c3c4_free, is_connected
 from .errors import ConstructionError
@@ -31,11 +34,12 @@ class FamilyGraph:
     size: int
     graph: Graph
     labels: dict[int, str] = field(default_factory=dict)
-    generators: tuple[tuple[int, ...], ...] = ()
+    generators: tuple[dict[int, int], ...] = ()
 
 
-def _perm(n: int, image: Callable[[int], int]) -> tuple[int, ...]:
-    return tuple(image(x) for x in range(n))
+def _perm(vertices: Iterable[int], image: Callable[[int], int]) -> dict[int, int]:
+    """The moves of ``image`` on ``vertices``: each vertex it moves, to its image."""
+    return {x: y for x in vertices if (y := image(x)) != x}
 
 
 _ORDERS: dict[str, Callable[[int], int]] = {
@@ -55,27 +59,26 @@ def order(family: str, size: int) -> int:
     return n
 
 
-def _is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
-    """A permutation of range(n) that maps every edge to an edge.
+def _is_automorphism(g: Graph, moves: dict[int, int]) -> bool:
+    """True iff ``moves``, with every vertex it leaves out fixed, is a
+    permutation of range(n) that maps every edge to an edge.
 
-    Only the rows of the vertices ``perm`` moves are read.  The moved set
-    must map onto itself, which makes ``perm`` a permutation, and each moved
-    v must carry N(v) onto N(perm[v]).  A fixed vertex x needs nothing more:
-    a moved neighbour u of x lands in N(x), since x is in N(u) and stays put,
-    so the permutation carries N(x) into N(x), hence onto it.
+    Only the rows of the keys are read.  The keys must lie in range(n) and
+    the values must be the keys again, which makes the map a permutation,
+    and each key v must carry N(v) onto N(moves[v]).  A fixed vertex x needs
+    nothing more: a moved neighbour u of x lands in N(x), since x is in N(u)
+    and stays put, so the permutation carries N(x) into N(x), hence onto it.
     """
-    if len(perm) != g.n:
+    moved = sorted(moves)
+    if sorted(moves.values()) != moved or moved and (moved[0] < 0 or moved[-1] >= g.n):
         return False
-    moved = [x for x, y in enumerate(perm) if x != y]
-    if sorted(perm[x] for x in moved) != moved:
-        return False
-    return all(sum(1 << perm[u] for u in bits(g.row(v))) == g.row(perm[v]) for v in moved)
+    return all(sum(1 << moves.get(u, u) for u in bits(g.row(v))) == g.row(y) for v, y in moves.items())
 
 
 def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> FamilyGraph:
     g = fg.graph
-    for k, perm in enumerate(fg.generators):
-        if not _is_automorphism(g, perm):
+    for k, moves in enumerate(fg.generators):
+        if not _is_automorphism(g, moves):
             raise ConstructionError(f"{fg.family}({fg.size}): generator {k} is not an automorphism")
     if not is_connected(g):
         raise ConstructionError(f"{fg.family}({fg.size}): disconnected")
@@ -90,19 +93,15 @@ def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> F
     return fg
 
 
-def _copy_swaps(n: int, size: int, s: int) -> list[tuple[int, ...]]:
-    """Transpositions of adjacent copies i, i+1 of a block of ``size`` ids laid out from 0."""
+def _copy_swaps(size: int, s: int) -> list[dict[int, int]]:
+    """Transpositions of adjacent copies i, i+1 of a block of ``size`` ids laid
+    out from 0, each built from its two blocks alone."""
 
-    def swap(i: int) -> tuple[int, ...]:
-        lo, mid, hi = i * size, (i + 1) * size, (i + 2) * size
-        return _perm(n, lambda x: x + size if lo <= x < mid else x - size if mid <= x < hi else x)
+    def swap(i: int) -> dict[int, int]:
+        mid = (i + 1) * size
+        return _perm(range(i * size, mid + size), lambda x: x + size if x < mid else x - size)
 
     return [swap(i) for i in range(s - 1)]
-
-
-def _first_copy(n: int, local: list[int]) -> tuple[int, ...]:
-    """A symmetry of the first copy, ids 0..len(local)-1, fixing every other vertex."""
-    return _perm(n, lambda x: local[x] if x < len(local) else x)
 
 
 # ---------------------------------------------------------------- h1
@@ -135,12 +134,12 @@ def h1(s: int) -> FamilyGraph:
     for h in range(1, 4):
         labels[h1_v(s, h)] = f"v{h}"
 
-    def turn(step: int) -> tuple[int, ...]:
+    def turn(step: int) -> dict[int, int]:
         # cycle position j -> step*j + 1 (step = 1 rotates, -1 reflects); hub class c -> step*c + 1
-        return _perm(n, lambda x: x - x % 6 + (step * x + 1) % 6 if x < 6 * s
+        return _perm(range(n), lambda x: x - x % 6 + (step * x + 1) % 6 if x < 6 * s
                      else 6 * s + (step * (x - 6 * s) + 1) % 3)
 
-    gens = _copy_swaps(n, 6, s) + [_first_copy(n, [(j + 3) % 6 for j in range(6)]), turn(1), turn(-1)]
+    gens = _copy_swaps(6, s) + [_perm(range(6), lambda j: (j + 3) % 6), turn(1), turn(-1)]
     fg = FamilyGraph("h1", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 3 if s >= 2 else 2)
 
@@ -186,10 +185,10 @@ def h2(s: int) -> FamilyGraph:
             labels[h2_v(i, j)] = f"v{i}.{j}"
             labels[h2_w(i, j)] = f"w{i}.{j}"
     # inside the first copy: u, v, w at 0..4, 5..9, 10..14
-    gens = _copy_swaps(n, 15, s) + [
-        _first_copy(n, [x - x % 5 + (x + 1) % 5 for x in range(15)]),
-        _first_copy(n, [x - x % 5 + (-x) % 5 for x in range(15)]),
-        _first_copy(n, [(x + 5) % 10 if x < 10 else x for x in range(15)]),
+    gens = _copy_swaps(15, s) + [
+        _perm(range(15), lambda x: x - x % 5 + (x + 1) % 5),
+        _perm(range(15), lambda x: x - x % 5 + (-x) % 5),
+        _perm(range(10), lambda x: (x + 5) % 10),
     ]
     fg = FamilyGraph("h2", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 3)
@@ -226,11 +225,12 @@ _H3_BRANCH_SWAPS = (
 )
 
 
-def _h3_local(swaps: tuple[tuple[str, str], ...]) -> list[int]:
-    local = list(range(14))
+def _h3_moves(swaps: tuple[tuple[str, str], ...]) -> dict[int, int]:
+    """The moves of a gadget symmetry on the offsets, which are also the ids of the first copy."""
+    moves = {}
     for a, b in swaps:
-        local[_H3_OFFSET[a]], local[_H3_OFFSET[b]] = _H3_OFFSET[b], _H3_OFFSET[a]
-    return local
+        moves[_H3_OFFSET[a]], moves[_H3_OFFSET[b]] = _H3_OFFSET[b], _H3_OFFSET[a]
+    return moves
 
 
 def h3_u(i: int, j: int) -> int:
@@ -262,11 +262,11 @@ def h3(s: int) -> FamilyGraph:
         for name, off in _H3_OFFSET.items():
             labels[base + off] = f"{name[0]}{i}." + ".".join(name[1:])
         edges.append((h3_u(i, 2), h3_u(i % s + 1, 1)))
-    side = _h3_local(_H3_SIDE_SWAP)
+    side = _h3_moves(_H3_SIDE_SWAP)
     gens = [
-        _perm(n, lambda x: (x + 14) % n),
-        _perm(n, lambda x: (-(x // 14)) % s * 14 + side[x % 14]),
-    ] + [_first_copy(n, _h3_local(swaps)) for swaps in _H3_BRANCH_SWAPS]
+        _perm(range(n), lambda x: (x + 14) % n),
+        _perm(range(n), lambda x: (-(x // 14)) % s * 14 + side.get(x % 14, x % 14)),
+    ] + [_h3_moves(swaps) for swaps in _H3_BRANCH_SWAPS]
     fg = FamilyGraph("h3", s, build(n, edges), labels, tuple(gens))
     return _validate(fg, 3, regular=3)
 
@@ -305,8 +305,8 @@ def h4(s: int) -> FamilyGraph:
             edges.append((h4_z(s), h4_v(i, h)))
             labels[h4_v(i, h)] = f"v{i}.{h}"
     # inside the first block: the 6-cycle at 0..5, v1..v3 at 6..8
-    gens = _copy_swaps(n, 9, s) + [
-        _first_copy(n, [(step * j + 1) % 6 for j in range(6)] + [6 + (step * c + 1) % 3 for c in range(3)])
+    gens = _copy_swaps(9, s) + [
+        _perm(range(9), lambda x: (step * x + 1) % 6 if x < 6 else 6 + (step * (x - 6) + 1) % 3)
         for step in (1, -1)
     ]
     fg = FamilyGraph("h4", s, build(n, edges), labels, tuple(gens))
@@ -333,7 +333,7 @@ def gp(n: int) -> FamilyGraph:
         edges.append((n + i, n + (i + 2) % n))
         labels[i] = f"u{i}"
         labels[n + i] = f"v{i}"
-    gens = tuple(_perm(vertices, lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
+    gens = tuple(_perm(range(vertices), lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
     fg = FamilyGraph("gp", n, build(vertices, edges), labels, gens)
     return _validate(fg, 3, regular=3)
 

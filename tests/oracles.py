@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from treefree.core import Graph, build, is_c3c4_free, is_connected
 from treefree.embed import Embedding
@@ -601,9 +601,10 @@ def automorphism_orbits(g: Graph) -> list[list[int]]:
     return orbits
 
 
-def generator_orbits(n: int, generators: Sequence[Sequence[int]]) -> list[list[int]]:
+def generator_orbits(n: int, generators: Sequence[Mapping[int, int]]) -> list[list[int]]:
     """The orbits on 0..n-1 of the group generated by the permutations
-    ``generators``, each sorted, listed by lowest vertex.  Each orbit is closed by
+    ``generators``, each given by its moves (a vertex left out is fixed),
+    each orbit sorted, listed by lowest vertex.  Each orbit is closed by
     applying every generator to every vertex found so far; in a finite group
     a generator's inverse is one of its powers, so forward images suffice.
     """
@@ -616,10 +617,11 @@ def generator_orbits(n: int, generators: Sequence[Sequence[int]]) -> list[list[i
         todo = [v]
         while todo:
             x = todo.pop()
-            for perm in generators:
-                if perm[x] not in orbit:
-                    orbit.add(perm[x])
-                    todo.append(perm[x])
+            for moves in generators:
+                y = moves.get(x, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
         seen |= orbit
         orbits.append(sorted(orbit))
     return orbits

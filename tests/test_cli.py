@@ -364,6 +364,16 @@ def test_cli_bad_size_range_exits_two(capsys):
         _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--s", s],
                                 "takes no size range")
     _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.2w", "--s", "5..9"], "one size")
+    for s in ("5..3", "0..3"):
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", s], "needs 1 <= A <= B")
+
+
+def test_an_empty_size_range_is_refused():
+    # not a pass over zero hosts
+    for lemma_id in ("2.2i", "2.3", "2.5p"):
+        for s_range in ((5, 3), (0, 3)):
+            with pytest.raises(UsageError, match="needs 1 <= A <= B"):
+                verify_lemma(lemma_id, s_range)
 
 
 def test_cli_verify_range_above_the_cap_exits_two_before_building(capsys):

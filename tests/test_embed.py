@@ -368,10 +368,10 @@ def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
     # the full generator set and every subset of at most two generators, as
     # the orbit tables meet them below a placed prefix
     n = fg.graph.n
-    gens = [(perm, [x for x, y in enumerate(perm) if x != y]) for perm in fg.generators]
+    gens = list(fg.generators)
     subsets = [gens] + [list(c) for r in (0, 1, 2) for c in combinations(gens, r)]
     for sub in subsets:
-        expected = sum(1 << orbit[0] for orbit in generator_orbits(n, [perm for perm, _ in sub]))
+        expected = sum(1 << orbit[0] for orbit in generator_orbits(n, sub))
         assert embed._orbit_least(sub, n) == expected
 
 

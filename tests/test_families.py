@@ -156,8 +156,8 @@ def test_make_family_grammar():
 
 @pytest.mark.parametrize("make, size", [(gp, 32769), (h3, 4682), (h1, 10923), (h2, 4369), (h4, 7282)])
 def test_orders_above_the_cap_are_refused_before_building(make, size):
-    # one size step below each is at or under the cap; h1/h2/h4 would otherwise
-    # build s - 1 full-length copy swaps, gigabytes of tuples at these sizes
+    # one size step below each is at or under the cap; the refusal comes
+    # before any vertex row or generator is built
     tracemalloc.start()
     try:
         with pytest.raises(ConstructionError, match=f"above the cap of {VERTEX_CAP}"):
@@ -189,12 +189,43 @@ def test_generators_reach_every_automorphism_orbit(make, size, count):
     assert generator_orbits(fg.graph.n, fg.generators) == orbits
 
 
+def _full(n: int, moves: dict[int, int]) -> list[int]:
+    """The generator ``moves`` as a full-length list: entry x is the image of x."""
+    return [moves.get(x, x) for x in range(n)]
+
+
+def _compose(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The moves of x -> p(q(x))."""
+    return {x: y for x in p.keys() | q.keys() if (y := p.get(q.get(x, x), q.get(x, x))) != x}
+
+
 def test_generators_are_edge_preserving_permutations():
     for fg in (h1(1), h1(3), h2(1), h2(3), h3(4), h3(6), h4(1), h4(3), gp(5), gp(11)):
         g = fg.graph
-        for perm in fg.generators:
+        for moves in fg.generators:
+            assert all(x != y for x, y in moves.items())  # fixed vertices are left out
+            perm = _full(g.n, moves)
             assert sorted(perm) == list(range(g.n))
             assert sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g.edges()) == list(g.edges())
+
+
+@pytest.mark.parametrize("make, size", [(h1, 3), (h1, 100), (h2, 2), (h2, 100), (h3, 4), (h3, 100),
+                                        (h4, 2), (h4, 100), (gp, 7), (gp, 201)])
+def test_generators_store_o_n_moves(make, size):
+    # a full-length permutation per copy swap would total about s * n entries
+    fg = make(size)
+    assert sum(map(len, fg.generators)) <= 5 * fg.graph.n
+
+
+def test_a_large_hub_family_builds_in_o_n_memory():
+    # s - 1 full-length copy swaps peak at ~59 MB here
+    tracemalloc.start()
+    try:
+        h1(500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("make, size", [(h1, 3), (h2, 2), (h3, 4), (h4, 2), (gp, 7)])
@@ -205,15 +236,19 @@ def test_a_non_automorphism_generator_fails_construction(monkeypatch, make, size
     orbit_of = {v: k for k, orbit in enumerate(automorphism_orbits(make(size).graph)) for v in orbit}
     assert orbit_of[0] != orbit_of[n - 1]
     swap = {0: n - 1, n - 1: 0}
-    real = families._perm
-    monkeypatch.setattr(families, "_perm", lambda n, image: tuple(swap.get(y, y) for y in real(n, image)))
+    real = families._validate
+    monkeypatch.setattr(families, "_validate", lambda fg, *args, **kwargs: real(
+        replace(fg, generators=tuple(_compose(swap, moves) for moves in fg.generators)), *args, **kwargs))
     with pytest.raises(ConstructionError, match="not an automorphism"):
         make(size)
 
 
 def test_a_non_permutation_generator_fails_construction(monkeypatch):
-    real = families._perm
-    monkeypatch.setattr(families, "_perm", lambda n, image: real(n, image)[:-1] + (0,))
+    # every generator also sends the last vertex (hub v3) to vertex 0
+    real = families._validate
+    monkeypatch.setattr(families, "_validate", lambda fg, *args, **kwargs: real(
+        replace(fg, generators=tuple({**moves, fg.graph.n - 1: 0} for moves in fg.generators)),
+        *args, **kwargs))
     with pytest.raises(ConstructionError, match="not an automorphism"):
         h1(3)
 
@@ -233,29 +268,31 @@ def test_a_corrupted_generator_fails_construction(make, size):
     fg = make(size)
     g = fg.graph
     corrupted = []
-    for perm in fg.generators:
-        moved = [x for x, y in enumerate(perm) if x != y]
-        fixed = [x for x, y in enumerate(perm) if x == y]
+    for moves in fg.generators:
+        moved = sorted(moves)
+        fixed = [x for x in range(g.n) if x not in moves]
         pairs = [moved[:2]] + ([[fixed[-1], moved[0]]] if fixed else [])
         for a, b in pairs:
-            bad = list(perm)
-            bad[a], bad[b] = perm[b], perm[a]
-            corrupted.append(tuple(bad))
+            bad = dict(moves)
+            bad[a], bad[b] = moves.get(b, b), moves.get(a, a)
+            corrupted.append(bad)
     assert len(corrupted) > len(fg.generators)  # some corruption moved a fixed vertex
     for bad in corrupted:
-        assert not families._is_automorphism(g, bad) and not _edge_preserving(g, bad)
+        assert not families._is_automorphism(g, bad) and not _edge_preserving(g, _full(g.n, bad))
         with pytest.raises(ConstructionError, match="generator 0 is not an automorphism"):
             families._validate(replace(fg, generators=(bad,)), 3)
     for p in fg.generators:
         for q in fg.generators:
-            product = tuple(p[x] for x in q)
-            assert families._is_automorphism(g, product) and _edge_preserving(g, product)
+            product = _compose(p, q)
+            assert families._is_automorphism(g, product) and _edge_preserving(g, _full(g.n, product))
 
 
 def test_a_map_that_keeps_the_moved_rows_must_still_be_a_permutation():
     # in C4, 0 -> 2 carries N(0) onto N(2) = N(0), so only the check that the
     # moved set maps onto itself tells this map from an automorphism
     c4 = cycle(4).graph
-    assert not families._is_automorphism(c4, (2, 1, 2, 3))
-    assert families._is_automorphism(c4, (2, 1, 0, 3))
-    assert not families._is_automorphism(c4, (2, 1, 0))
+    assert not families._is_automorphism(c4, {0: 2})
+    assert families._is_automorphism(c4, {0: 2, 2: 0})
+    # an id outside 0..n-1, even one a permutation of the keys would allow
+    assert not families._is_automorphism(c4, {0: 4, 4: 0})
+    assert not families._is_automorphism(c4, {-1: 0, 0: -1})
