@@ -42,21 +42,24 @@ built the first time a pattern serves such a search.  With ``initial``
 masks, f* o tau may leave the masks, so they turn the cuts off.
 
 (b) Orbit rooting, when host automorphism ``generators`` are given (the
-family constructors supply them) and no ``initial`` masks.  Each generator
-is given by its moves, a dict from each vertex it moves to its image, with
-every vertex it leaves out fixed, so the search reads the moved vertices
-off the keys and never scans a full-length permutation.  The search
-numbers the generators that move some vertex, and ``fixing[h]`` masks
-those that fix host vertex h.  Each node carries ``sub``, its parent's
-``sub & fixing[h]``: the generators that fix every host vertex placed so
-far.  Let H_d be the group they generate at depth d.  The candidates there
-are cut to ``least[sub]``, the vertices that are the least of their
-H_d-orbit, a mask ``_orbit_least`` builds once per distinct ``sub`` and
-search.  Let y = f*(order[d]).  For g in H_d, g o f* is an embedding that
-agrees with f* on the prefix, so g(y) >= y: y is the least vertex of its
-whole H_d-orbit, and the cut keeps it whatever the rest of the candidate
-mask holds.  Once no generator fixes a branch's prefix (``sub`` is 0), the
-branch is searched in full.
+family constructors supply them, and ``theorem --which diam`` passes the
+host's block rotation from ``families.block_rotation``) and no ``initial``
+masks.  Each generator is given by its moves, a dict from each vertex it
+moves to its image, with every vertex it leaves out fixed, so the search
+reads the moved vertices off the keys and never scans a full-length
+permutation.  The search numbers the generators that move some vertex, and
+``fixing[h]`` masks those that fix host vertex h.  Each node carries
+``sub``, its parent's ``sub & fixing[h]``: the generators that fix every
+host vertex placed so far.  Let H_d be the group they generate at depth d.
+The candidates there are cut to ``least[sub]``, the vertices that are the
+least of their H_d-orbit, a mask ``_orbit_least`` builds once per distinct
+``sub`` and search.  A rotation moves every vertex, so it roots only the
+first placement (gp(n): 2 roots of 2n), and ``_orbit_least``'s array
+union-find keeps that table O(n).  Let y = f*(order[d]).  For g in H_d, g o
+f* is an embedding that agrees with f* on the prefix, so g(y) >= y: y is
+the least vertex of its whole H_d-orbit, and the cut keeps it whatever the
+rest of the candidate mask holds.  Once no generator fixes a branch's
+prefix (``sub`` is 0), the branch is searched in full.
 
 (c) Roots certified by translation.  Let q0 = order[0] and R >= 1 its
 eccentricity in the pattern.  When the pattern is connected, has an edge,
@@ -223,25 +226,28 @@ def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]
 def _orbit_least(gens: Sequence[Mapping[int, int]], n: int) -> int:
     """The mask of the host vertices 0..n-1 that are the least of their orbit
     under the group generated by ``gens``, each given by its moves.  One
-    union-find over the moved vertices, with the lowest id as each root; a
-    vertex no generator moves is its own orbit."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    array union-find with path halving over the moved vertices, with the
+    lowest id as each root; a vertex no generator moves is its own orbit, so
+    the mask drops only the moved vertices that are not roots, each as one
+    digit of the mask's binary text rather than one big-int update."""
+    parent = list(range(n))
     for moves in gens:
-        for x, y in moves.items():
-            a, b = find(x), find(y)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    # every key of parent is a vertex above its root
-    return (1 << n) - 1 - sum(1 << x for x in parent)
+        for a, b in moves.items():
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # one '1' digit per vertex, highest id first, cleared at each moved non-root
+    digits = bytearray(b"1") * n
+    for moves in gens:
+        for x in moves:
+            if parent[x] != x:
+                digits[n - 1 - x] = 48
+    return int(digits, 2) if n else 0
 
 
 def _defect(hrow: list[int], shift: int) -> int:

@@ -417,16 +417,20 @@ def random_girth5_cubic(rng: Random, n: int) -> Graph:
                 return g
 
 
-def random_girth5_necklace(rng: Random, copies: int, n: int) -> Graph:
+def random_girth5_necklace(rng: Random, copies: int, n: int, alike: bool = False) -> Graph:
     """A ring of ``copies`` beads, cubic with girth >= 5 and a long diameter.
 
     Each bead is a ``random_girth5_cubic`` graph on n vertices with one edge
     ab cut; b of each bead is joined to a of the next.  A cycle that stays in
     one bead is a cycle of that bead, and one around the ring crosses every
     bead from a to b (at least 4 steps, as ab closed no shorter cycle).
+    With ``alike`` every bead is one bead cut at one edge, so turning the
+    ids by n is an automorphism.
     """
-    beads = [random_girth5_cubic(rng, n) for _ in range(copies)]
+    beads = [random_girth5_cubic(rng, n) for _ in range(1 if alike else copies)]
     cuts = [rng.choice(list(bead.edges())) for bead in beads]
+    if alike:
+        beads, cuts = beads * copies, cuts * copies
     edges = []
     for i, (bead, (a, b)) in enumerate(zip(beads, cuts)):
         edges += [(i * n + u, i * n + v) for u, v in bead.edges() if (u, v) != (a, b)]

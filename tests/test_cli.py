@@ -134,18 +134,24 @@ def _unstamped(rep):
 
 
 def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatch):
-    # the clause searches read their ball rows from the diameter sweep's
-    # levels; with the levels withheld each search grows its own, and every
-    # report must come out the same
+    # a host without a block rotation has its clause searches read their
+    # ball rows from the diameter sweep's levels; with the levels withheld
+    # each search grows its own, and every report must come out the same.
+    # A host with one (gp, h3) never runs the sweep: its searches grow balls
     rng = Random(512)
     hosts = [gp(n).graph for n in range(25, 130, 4)] + [h3(s).graph for s in range(4, 25)]
     hosts += [random_girth5_cubic(rng, 2 * rng.randint(12, 20)) for _ in range(3)]
     hosts += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9)) for copies in (4, 7)]
+    rotated = {id(g) for g in hosts if families.block_rotation(g)}
+    assert rotated and len(rotated) < len(hosts)
     grown = []  # hosts and patterns whose balls a search grew
+    swept = []  # hosts the lock-step sweep ran on
     with monkeypatch.context() as m:
         m.setattr(embed, "balls", lambda g, *args: grown.append(id(g)) or core.balls(g, *args))
+        m.setattr(cli, "diameter", lambda g, keep: swept.append(id(g)) or core.diameter(g, keep))
         tabled = [_unstamped(check_diam_theorem(g)) for g in hosts]
-    assert not set(grown) & {id(g) for g in hosts}
+    assert not set(grown) & ({id(g) for g in hosts} - rotated)
+    assert swept and not set(swept) & rotated
     monkeypatch.setattr(cli, "diameter", lambda g, keep: (core.diameter(g), None))
     untabled = [_unstamped(check_diam_theorem(g)) for g in hosts]
     assert tabled == untabled
@@ -153,6 +159,33 @@ def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatc
     assert {rep["status"] for rep in tabled} == {"checked", "vacuous"}
     assert all(any(rep["witness"] and rep["witness"][name]["checked"] for rep in tabled)
                for name, _ in DIAM_CLAUSES)
+
+
+def test_diam_reports_are_the_same_with_the_rotation_hidden(monkeypatch):
+    # a host with a block rotation takes its diameter from one ball per
+    # orbit and roots its clause searches by the rotation; hiding the
+    # rotation sends it through the lock-step sweep, and the report must not
+    # change.  Relabelled and random hosts have no rotation to hide
+    rng = Random(4242)
+    rotated = [gp(n).graph for n in range(25, 134, 12)] + [h3(s).graph for s in (4, 5, 8, 13)]
+    rotated += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9), alike=True) for copies in (4, 6, 9)]
+    plain = [random_girth5_cubic(rng, 2 * rng.randint(12, 30)) for _ in range(3)]
+    plain += [random_girth5_necklace(rng, 6, 16)]
+    for g in (gp(41).graph, h3(8).graph):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        plain.append(build(g.n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    assert all(families.block_rotation(g) for g in rotated)
+    assert not any(families.block_rotation(g) for g in plain)
+    hosts = rotated + plain
+    reports = [_unstamped(check_diam_theorem(g)) for g in hosts]
+    assert [rep["params"]["diameter"] for rep in reports] == [core.diameter(g) for g in hosts]
+    monkeypatch.setattr(families, "block_rotation", lambda g: None)
+    assert [_unstamped(check_diam_theorem(g)) for g in hosts] == reports
+    # every clause is found on some rotated host, and some host is vacuous
+    assert all(any(rep["witness"] and rep["witness"][name].get("found") for rep in reports[:len(rotated)])
+               for name, _ in DIAM_CLAUSES)
+    assert "vacuous" in {rep["status"] for rep in reports}
 
 
 def test_theorem_prints_each_report_before_a_bad_record(capsys, tmp_path):
