@@ -16,7 +16,7 @@ from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
 from .core import Graph, balls, bfs_levels, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
-from .embed import _orbit_least, ball_radius, capped, find_induced, is_isomorphic
+from .embed import _orbit_least, capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -266,13 +266,12 @@ def _gate_reason(key: str, degrees: list[int]) -> str:
 
 def _implication_report(
     check_id: str, g: Graph, gate: tuple[str | None, list[int]], quantity: str, value: int,
-    clauses: tuple[tuple[str, int], ...], levels: list[list[int]] | None = None,
-    graphs: dict[str, Graph] | None = None, generators: tuple[dict[int, int], ...] = (),
+    clauses: tuple[tuple[str, int], ...], graphs: dict[str, Graph] | None = None,
+    generators: tuple[dict[int, int], ...] = (),
 ) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis ``gate`` failed or no threshold is reached.  Every search reads
-    its ball rows from the host's ``levels`` when they are given, is rooted
-    by the host automorphism ``generators``, and takes its pattern from
+    hypothesis ``gate`` failed or no threshold is reached.  Every search is
+    rooted by the host automorphism ``generators`` and takes its pattern from
     ``graphs`` (by clause name) when given, else from ``patterns.make``."""
     params: dict[str, Any] = {
         quantity: value,
@@ -289,7 +288,7 @@ def _implication_report(
         if value >= thr:
             any_checked = True
             pattern = graphs[name] if graphs else patterns.make(name).graph
-            emb = find_induced(pattern, g, generators, levels=levels)
+            emb = find_induced(pattern, g, generators)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": list(emb.mapping) if emb else None}
             all_found = all_found and emb is not None
@@ -309,11 +308,10 @@ def check_diam_theorem(g: Graph) -> Report:
     sigma (``families.block_rotation``: gp(n) and h3(s) as the constructors
     label them) takes its diameter as the largest eccentricity over the
     least vertex of each sigma-orbit, one ball traversal each, which is
-    exact because automorphisms keep distances; its clause searches are
-    rooted by sigma and grow the balls they read.  Any other host runs the
-    lock-step diameter sweep, which keeps its ball levels up to the largest
-    radius any clause search reads, and the clause searches share them.
-    Both paths give the same report: rooting keeps the first embedding.
+    exact because automorphisms keep distances, and its clause searches are
+    rooted by sigma.  Any other host runs the lock-step diameter sweep and
+    unrooted clause searches.  Both paths give the same report: rooting
+    keeps the first embedding.
     """
     gate = _gate(g)
     if gate[0] is not None:
@@ -321,13 +319,11 @@ def check_diam_theorem(g: Graph) -> Report:
     graphs = {name: patterns.make(name).graph for name, _ in DIAM_CLAUSES}
     rotation = families.block_rotation(g)
     if rotation is None:
-        value, levels = diameter(g, keep=max(map(ball_radius, graphs.values())))
-        generators: tuple[dict[int, int], ...] = ()
+        value, generators = diameter(g), ()
     else:
         value = max(len(balls(g, 1 << v)) - 1 for v in bits(_orbit_least([rotation], g.n)))
-        levels, generators = None, (rotation,)
-    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, levels, graphs,
-                               generators)
+        generators = (rotation,)
+    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, graphs, generators)
 
 
 @timed

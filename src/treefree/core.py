@@ -6,7 +6,7 @@ bitmask over 0..n-1, which gives O(n/word) adjacency tests and set algebra.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence, overload
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConstructionError, DisconnectedError, MissingEdgeError
 
@@ -131,26 +131,12 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     return None if d < 0 else d
 
 
-@overload
-def diameter(g: Graph) -> int: ...
-
-
-@overload
-def diameter(g: Graph, keep: int) -> tuple[int, list[list[int]]]: ...
-
-
-def diameter(g: Graph, keep: int | None = None) -> int | tuple[int, list[list[int]]]:
+def diameter(g: Graph) -> int:
     """Maximum pairwise distance of a connected graph.
 
     All sources advance in lock step: level d ORs ``reach[u]`` over the
     closed neighbourhood of each v, and the level at which every row is full
     is the diameter.  A row that stops short of full means disconnected.
-
-    With ``keep`` = R it returns (diameter, levels 0..R) instead: level r
-    holds, for every v, the ball of radius r around v, the same mask as
-    ``balls(g, 1 << v, r)[r]``; past the diameter the full level repeats.
-    They are the sweep's own lists, kept rather than dropped, and hold up to
-    (R + 1)·n²/8 bytes of masks.
     """
     n = g.n
     if n == 0:
@@ -158,7 +144,6 @@ def diameter(g: Graph, keep: int | None = None) -> int | tuple[int, list[list[in
     full = (1 << n) - 1
     nbrs = [list(bits(r)) for r in g._rows]
     reach = [1 << v for v in range(n)]
-    levels = [reach]
     pending = [v for v in range(n) if reach[v] != full]
     d = 0
     while pending:
@@ -172,12 +157,8 @@ def diameter(g: Graph, keep: int | None = None) -> int | tuple[int, list[list[in
                 raise DisconnectedError("graph is disconnected")
             grown[v] = ball
         reach = grown
-        if keep is not None and d <= keep:
-            levels.append(reach)
         pending = [v for v in pending if reach[v] != full]
-    if keep is None:
-        return d
-    return d, levels + [reach] * (keep + 1 - len(levels))
+    return d
 
 
 def girth(g: Graph) -> int | None:

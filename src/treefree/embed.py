@@ -12,20 +12,18 @@ vertex h's check row, picked by the pattern distance d from p to q: N(h)
 for d = 1, B(h,d) minus N[h] for d >= 2 (B(h,d) the host ball of radius d
 around h), and every non-neighbour of h for q in another component.  A
 check row is built only when the search first places its host vertex, from
-balls grown by ``core.balls`` or read from prebuilt ``levels``, such as the
-ball levels ``core.diameter`` keeps, which are the same masks.  Candidates are
-scanned in ascending host id, so the search meets embeddings f in
-lexicographic order of (f(order[0]), f(order[1]), ...).  Isomorphism is an
-induced embedding between graphs of equal order and size, started from the
-degree classes.
+balls grown by ``core.balls``.  Candidates are scanned in ascending host
+id, so the search meets embeddings f in lexicographic order of
+(f(order[0]), f(order[1]), ...).  Isomorphism is an induced embedding
+between graphs of equal order and size, started from the degree classes.
 
 One invariant: every pruning keeps the lex-least embedding f*.  The search
 meets embeddings in lex order and reports only embeddings, so the first one
 it reports is f*: ``find_induced`` returns the same witness and ``is_free``
 the same verdict whatever prunings ran.  An enumeration
 (``find_all_induced`` with any limit but 1) runs only the prunings that
-keep every embedding: the forward checks, which no embedding fails, (c)
-and (d).  The four prunings:
+keep every embedding: the forward checks, which no embedding fails, and
+(d).  The four prunings:
 
 (a) Symmetry breaking, in first-hit searches (``limit == 1``, no
 ``initial`` masks).  For each idx >= 1 the plan holds the orbit of
@@ -61,46 +59,20 @@ the least vertex of its whole H_d-orbit, and the cut keeps it whatever the
 rest of the candidate mask holds.  Once no generator fixes a branch's
 prefix (``sub`` is 0), the branch is searched in full.
 
-(c) Roots certified by translation.  Let q0 = order[0] and R >= 1 its
-eccentricity in the pattern.  When the pattern is connected, has an edge,
-and no ``initial`` masks are given, each root x (the image of q0) is keyed
-by (x - lo, B(x,R) >> lo), with lo the lowest id in B(x,R), the check row's
-entry R joined with N[x].  A ball read from ``levels`` is the mask
-``core.balls`` grows, so the keys, the tests below and the argument are the
-same whichever source built it.  A root y is skipped when, for an earlier
-root x of its key with no embedding, one of two certificates shows that
-the shift s: v -> v + (y - x) keeps every edge and non-edge inside B(x,R):
-
-- the mask test, against the latest such x of the key, searched or skipped:
-  B(x,R) & defect(y - x) == 0, where defect(t) masks every v with v + t >= n
-  or row(v) << t != row(v + t), built in O(n) once per distinct shift and
-  search;
-- failing that, the row test, against each searched x of the key: for every
-  v in B(x,R), (row(v) & B(x,R)) << (y - x) == row(v + y - x) & B(y,R).
-
-An equal key makes B(y,R) = B(x,R) << (y - x), so the mask test implies the
-row test: row(v) << t == row(v + t) gives (row(v) & B(x,R)) << t ==
-(row(v) << t) & (B(x,R) << t) == row(v + t) & B(y,R).  Where the mask
-test fails the row test runs against every searched root of the key, so the
-memo skips at least the roots the row test alone would skip.  This is sound.  First, no embedding sends q0 to x.  For a searched
-x, its empty search proves it: the least embedding f_x among those that do
-would survive (a), whose tau fixes order[0], and (b), whose H_d fixes x for
-d >= 1, as in the arguments above.  For a skipped x it holds by induction
-on the roots in ascending order.  Second, s is an isomorphism between the
-induced balls taking x to y.  Any embedding f with f(q0) = y lies inside
-B(y,R): the pattern is connected, and the image of a pattern path is a host
-walk no longer than the path.  So s^-1 o f would send q0 to x; hence no
-embedding maps q0 to y either.  Skipped roots have no embeddings, so the
-first witness, ``find_all_induced`` and its order do not change.  A
-disconnected pattern may put a component outside every ball, ``initial``
-masks are not shift-invariant, and a one-vertex pattern embeds at every
-root, so all three turn the memo off.  The key is one big-int compare that
-rejects most non-translates; canonical ball codes would also match
-relabelled balls but cost more per root than they save.  How often a root
-is skipped depends on the labelling: gp(n) and h3(s) as the constructors
-label them (and as ``treefree gen`` writes them) skip most failing roots,
-nearly all by the mask test at shift 1 (gp) or 14 (h3), while a relabelled
-host keeps its verdicts and witnesses but loses the gain.
+(c) Lazy rotation rooting, in unrooted first-hit searches (``limit == 1``,
+no ``generators``, no ``initial`` masks).  The search tries its lowest root
+(the least candidate for q0 = order[0]) first.  Only when that root has no
+embedding does it call ``families.block_rotation`` on the host, once, and
+when the host has a block rotation sigma the remaining roots are cut to the
+least vertex of each sigma-orbit, the ``_orbit_least`` mask of (b).  (b)'s
+argument covers the cut: the lowest root has no embedding, and f*(q0) is
+the least vertex of its orbit, since g o f* is an embedding for every power
+g of sigma.  sigma moves every vertex, so no generator fixes a placed root
+and every branch below a root is searched in full.  Trying the lowest root
+first spares detection on the hosts that embed the pattern there, as most
+``scan`` records do; a detection that succeeds on gp(129) reads the rows of
+all 258 vertices.  A host without a rotation, such as a relabelled gp(n) or
+h3(s), has every root tried; verdicts and witnesses are the same either way.
 
 (d) Sibling pigeonhole, in every search.  The search keeps a pattern
 vertex's image off the images of other vertices only through the forward
@@ -130,6 +102,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import families
 from .core import Graph, balls, bfs_levels, bits
 from .errors import CapacityError
 
@@ -167,12 +140,12 @@ def _search_order(pattern: Graph) -> list[int]:
 class _Plan:
     """What a search needs from a non-empty pattern alone; see ``_plan``."""
 
-    __slots__ = ("pattern", "order", "pdist", "maxr", "steps", "kids", "degrees", "_cuts")
+    __slots__ = ("pattern", "order", "maxr", "steps", "kids", "degrees", "_cuts")
 
     def __init__(self, pattern: Graph):
         self.pattern = pattern
         self.order = order = _search_order(pattern)
-        self.pdist = pdist = [bfs_levels(pattern, v) for v in range(pattern.n)]
+        pdist = [bfs_levels(pattern, v) for v in range(pattern.n)]
         self.maxr = max(max(row) for row in pdist)
         # steps[idx]: the forward checks made once order[idx] is placed, as
         # (r, pattern distance from order[idx] to r) pairs; each reads that
@@ -250,62 +223,21 @@ def _orbit_least(gens: Sequence[Mapping[int, int]], n: int) -> int:
     return int(digits, 2) if n else 0
 
 
-def _defect(hrow: list[int], shift: int) -> int:
-    """The mask of the host vertices v whose row v -> v + shift does not carry
-    onto row(v + shift): v + shift >= n, or row(v) << shift != row(v + shift)."""
-    n = len(hrow)
-    top = n - shift
-    defect = ((1 << n) - 1) ^ ((1 << top) - 1)
-    for v in range(top):
-        if hrow[v] << shift != hrow[v + shift]:
-            defect |= 1 << v
-    return defect
-
-
-def _certified(hrow: list[int], defects: dict[int, int], ball: int, y: int, latest: int,
-               failed: list[int]) -> bool:
-    """True iff root y, whose ball of radius R is ``ball``, is certified a
-    translate of an earlier root: of ``latest`` by one defect-mask test, or
-    else of a root in ``failed`` by the row test.  ``defects`` keeps the
-    search's defect masks by shift."""
-    shift = y - latest
-    defect = defects.get(shift)
-    if defect is None:
-        defect = defects[shift] = _defect(hrow, shift)
-    return ball >> shift & defect == 0 or any(
-        _is_translate(hrow, ball >> (y - x), y - x, ball) for x in failed)
-
-
-def _is_translate(hrow: list[int], ball: int, shift: int, image: int) -> bool:
-    """True iff v -> v + shift keeps every edge and non-edge inside ``ball``,
-    given that ``image`` is ``ball`` shifted by ``shift``."""
-    rest = ball
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        if (hrow[v] & ball) << shift != hrow[v + shift] & image:
-            return False
-    return True
-
-
 def _search(
     pattern: Graph,
     host: Graph,
     limit: int | None,
     initial: Sequence[int] | None = None,
     generators: Sequence[Mapping[int, int]] = (),
-    levels: Sequence[Sequence[int]] | None = None,
 ) -> list[Embedding]:
     """Induced embeddings in search order, stopping after ``limit``.
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
     ``generators`` are host automorphisms, each given by its moves; with
     them and no ``initial`` the search is orbit-rooted (see the module
-    docstring), which keeps the first embedding but not the ones after it.  ``levels[r][h]``, when given, is
-    the host ball of radius r around h for r up to at least
-    ``ball_radius(pattern)``, as ``core.diameter`` keeps them; without them
-    the balls are grown by ``core.balls``.
+    docstring), which keeps the first embedding but not the ones after it.
+    A first-hit search with neither is rooted by the host's block rotation,
+    if it has one, once its lowest root fails.
     """
     k, n = pattern.n, host.n
     if k == 0:
@@ -315,7 +247,7 @@ def _search(
     # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
     # plan holds ~160 KB of forward checks
     plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
-    order, steps, kids, maxr, pdist = plan.order, plan.steps, plan.kids, plan.maxr, plan.pdist
+    order, steps, kids, maxr = plan.order, plan.steps, plan.kids, plan.maxr
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
@@ -334,16 +266,10 @@ def _search(
     # last entry, read for d = -1 (another component), is every non-neighbour
     # of h.  With no edge in the pattern (maxr 0) that last entry is entry 1.
     checks: dict[int, list[int]] = {}
-    if levels is not None and len(levels) <= maxr:
-        raise ValueError(f"ball levels end at radius {len(levels) - 1}, the pattern needs {maxr}")
-    top = None if levels is None else levels[:maxr + 1]
 
     def check_row(h: int) -> list[int]:
         apart = full & ~hrow[h] & ~(1 << h)
-        if top is None:
-            row = [ball & apart for ball in balls(host, 1 << h, maxr)]
-        else:
-            row = [level[h] & apart for level in top]
+        row = [ball & apart for ball in balls(host, 1 << h, maxr)]
         row.append(apart)
         if maxr:
             row[1] = hrow[h]
@@ -411,59 +337,33 @@ def _search(
                 mapping[q] = -1
         return False
 
-    q0 = order[0]
-    roots = base[q0] & least_of(every) if gens else base[q0]
-    if initial is not None or min(pdist[q0]) < 0 or not maxr:
+    roots = base[order[0]] & least_of(every) if gens else base[order[0]]
+    if gens or initial is not None or limit != 1:
         place(0, base, every, roots)
         return found
-    # roots certified by translation; see the module docstring
-    radius = max(pdist[q0])
-    latest: dict[tuple[int, int], int] = {}  # key -> latest root with no embedding
-    failed: dict[tuple[int, int], list[int]] = {}  # key -> searched roots with none
-    defects: dict[int, int] = {}
-    for h in bits(roots):
-        fc = checks.get(h)
-        if fc is None:
-            fc = checks[h] = check_row(h)
-        ball = fc[radius] | hrow[h] | 1 << h  # B(h, radius), radius >= 1
-        lo = (ball & -ball).bit_length() - 1
-        key = (h - lo, ball >> lo)
-        x = latest.get(key)
-        if x is not None and _certified(hrow, defects, ball, h, x, failed[key]):
-            latest[key] = h
-            continue
-        before = len(found)
-        if place(0, base, every, 1 << h):
-            break
-        if len(found) == before:
-            latest[key] = h
-            failed.setdefault(key, []).append(h)
+    # (c): the lowest root, then the rest, rooted by a block rotation if the
+    # host has one; see the module docstring
+    lowest = roots & -roots
+    if lowest and not place(0, base, 0, lowest):
+        rotation = families.block_rotation(host)
+        rest = roots ^ lowest
+        place(0, base, 0, rest & _orbit_least([rotation], n) if rotation else rest)
     return found
 
 
 def find_induced(
-    pattern: Graph,
-    host: Graph,
-    generators: Sequence[Mapping[int, int]] = (),
-    *,
-    levels: Sequence[Sequence[int]] | None = None,
+    pattern: Graph, host: Graph, generators: Sequence[Mapping[int, int]] = ()
 ) -> Embedding | None:
     """First induced embedding of ``pattern`` in ``host``, or None.
 
     ``generators`` (host automorphisms, each a dict from every vertex it
     moves to its image, such as ``FamilyGraph.generators``) make the search
-    try one host vertex per orbit; ``levels`` (the host's
-    ball levels up to ``ball_radius(pattern)``, from ``core.diameter``) spare
-    it the ball growing.  Neither changes the result.
+    try one host vertex per orbit; without them the search roots itself by
+    the host's block rotation, if it has one, once its lowest root fails.
+    Neither changes the result.
     """
-    out = _search(capped(pattern), host, limit=1, generators=generators, levels=levels)
+    out = _search(capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None
-
-
-def ball_radius(pattern: Graph) -> int:
-    """The largest host ball radius a search for ``pattern`` reads: the
-    pattern's diameter, from its plan."""
-    return _plan(capped(pattern)).maxr if pattern.n else 0
 
 
 def capped(pattern: Graph) -> Graph:

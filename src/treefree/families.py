@@ -18,7 +18,8 @@ A graph read back from graph6 has lost its generators, so
 ``block_rotation`` finds one kind again from the ids alone: turning each of
 c consecutive id blocks by t, as gp(n) (c = 2, t = 1) and h3(s) (c = 1,
 t = 14) are labelled.  ``theorem --which diam`` roots its clause searches
-and its diameter by it.
+and its diameter by it, and ``embed`` roots a search given no generators
+by it once the search's lowest root fails.
 
 ``order`` reads each family's order off its size, so the constructors and
 callers that sweep sizes refuse a size above the vertex cap before

@@ -7,14 +7,13 @@ from random import Random
 
 import pytest
 
-from treefree import core, embed
+from treefree import embed, families
 from treefree.cli import _freeness_sweep
-from treefree.core import build, diameter, induced
+from treefree.core import build, induced
 from treefree.embed import (
     Embedding,
     _search,
     _search_order,
-    ball_radius,
     find_all_induced,
     find_induced,
     is_free,
@@ -33,8 +32,8 @@ from .oracles import (
     oracle_maps_along,
     oracle_stabiliser_orbits,
     perm_isomorphic,
-    random_connected_graph,
     random_girth5_cubic,
+    random_girth5_necklace,
     random_graph,
     random_tree,
 )
@@ -393,7 +392,7 @@ def test_a_failing_sweep_reports_the_unrooted_witness():
     assert rep.to_dict() == expected.to_dict()
 
 
-# ---------------------------------------------------- translation memo
+# ---------------------------------------------- translation-rich hosts
 
 def _in_search_order(pattern, embeddings):
     """Embeddings sorted as the search meets them: by the image of each
@@ -447,12 +446,9 @@ def _translation_patterns():
     return pats + [random_tree(rng, 6) for _ in range(3)]
 
 
-def test_translation_memo_keeps_witnesses_and_enumerations(monkeypatch):
-    # every skipped root must be one without embeddings, so the first witness,
-    # the whole enumeration and its order equal the oracle's
-    skips = []
-    certified = embed._certified
-    monkeypatch.setattr(embed, "_certified", lambda *a: skips.append(certified(*a)) or skips[-1])
+def test_translation_memo_keeps_witnesses_and_enumerations():
+    # hosts where many roots see the same ball up to an id shift: the first
+    # witness, the whole enumeration and its order equal the oracle's
     for host in _translation_rich_hosts():
         for pattern in _translation_patterns():
             if host.n > 40 and pattern.n > 5:
@@ -461,67 +457,6 @@ def test_translation_memo_keeps_witnesses_and_enumerations(monkeypatch):
             assert find_all_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
             assert find_induced(pattern, host) == (expected[0] if expected else None)
             assert is_free(host, pattern) == (not expected)
-    assert skips.count(True) > 100 and skips.count(False) > 10
-
-
-def _keyed_balls(host, radius):
-    """Host vertices grouped by translation key at ``radius``, as (h, B(h,radius))."""
-    keyed = {}
-    for h in range(host.n):
-        ball = core.balls(host, 1 << h, radius)[radius]
-        lo = (ball & -ball).bit_length() - 1
-        keyed.setdefault((h - lo, ball >> lo), []).append((h, ball))
-    return keyed.values()
-
-
-def test_defect_mask_never_certifies_what_the_row_test_rejects():
-    rng = Random(59)
-    hosts = _translation_rich_hosts()
-    for _ in range(20):
-        width = rng.randint(1, 4)
-        pairs = [(i, j) for i in range(width) for j in range(width)]
-        inner = [(i, j) for i, j in pairs if i < j and rng.random() < 0.5]
-        link = [p for p in pairs if rng.random() < 0.4] or [(0, 0)]
-        n = width * rng.randint(4, 10)
-        flips = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
-        hosts.append(_periodic(n // width, width, inner, link, flips))
-    hosts += [random_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.3)) for _ in range(20)]
-    by_mask = by_rows_only = 0
-    for host in hosts:
-        n = host.n
-        hrow = [host.row(v) for v in range(n)]
-        defects = [None] + [embed._defect(hrow, s) for s in range(1, n)]
-        for s in range(1, n):
-            moved = [v for v in range(n) if v + s >= n or hrow[v] << s != hrow[v + s]]
-            assert defects[s] == sum(1 << v for v in moved)
-        for radius in (1, 2, 3):
-            for group in _keyed_balls(host, radius):
-                for (x, ball_x), (y, ball_y) in combinations(group, 2):
-                    exact = embed._is_translate(hrow, ball_x, y - x, ball_y)
-                    if ball_x & defects[y - x] == 0:
-                        assert exact, (n, list(host.edges()), x, y, radius)
-                        by_mask += 1
-                    else:
-                        by_rows_only += exact
-    assert by_mask > 1000 and by_rows_only > 1000
-
-
-def test_the_row_test_certifies_where_the_defect_mask_fails(monkeypatch):
-    # path 0..8 with a pendant 9 on vertex 1: row(1) << 1 != row(2) because
-    # of the pendant, outside B(2,1) = {1,2,3}, so root 3 of K3 is certified
-    # by the row test against root 2; a triangle 6, 7, 10 has the embeddings
-    host = build(11, [(i, i + 1) for i in range(8)] + [(1, 9), (6, 10), (7, 10)])
-    hrow = [host.row(v) for v in range(host.n)]
-    assert embed._defect(hrow, 1) >> 1 & 1
-    assert embed._is_translate(hrow, 0b1110, 1, 0b11100)
-    exact = []
-    is_translate = embed._is_translate
-    monkeypatch.setattr(embed, "_is_translate", lambda *a: exact.append(is_translate(*a)) or exact[-1])
-    for pattern in (K3, cycle(4).graph, build(4, [(0, 1), (1, 2), (0, 2), (2, 3)])):
-        expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
-        assert find_all_induced(pattern, host) == expected
-        assert find_induced(pattern, host) == (expected[0] if expected else None)
-    assert True in exact
 
 
 def test_translation_memo_under_orbit_rooting():
@@ -551,6 +486,69 @@ def test_initial_masks_turn_the_translation_memo_off():
                                      if all(masks[q] >> x & 1 for q, x in enumerate(e.mapping))])
     assert Embedding((2, 3, 4)) in expected
     assert _search(p3, host, None, initial=masks) == expected
+
+
+# ------------------------------------------------- lazy rotation rooting
+
+def _rotation_hosts():
+    """Hosts labelled with a block rotation (gp(5..13), h3(4) and necklaces
+    of alike beads), each followed by a relabelled copy, which has none."""
+    rng = Random(83)
+    hosts = [gp(n).graph for n in range(5, 14, 2)] + [h3(4).graph]
+    hosts += [random_girth5_necklace(rng, copies, 14, alike=True) for copies in (3, 4)]
+    return [g for host in hosts for g in (host, _relabel(rng, host))]
+
+
+def _counted_detection(monkeypatch):
+    """Rebind ``families.block_rotation``; each call appends its result."""
+    calls = []
+    detect = families.block_rotation
+    monkeypatch.setattr(families, "block_rotation", lambda g: calls.append(detect(g)) or calls[-1])
+    return calls
+
+
+def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
+    # an unrooted first-hit search detects the host's rotation once, and only
+    # when its lowest root (the least host vertex whose degree reaches
+    # order[0]'s) has no embedding; the witness is the oracle's first hit
+    calls = _counted_detection(monkeypatch)
+    pats = _translation_patterns() + [path(8).graph, make("S7:101").graph, make("T8_1").graph]
+    seen = set()
+    for host in _rotation_hosts():
+        for pattern in pats:
+            order = _search_order(pattern)
+            expected = next(oracle_maps_along(pattern, host, order), None)
+            degree = pattern.degree(order[0])
+            lowest = min((x for x in range(host.n) if host.degree(x) >= degree), default=None)
+            if pattern.n > host.n:
+                lowest = None  # the search returns before it roots anything
+            calls.clear()
+            assert find_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
+            assert is_free(host, pattern) == (expected is None)
+            detected = lowest is not None and (expected is None or expected.mapping[order[0]] != lowest)
+            assert len(calls) == 2 * detected
+            seen.add((detected, bool(calls and calls[0]), expected is None))
+    # labelled and relabelled hosts both reach detection, with and without a hit
+    assert {(True, True, False), (True, True, True), (True, False, False), (True, False, True)} <= seen
+    assert (False, False, False) in seen
+
+
+def test_rooted_searches_and_enumerations_detect_no_rotation(monkeypatch):
+    # K3 and C4 have no embedding in these C3/C4-free hosts, so an unrooted
+    # first-hit search detects; with generators, with initial masks and in
+    # an enumeration the search must not
+    calls = _counted_detection(monkeypatch)
+    for fg in (gp(7), gp(11), h3(4)):
+        g, every = fg.graph, (1 << fg.graph.n) - 1
+        for pattern in (K3, cycle(4).graph):
+            calls.clear()
+            assert find_induced(pattern, g) is None and len(calls) == 1 and calls[0]
+            calls.clear()
+            assert find_induced(pattern, g, fg.generators) is None and is_free(g, pattern, fg.generators)
+            assert _search(pattern, g, 1, initial=[every] * pattern.n) == []
+            assert find_all_induced(pattern, g) == find_all_induced(pattern, g, limit=2) == []
+            assert not calls
+        assert is_isomorphic(g, _relabel(Random(fg.size), g)) and not calls
 
 
 def test_p5_enumeration_in_gp9_is_pinned():
@@ -661,35 +659,6 @@ def test_plan_cache_stays_bounded_and_isomorphism_builds_no_cuts(monkeypatch):
     info = embed._plan.cache_info()
     assert info.misses == 500 and info.currsize == info.maxsize == embed.PLAN_CACHE
     assert not built
-
-
-def test_ball_levels_keep_every_first_hit_and_grow_no_ball(monkeypatch):
-    # rows read from core.diameter's levels are the masks core.balls grows, so
-    # the witnesses and the translation memo's keys do not move
-    rng = Random(77)
-    cases = [(make(t).graph, gp(n).graph) for t in ("T8_1", "T8_2", "T9", "S8:0001") for n in (41, 97)]
-    cases += [(make(t).graph, h3(5).graph) for t in ("T8_1", "T9", "S7:101")]
-    cases.append((build(4, [(0, 1), (2, 3)]), gp(25).graph))  # disconnected: no memo
-    for _ in range(60):
-        host = random_connected_graph(rng, rng.randint(6, 30), rng.uniform(0.08, 0.3))
-        cases.append((random_tree(rng, rng.randint(2, 8)), host))
-    expected = [find_induced(p, h) for p, h in cases]
-    tables = [diameter(h, keep=ball_radius(p))[1] for p, h in cases]
-    grown = []  # hosts and patterns whose balls a search grew
-    monkeypatch.setattr(embed, "balls", lambda g, *args: grown.append(id(g)) or core.balls(g, *args))
-    for (p, h), levels, emb in zip(cases, tables, expected):
-        assert find_induced(p, h, levels=levels) == emb
-    assert not set(grown) & {id(h) for _, h in cases}
-
-
-def test_ball_levels_must_reach_the_pattern_diameter():
-    tree = make("T9").graph
-    host = gp(49).graph
-    _, levels = diameter(host, keep=ball_radius(tree) - 1)
-    with pytest.raises(ValueError, match="radius 7"):
-        find_induced(tree, host, levels=levels)
-    _, levels = diameter(host, keep=ball_radius(tree) + 2)
-    assert find_induced(tree, host, levels=levels) == find_induced(tree, host)
 
 
 # ------------------------------------------------- sibling pigeonhole cut
