@@ -133,6 +133,37 @@ def _unstamped(rep):
     return out
 
 
+def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatch):
+    # a host without a block rotation takes its diameter from the lock-step
+    # sweep, once; a host with one (gp, h3) never runs the sweep.  Either
+    # way the report must be what the sweep's diameter and one plain
+    # find_induced per reached clause give
+    rng = Random(512)
+    hosts = [gp(n).graph for n in range(25, 130, 12)] + [h3(s).graph for s in (4, 5, 9, 14)]
+    hosts += [random_girth5_cubic(rng, 2 * rng.randint(12, 20)) for _ in range(3)]
+    hosts += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9)) for copies in (4, 7)]
+    rotated = {id(g) for g in hosts if families.block_rotation(g)}
+    assert rotated and len(rotated) < len(hosts)
+    swept = []  # hosts the lock-step sweep ran on
+    monkeypatch.setattr(cli, "diameter", lambda g: swept.append(id(g)) or core.diameter(g))
+    reports = [_unstamped(check_diam_theorem(g)) for g in hosts]
+    assert sorted(swept) == sorted(id(g) for g in hosts if id(g) not in rotated)
+    for g, rep in zip(hosts, reports):
+        diam = core.diameter(g)
+        assert rep["params"]["diameter"] == diam
+        for name, threshold in DIAM_CLAUSES:
+            if diam < threshold:
+                assert rep["witness"][name] == {"checked": False}
+                continue
+            emb = embed.find_induced(make(name).graph, g)
+            assert rep["witness"][name] == {"checked": True, "found": emb is not None,
+                                            "embedding": list(emb.mapping) if emb else None}
+    # every clause is searched somewhere, and some hosts are vacuous
+    assert {rep["status"] for rep in reports} == {"checked", "vacuous"}
+    assert all(any(rep["witness"] and rep["witness"][name]["checked"] for rep in reports)
+               for name, _ in DIAM_CLAUSES)
+
+
 def test_diam_reports_are_the_same_with_the_rotation_hidden(monkeypatch):
     # a host with a block rotation takes its diameter from one ball per
     # orbit and roots its clause searches by the rotation.  The diam check
