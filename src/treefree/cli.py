@@ -15,8 +15,8 @@ from random import Random
 from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
-from .core import Graph, balls, bfs_levels, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
-from .embed import _orbit_least, capped, find_induced, is_isomorphic
+from .core import Graph, bfs_levels, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
+from .embed import capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
@@ -264,15 +264,10 @@ def _gate_reason(key: str, degrees: list[int]) -> str:
             "c3_c4": "contains C3 or C4"}[key]
 
 
-def _implication_report(
-    check_id: str, g: Graph, gate: tuple[str | None, list[int]], quantity: str, value: int,
-    clauses: tuple[tuple[str, int], ...], graphs: dict[str, Graph] | None = None,
-    generators: tuple[dict[int, int], ...] = (),
-) -> Report:
+def _implication_report(check_id: str, g: Graph, gate: tuple[str | None, list[int]], quantity: str,
+                        value: int, clauses: tuple[tuple[str, int], ...]) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis ``gate`` failed or no threshold is reached.  Every search is
-    rooted by the host automorphism ``generators`` and takes its pattern from
-    ``graphs`` (by clause name) when given, else from ``patterns.make``."""
+    hypothesis ``gate`` failed or no threshold is reached."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
@@ -287,8 +282,7 @@ def _implication_report(
     for name, thr in clauses:
         if value >= thr:
             any_checked = True
-            pattern = graphs[name] if graphs else patterns.make(name).graph
-            emb = find_induced(pattern, g, generators)
+            emb = find_induced(patterns.make(name).graph, g)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": list(emb.mapping) if emb else None}
             all_found = all_found and emb is not None
@@ -304,26 +298,14 @@ def _implication_report(
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
 
-    The clause trees are built once per call.  A host with a block rotation
-    sigma (``families.block_rotation``: gp(n) and h3(s) as the constructors
-    label them) takes its diameter as the largest eccentricity over the
-    least vertex of each sigma-orbit, one ball traversal each, which is
-    exact because automorphisms keep distances, and its clause searches are
-    rooted by sigma.  Any other host runs the lock-step diameter sweep and
-    unrooted clause searches.  Both paths give the same report: rooting
-    keeps the first embedding.
+    Each reached clause tree is built once per call.  ``core.diameter`` and
+    the clause searches both use the host's block rotation, if it has one
+    (``core.rotation_roots``, computed once per graph); rooting keeps the
+    first embedding, so the report does not depend on it.
     """
     gate = _gate(g)
-    if gate[0] is not None:
-        return _implication_report("theorem.diam", g, gate, "diameter", -1, DIAM_CLAUSES)
-    graphs = {name: patterns.make(name).graph for name, _ in DIAM_CLAUSES}
-    rotation = families.block_rotation(g)
-    if rotation is None:
-        value, generators = diameter(g), ()
-    else:
-        value = max(len(balls(g, 1 << v)) - 1 for v in bits(_orbit_least([rotation], g.n)))
-        generators = (rotation,)
-    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES, graphs, generators)
+    value = diameter(g) if gate[0] is None else -1
+    return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES)
 
 
 @timed

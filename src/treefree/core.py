@@ -6,6 +6,7 @@ bitmask over 0..n-1, which gives O(n/word) adjacency tests and set algebra.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConstructionError, DisconnectedError, MissingEdgeError
@@ -36,11 +37,12 @@ class Graph:
     No loops, no parallel edges; rows are always symmetric.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_roots")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self._rows = tuple(rows)
+        self._roots: int | None = -1  # ``rotation_roots``, filled on first ask
 
     def row(self, v: int) -> int:
         return self._rows[v]
@@ -131,17 +133,70 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     return None if d < 0 else d
 
 
+def rotation_roots(g: Graph) -> int | None:
+    """The mask of the least vertex of each orbit of the least block
+    rotation of ``g``, or None when it has none.
+
+    A (c, t) block rotation cuts the ids into c blocks of b = n / c >= 3
+    consecutive ids and turns each by t: x -> x - x % b + (x % b + t) % b,
+    as gp(n) (c = 2, t = 1) and h3(s) (c = 1, t = 14) are labelled.  c, then
+    t, ascend over the divisors of n; the rotation by t generates the one by
+    gcd(t, b), so the least t that works divides b, and the orbit roots are
+    the ids with x % b < t.  A candidate is tested at vertex 0, then on every
+    row, turned by two shifts and two masks.  Rows never change, so the mask
+    is computed on the first ask and kept on the graph.
+    """
+    if g._roots == -1:
+        g._roots = _rotation_roots(g)
+    return g._roots
+
+
+def _rotation_roots(g: Graph) -> int | None:
+    n, rows = g.n, g._rows
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*low, *(n // d for d in low)})
+    near = list(bits(rows[0])) if n else []
+    for c in divisors:
+        b = n // c
+        if b < 3:
+            break
+        starts = sum(1 << i * b for i in range(c))  # the first id of every block
+        for t in divisors:
+            if t >= b:
+                break
+            if b % t or sum(1 << (u - u % b + (u % b + t) % b) for u in near) != rows[t]:
+                continue
+            up = ((1 << b - t) - 1) * starts  # ids with x % b < b - t move up by t
+            down = (1 << n) - 1 ^ up  # the rest wrap down by b - t
+            if all((r & up) << t | (r & down) >> b - t == rows[x - x % b + (x % b + t) % b]
+                   for x, r in enumerate(rows)):
+                return ((1 << t) - 1) * starts
+    return None
+
+
 def diameter(g: Graph) -> int:
     """Maximum pairwise distance of a connected graph.
 
-    All sources advance in lock step: level d ORs ``reach[u]`` over the
-    closed neighbourhood of each v, and the level at which every row is full
-    is the diameter.  A row that stops short of full means disconnected.
+    With a block rotation it is the largest eccentricity over the
+    ``rotation_roots``, one ``balls`` traversal each (automorphisms keep
+    distances).  Otherwise all sources advance in lock step: level d ORs
+    ``reach[u]`` over the closed neighbourhood of each v, and the level at
+    which every row is full is the diameter.  A ball or row that stops
+    short of full means disconnected.
     """
     n = g.n
     if n == 0:
         raise DisconnectedError("diameter of the empty graph is undefined")
     full = (1 << n) - 1
+    roots = rotation_roots(g)
+    if roots is not None:
+        ecc = 0
+        for v in bits(roots):
+            reach = balls(g, 1 << v)
+            if reach[-1] != full:
+                raise DisconnectedError("graph is disconnected")
+            ecc = max(ecc, len(reach) - 1)
+        return ecc
     nbrs = [list(bits(r)) for r in g._rows]
     reach = [1 << v for v in range(n)]
     pending = [v for v in range(n) if reach[v] != full]

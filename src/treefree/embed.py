@@ -40,39 +40,38 @@ built the first time a pattern serves such a search.  With ``initial``
 masks, f* o tau may leave the masks, so they turn the cuts off.
 
 (b) Orbit rooting, when host automorphism ``generators`` are given (the
-family constructors supply them, and ``theorem --which diam`` passes the
-host's block rotation from ``families.block_rotation``) and no ``initial``
-masks.  Each generator is given by its moves, a dict from each vertex it
-moves to its image, with every vertex it leaves out fixed, so the search
-reads the moved vertices off the keys and never scans a full-length
-permutation.  The search numbers the generators that move some vertex, and
-``fixing[h]`` masks those that fix host vertex h.  Each node carries
-``sub``, its parent's ``sub & fixing[h]``: the generators that fix every
-host vertex placed so far.  Let H_d be the group they generate at depth d.
-The candidates there are cut to ``least[sub]``, the vertices that are the
-least of their H_d-orbit, a mask ``_orbit_least`` builds once per distinct
-``sub`` and search.  A rotation moves every vertex, so it roots only the
-first placement (gp(n): 2 roots of 2n), and ``_orbit_least``'s array
-union-find keeps that table O(n).  Let y = f*(order[d]).  For g in H_d, g o
-f* is an embedding that agrees with f* on the prefix, so g(y) >= y: y is
-the least vertex of its whole H_d-orbit, and the cut keeps it whatever the
-rest of the candidate mask holds.  Once no generator fixes a branch's
-prefix (``sub`` is 0), the branch is searched in full.
+family constructors supply them) and no ``initial`` masks.  Each generator
+is given by its moves, a dict from each vertex it moves to its image, with
+every vertex it leaves out fixed, so the search reads the moved vertices
+off the keys and never scans a full-length permutation.  The search
+numbers the generators that move some vertex, and ``fixing[h]`` masks
+those that fix host vertex h.  Each node carries ``sub``, its parent's
+``sub & fixing[h]``: the generators that fix every host vertex placed so
+far.  Let H_d be the group they generate at depth d.  The candidates there
+are cut to ``least[sub]``, the vertices that are the least of their
+H_d-orbit, a mask ``_orbit_least`` builds once per distinct ``sub`` and
+search.  A rotation moves every vertex, so it roots only the first
+placement (gp(n): 2 roots of 2n), and ``_orbit_least``'s array union-find
+keeps that table O(n).  Let y = f*(order[d]).  For g in H_d, g o f* is an
+embedding that agrees with f* on the prefix, so g(y) >= y: y is the least
+vertex of its whole H_d-orbit, and the cut keeps it whatever the rest of
+the candidate mask holds.  Once no generator fixes a branch's prefix
+(``sub`` is 0), the branch is searched in full.
 
 (c) Lazy rotation rooting, in unrooted first-hit searches (``limit == 1``,
 no ``generators``, no ``initial`` masks).  The search tries its lowest root
 (the least candidate for q0 = order[0]) first.  Only when that root has no
-embedding does it call ``families.block_rotation`` on the host, once, and
-when the host has a block rotation sigma the remaining roots are cut to the
-least vertex of each sigma-orbit, the ``_orbit_least`` mask of (b).  (b)'s
-argument covers the cut: the lowest root has no embedding, and f*(q0) is
-the least vertex of its orbit, since g o f* is an embedding for every power
-g of sigma.  sigma moves every vertex, so no generator fixes a placed root
-and every branch below a root is searched in full.  Trying the lowest root
+embedding does it ask ``core.rotation_roots`` for the host's block rotation
+sigma, and when the host has one the remaining roots are cut to the least
+vertex of each sigma-orbit, the mask that call returns.  (b)'s argument
+covers the cut: the lowest root has no embedding, and f*(q0) is the least
+vertex of its orbit, since g o f* is an embedding for every power g of
+sigma.  sigma moves every vertex, so no generator fixes a placed root and
+every branch below a root is searched in full.  Trying the lowest root
 first spares detection on the hosts that embed the pattern there, as most
-``scan`` records do; a detection that succeeds on gp(129) reads the rows of
-all 258 vertices.  A host without a rotation, such as a relabelled gp(n) or
-h3(s), has every root tried; verdicts and witnesses are the same either way.
+``scan`` records do.  A host without a rotation, such as a relabelled
+gp(n) or h3(s), has every root tried; verdicts and witnesses are the same
+either way.
 
 (d) Sibling pigeonhole, in every search.  The search keeps a pattern
 vertex's image off the images of other vertices only through the forward
@@ -102,7 +101,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from . import families
+from . import core
 from .core import Graph, balls, bfs_levels, bits
 from .errors import CapacityError
 
@@ -345,9 +344,9 @@ def _search(
     # host has one; see the module docstring
     lowest = roots & -roots
     if lowest and not place(0, base, 0, lowest):
-        rotation = families.block_rotation(host)
         rest = roots ^ lowest
-        place(0, base, 0, rest & _orbit_least([rotation], n) if rotation else rest)
+        rotated = core.rotation_roots(host)
+        place(0, base, 0, rest if rotated is None else rest & rotated)
     return found
 
 

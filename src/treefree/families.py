@@ -14,13 +14,6 @@ them only to skip host vertices that some automorphism maps onto one
 already tried.  ``_validate`` checks every generator at construction,
 reading only the rows of the vertices it moves.
 
-A graph read back from graph6 has lost its generators, so
-``block_rotation`` finds one kind again from the ids alone: turning each of
-c consecutive id blocks by t, as gp(n) (c = 2, t = 1) and h3(s) (c = 1,
-t = 14) are labelled.  ``theorem --which diam`` roots its clause searches
-and its diameter by it, and ``embed`` roots a search given no generators
-by it once the search's lowest root fails.
-
 ``order`` reads each family's order off its size, so the constructors and
 callers that sweep sizes refuse a size above the vertex cap before
 anything is built.
@@ -29,7 +22,6 @@ anything is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Callable, Iterable
 
 from .core import VERTEX_CAP, Graph, bits, build, is_c3c4_free, is_connected
@@ -81,36 +73,6 @@ def _is_automorphism(g: Graph, moves: dict[int, int]) -> bool:
     if sorted(moves.values()) != moved or moved and (moved[0] < 0 or moved[-1] >= g.n):
         return False
     return all(sum(1 << moves.get(u, u) for u in bits(g.row(v))) == g.row(y) for v, y in moves.items())
-
-
-def block_rotation(g: Graph) -> dict[int, int] | None:
-    """The moves of the least (c, t) block rotation of ``g``, or None.
-
-    The rotation cuts the ids into c consecutive blocks of b = n / c >= 3
-    ids and turns each block by t: x -> x - x % b + (x % b + t) % b.  gp(n)
-    as ``gp`` labels it turns 2 blocks by 1 and h3(s) 1 block by 14, and so
-    does a graph6 copy of either.  Pairs are tried by c, then t, ascending;
-    t runs over the divisors of b below b only, since the rotation by t
-    generates the rotation by gcd(t, b), so the least t that works divides
-    b.  Each candidate is first tested at vertex 0 alone, and one that
-    passes is returned only once ``_is_automorphism`` accepts it whole.
-    """
-    n = g.n
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    divisors = sorted({*low, *(n // d for d in low)})
-    near = list(bits(g.row(0))) if n else []
-    for c in divisors:
-        b = n // c
-        if b < 3:
-            break
-        for t in divisors:
-            if t >= b:
-                break
-            if b % t == 0 and sum(1 << (u - u % b + (u % b + t) % b) for u in near) == g.row(t):
-                moves = _perm(range(n), lambda x: x - x % b + (x % b + t) % b)
-                if _is_automorphism(g, moves):
-                    return moves
-    return None
 
 
 def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> FamilyGraph:

@@ -629,3 +629,22 @@ def generator_orbits(n: int, generators: Sequence[Mapping[int, int]]) -> list[li
         seen |= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def oracle_block_rotation(g: Graph) -> dict[int, int] | None:
+    """The least (c, t) block rotation of ``g`` as a dict over every vertex,
+    or None: the ids cut into c consecutive blocks of b = n / c >= 3 ids,
+    each turned by t, tried by c, then t in 1..b-1, ascending, and accepted
+    once it maps every edge to an edge.  The rotations that are
+    automorphisms form a subgroup, so the least t found divides b."""
+    n = g.n
+    edges = set(g.edges())
+    for c in range(1, n + 1):
+        b = n // c
+        if n % c or b < 3:
+            continue
+        for t in range(1, b):
+            moves = {x: x - x % b + (x % b + t) % b for x in range(n)}
+            if all((min(moves[u], moves[v]), max(moves[u], moves[v])) in edges for u, v in edges):
+                return moves
+    return None

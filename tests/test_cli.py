@@ -134,22 +134,29 @@ def _unstamped(rep):
 
 
 def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatch):
-    # a host without a block rotation takes its diameter from the lock-step
-    # sweep, once; a host with one (gp, h3) never runs the sweep.  Either
-    # way the report must be what the sweep's diameter and one plain
-    # find_induced per reached clause give
+    # every report is what the lock-step sweep's diameter and one plain
+    # find_induced per reached clause give.  A host without a block rotation
+    # takes its diameter from the sweep itself; a host with one (gp, h3)
+    # takes it from one ball per orbit, which must give the sweep's value.
+    # Across a host's diameter and its clause searches the rotation is
+    # computed once
     rng = Random(512)
     hosts = [gp(n).graph for n in range(25, 130, 12)] + [h3(s).graph for s in (4, 5, 9, 14)]
     hosts += [random_girth5_cubic(rng, 2 * rng.randint(12, 20)) for _ in range(3)]
     hosts += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9)) for copies in (4, 7)]
-    rotated = {id(g) for g in hosts if families.block_rotation(g)}
-    assert rotated and len(rotated) < len(hosts)
-    swept = []  # hosts the lock-step sweep ran on
-    monkeypatch.setattr(cli, "diameter", lambda g: swept.append(id(g)) or core.diameter(g))
+    computed = []  # hosts whose rotation was computed
+    detect = core._rotation_roots
+    monkeypatch.setattr(core, "_rotation_roots", lambda g: computed.append(id(g)) or detect(g))
     reports = [_unstamped(check_diam_theorem(g)) for g in hosts]
-    assert sorted(swept) == sorted(id(g) for g in hosts if id(g) not in rotated)
-    for g, rep in zip(hosts, reports):
-        diam = core.diameter(g)
+    # every host passes the gate, so its diameter asks first and its
+    # searches read the kept mask
+    assert sorted(computed) == sorted(id(g) for g in hosts)
+    rotated = [core.rotation_roots(g) is not None for g in hosts]
+    assert any(rotated) and not all(rotated)
+    with monkeypatch.context() as hidden:
+        hidden.setattr(core, "rotation_roots", lambda g: None)
+        swept = [core.diameter(g) for g in hosts]
+    for g, rep, diam in zip(hosts, reports, swept):
         assert rep["params"]["diameter"] == diam
         for name, threshold in DIAM_CLAUSES:
             if diam < threshold:
@@ -166,11 +173,11 @@ def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatc
 
 def test_diam_reports_are_the_same_with_the_rotation_hidden(monkeypatch):
     # a host with a block rotation takes its diameter from one ball per
-    # orbit and roots its clause searches by the rotation.  The diam check
-    # and the search core both read families.block_rotation, so hiding it
-    # sends the host through the lock-step sweep and unrooted searches, and
-    # the report must not change.  Relabelled and random hosts have no
-    # rotation to hide
+    # orbit and roots its clause searches by the rotation.  core.diameter
+    # and the search core both read core.rotation_roots, so hiding it sends
+    # the host through the lock-step sweep and unrooted searches, and the
+    # report must not change.  Relabelled and random hosts have no rotation
+    # to hide
     rng = Random(4242)
     rotated = [gp(n).graph for n in range(25, 134, 4)] + [h3(s).graph for s in range(4, 25)]
     rotated += [random_girth5_necklace(rng, copies, 2 * rng.randint(7, 9), alike=True) for copies in (4, 6, 9)]
@@ -180,13 +187,13 @@ def test_diam_reports_are_the_same_with_the_rotation_hidden(monkeypatch):
         perm = list(range(g.n))
         rng.shuffle(perm)
         plain.append(build(g.n, [(perm[a], perm[b]) for a, b in g.edges()]))
-    assert all(families.block_rotation(g) for g in rotated)
-    assert not any(families.block_rotation(g) for g in plain)
+    assert all(core.rotation_roots(g) is not None for g in rotated)
+    assert not any(core.rotation_roots(g) for g in plain)
     hosts = rotated + plain
     reports = [_unstamped(check_diam_theorem(g)) for g in hosts]
     assert [rep["params"]["diameter"] for rep in reports] == [core.diameter(g) for g in hosts]
-    asked = []  # hosts the hidden detector was asked about, by the check or a search
-    monkeypatch.setattr(families, "block_rotation", lambda g: asked.append(id(g)) and None)
+    asked = []  # hosts the hidden detector was asked about, by the diameter or a search
+    monkeypatch.setattr(core, "rotation_roots", lambda g: asked.append(id(g)) and None)
     assert [_unstamped(check_diam_theorem(g)) for g in hosts] == reports
     # the searches ask as well, after a failed lowest root
     assert max(asked.count(id(g)) for g in rotated) > 1

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treefree import core
 from treefree.core import (
     bfs_levels,
+    bits,
     build,
     components,
     contract_edge,
@@ -18,16 +20,21 @@ from treefree.core import (
     is_bipartite,
     is_c3c4_free,
     is_connected,
+    rotation_roots,
     stats,
 )
 from treefree.errors import ConstructionError, DisconnectedError, MissingEdgeError
-from treefree.families import gp
+from treefree.families import gp, h3
+from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, heawood, path, petersen
-from treefree.embed import is_isomorphic
+from treefree.embed import _orbit_least, is_isomorphic
 
 from .oracles import (
     brute_diameter,
     has_c3_or_c4,
+    oracle_block_rotation,
+    random_girth5_cubic,
+    random_girth5_necklace,
     random_graph,
     shortest_cycle,
 )
@@ -106,6 +113,66 @@ def test_diameter_examples():
     assert diameter(build(1, [])) == 0
     with pytest.raises(DisconnectedError):
         diameter(build(4, [(0, 1), (2, 3)]))
+
+
+def _with_round_trip(g):
+    return [g, parse_graph6(emit_graph6(g))]
+
+
+def test_rotation_roots_on_constructor_labelled_rings():
+    # gp(n) turns 2 blocks of n ids by 1, h3(s) 1 block by 14 and C11 1
+    # block by 1, and so do their graph6 copies; the mask holds the least
+    # vertex of each orbit of the oracle's rotation
+    rings = [(gp(n).graph, 1 | 1 << n) for n in range(5, 132, 2)]
+    rings += [(h3(s).graph, (1 << 14) - 1) for s in range(4, 13)]
+    rings.append((cycle(11).graph, 1))
+    for g, mask in rings:
+        assert _orbit_least([oracle_block_rotation(g)], g.n) == mask, g
+        assert [rotation_roots(copy) for copy in _with_round_trip(g)] == [mask, mask], g
+
+
+def test_rotation_roots_is_none_without_one():
+    rng = Random(2026)
+    g = gp(41).graph
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    hosts = [build(g.n, [(perm[a], perm[b]) for a, b in g.edges()])]
+    hosts += [random_girth5_cubic(rng, 2 * rng.randint(25, 60)) for _ in range(3)]
+    # the 2-switch u20-u21, v21-v23 -> u20-v21, u21-v23 keeps every degree
+    # and vertex 0's row under gp(41)'s rotation, so only the whole
+    # automorphism check can refuse that rotation
+    u20, u21, v21, v23 = 20, 21, 41 + 21, 41 + 23
+    switched = build(g.n, [e for e in g.edges() if e not in ((u20, u21), (v21, v23))]
+                     + [(u20, v21), (u21, v23)])
+    rotation = oracle_block_rotation(g)
+    assert [switched.degree(v) for v in range(g.n)] == [3] * g.n
+    assert sum(1 << rotation[u] for u in bits(switched.row(0))) == switched.row(rotation[0])
+    for host in hosts + [switched]:
+        assert rotation_roots(host) is None and oracle_block_rotation(host) is None
+
+
+def _two_c5s():
+    """Two 5-cycles on ids 0..4 and 5..9: turning the ids by 5 swaps them,
+    the least block rotation, so the roots are 0..4."""
+    return build(10, [(b + i, b + (i + 1) % 5) for b in (0, 5) for i in range(5)])
+
+
+def test_rotation_diameter_equals_the_lock_step_sweep_and_networkx(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    rng = Random(77)
+    hosts = [gp(n).graph for n in range(5, 60, 6)] + [h3(s).graph for s in (4, 5, 8)]
+    hosts += [random_girth5_necklace(rng, copies, 14, alike=True) for copies in (3, 5)]
+    assert all(rotation_roots(g) is not None for g in hosts)
+    assert rotation_roots(_two_c5s()) == (1 << 5) - 1
+    with pytest.raises(DisconnectedError):
+        diameter(_two_c5s())  # the first ball is one C5
+    by_rotation = [diameter(g) for g in hosts]
+    assert by_rotation == [nx.diameter(nx.Graph(list(g.edges()))) for g in hosts]
+    # hiding the rotation sends every host through the lock-step sweep
+    monkeypatch.setattr(core, "rotation_roots", lambda g: None)
+    assert [diameter(g) for g in hosts] == by_rotation
+    with pytest.raises(DisconnectedError):
+        diameter(_two_c5s())
 
 
 def test_girth_examples():

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from treefree import embed, families
+from treefree import core, embed
 from treefree.cli import _freeness_sweep
 from treefree.core import build, induced
 from treefree.embed import (
@@ -392,7 +392,7 @@ def test_a_failing_sweep_reports_the_unrooted_witness():
     assert rep.to_dict() == expected.to_dict()
 
 
-# ---------------------------------------------- translation-rich hosts
+# ------------------------------------------------------ periodic hosts
 
 def _in_search_order(pattern, embeddings):
     """Embeddings sorted as the search meets them: by the image of each
@@ -420,7 +420,7 @@ def _circulant_with_seam_cut(n, jumps):
     return build(n, [e for e in edges if set(e) != {0, n - 1}])
 
 
-def _translation_rich_hosts():
+def _periodic_hosts():
     return [
         # a path with a hanging P2 at every spine vertex; one P2's tip re-hung
         # on the next spine vertex
@@ -436,7 +436,7 @@ def _translation_rich_hosts():
     ]
 
 
-def _translation_patterns():
+def _small_patterns():
     """Connected patterns whose natural order is connected, which keeps the
     oracle cheap: paths, cycles, a claw, a paw, a chair and random trees."""
     rng = Random(47)
@@ -446,11 +446,11 @@ def _translation_patterns():
     return pats + [random_tree(rng, 6) for _ in range(3)]
 
 
-def test_translation_memo_keeps_witnesses_and_enumerations():
+def test_periodic_hosts_keep_witnesses_and_enumerations():
     # hosts where many roots see the same ball up to an id shift: the first
     # witness, the whole enumeration and its order equal the oracle's
-    for host in _translation_rich_hosts():
-        for pattern in _translation_patterns():
+    for host in _periodic_hosts():
+        for pattern in _small_patterns():
             if host.n > 40 and pattern.n > 5:
                 continue  # keeps the oracle's n^k cost down on h3(4)
             expected = _in_search_order(pattern, oracle_induced_maps(pattern, host))
@@ -459,14 +459,14 @@ def test_translation_memo_keeps_witnesses_and_enumerations():
             assert is_free(host, pattern) == (not expected)
 
 
-def test_translation_memo_under_orbit_rooting():
+def test_periodic_hosts_under_orbit_rooting():
     for fg in (gp(5), gp(7), gp(9), h3(4)):
-        for pattern in _translation_patterns():
+        for pattern in _small_patterns():
             expected = next(oracle_induced_maps(pattern, fg.graph), None) is None
             assert is_free(fg.graph, pattern, fg.generators) == expected, (fg, list(pattern.edges()))
 
 
-def test_disconnected_patterns_are_not_certified_by_translation():
+def test_disconnected_pattern_witnesses_on_a_periodic_host():
     # P3 + K3: the triangle may lie anywhere, outside every ball around the
     # root, so a failed root says nothing about a shifted one
     host = build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 2), (8, 1), (8, 0)])
@@ -476,7 +476,7 @@ def test_disconnected_patterns_are_not_certified_by_translation():
     assert find_all_induced(pattern, host) == expected
 
 
-def test_initial_masks_turn_the_translation_memo_off():
+def test_initial_masks_keep_shifted_roots_apart():
     # candidate masks tie roots to their labels: root 2 of the path fails only
     # because 1 and 3 are barred, and root 3, its shift, has embeddings
     host, p3 = path(10).graph, path(3).graph
@@ -500,10 +500,10 @@ def _rotation_hosts():
 
 
 def _counted_detection(monkeypatch):
-    """Rebind ``families.block_rotation``; each call appends its result."""
+    """Rebind ``core.rotation_roots``; each call appends its result."""
     calls = []
-    detect = families.block_rotation
-    monkeypatch.setattr(families, "block_rotation", lambda g: calls.append(detect(g)) or calls[-1])
+    detect = core.rotation_roots
+    monkeypatch.setattr(core, "rotation_roots", lambda g: calls.append(detect(g)) or calls[-1])
     return calls
 
 
@@ -512,7 +512,7 @@ def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
     # when its lowest root (the least host vertex whose degree reaches
     # order[0]'s) has no embedding; the witness is the oracle's first hit
     calls = _counted_detection(monkeypatch)
-    pats = _translation_patterns() + [path(8).graph, make("S7:101").graph, make("T8_1").graph]
+    pats = _small_patterns() + [path(8).graph, make("S7:101").graph, make("T8_1").graph]
     seen = set()
     for host in _rotation_hosts():
         for pattern in pats:

@@ -3,15 +3,13 @@ from __future__ import annotations
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from random import Random
 
 import pytest
 
 from treefree import families
-from treefree.core import VERTEX_CAP, bits, build, diameter, girth, induced, is_c3c4_free, stats
+from treefree.core import VERTEX_CAP, diameter, girth, induced, is_c3c4_free, stats
 from treefree.embed import is_isomorphic, verify_embedding
 from treefree.errors import ConstructionError
-from treefree.graphio import emit_graph6, parse_graph6
 from treefree.families import (
     gp,
     h1,
@@ -33,7 +31,7 @@ from treefree.families import (
 )
 from treefree.patterns import cycle, path, petersen, s_tree, t_tree
 
-from .oracles import automorphism_orbits, generator_orbits, random_girth5_cubic
+from .oracles import automorphism_orbits, generator_orbits
 
 
 def test_h1_orders_and_degrees():
@@ -298,45 +296,3 @@ def test_a_map_that_keeps_the_moved_rows_must_still_be_a_permutation():
     # an id outside 0..n-1, even one a permutation of the keys would allow
     assert not families._is_automorphism(c4, {0: 4, 4: 0})
     assert not families._is_automorphism(c4, {-1: 0, 0: -1})
-
-
-def _rotation(n, c, t):
-    """Each of c consecutive blocks of n / c ids turned by t."""
-    b = n // c
-    return {x: x - x % b + (x % b + t) % b for x in range(n)}
-
-
-def _with_round_trip(g):
-    return [g, parse_graph6(emit_graph6(g))]
-
-
-def test_block_rotation_is_found_on_constructor_labelled_rings():
-    for n in range(5, 132, 2):
-        for g in _with_round_trip(gp(n).graph):
-            assert families.block_rotation(g) == _rotation(2 * n, 2, 1), n
-    for s in range(4, 13):
-        for g in _with_round_trip(h3(s).graph):
-            assert families.block_rotation(g) == _rotation(14 * s, 1, 14), s
-    for g in _with_round_trip(cycle(11).graph):
-        assert families.block_rotation(g) == _rotation(11, 1, 1)
-
-
-def test_block_rotation_is_none_without_one():
-    rng = Random(2026)
-    g = gp(41).graph
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    hosts = [build(g.n, [(perm[a], perm[b]) for a, b in g.edges()])]
-    hosts += [random_girth5_cubic(rng, 2 * rng.randint(25, 60)) for _ in range(3)]
-    for host in hosts:
-        assert families.block_rotation(host) is None
-    # the 2-switch u20-u21, v21-v23 -> u20-v21, u21-v23 keeps every degree
-    # and vertex 0's row under gp(41)'s rotation, so only the whole
-    # automorphism check can refuse that rotation
-    u20, u21, v21, v23 = 20, 21, 41 + 21, 41 + 23
-    switched = build(g.n, [e for e in g.edges() if e not in ((u20, u21), (v21, v23))]
-                     + [(u20, v21), (u21, v23)])
-    rotation = _rotation(g.n, 2, 1)
-    assert [switched.degree(v) for v in range(g.n)] == [3] * g.n
-    assert sum(1 << rotation[u] for u in bits(switched.row(0))) == switched.row(rotation[0])
-    assert families.block_rotation(switched) is None
