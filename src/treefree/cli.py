@@ -21,25 +21,14 @@ from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
 
 DIAM_CLAUSES = (("T8_1", 20), ("T8_2", 16), ("T9", 12))
+# The paper's max-degree thresholds, copied as literals: nothing in the code
+# derives them, and they are unexplained here.
 MAXDEG_CLAUSES = (("T8_1", 943218), ("T8_2", 190375), ("T9", 197433))
 
-# Fixed witness sets inside h1(5), as (i, j) cycle coordinates or "v1"/"v2".
-_W22_TSTAR9 = [(1, 6), (1, 1), "v1", (4, 6), (4, 1), (2, 1), (2, 6), (2, 5), "v2",
-               (5, 3), (5, 2), (3, 2), (3, 3)]
-_W22_S8_0001 = [(1, 6), (1, 1), "v1", (4, 6), (4, 1), (2, 1), (2, 6), (2, 5), "v2",
-                (3, 2), (3, 5)]
-_W22_S8_1 = [(1, 6), (1, 1), "v1", (4, 6), (4, 1), (2, 1), (2, 6), (2, 2), (2, 3), "v2",
-             (3, 3), (3, 2), (5, 2), (5, 3)]
-
-
-def _h1_ids(s: int, spec: Iterable) -> list[int]:
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append(families.h1_v(s, int(item[1:])))
-        else:
-            out.append(families.h1_u(*item))
-    return out
+# Fixed witness sets inside h1(5), by label.
+_W22_TSTAR9 = "u1.6 u1.1 v1 u4.6 u4.1 u2.1 u2.6 u2.5 v2 u5.3 u5.2 u3.2 u3.3".split()
+_W22_S8_0001 = "u1.6 u1.1 v1 u4.6 u4.1 u2.1 u2.6 u2.5 v2 u3.2 u3.5".split()
+_W22_S8_1 = "u1.6 u1.1 v1 u4.6 u4.1 u2.1 u2.6 u2.2 u2.3 v2 u3.3 u3.2 u5.2 u5.3".split()
 
 
 def _freeness_sweep(
@@ -75,7 +64,7 @@ def _lemma_22_witnesses(s: int) -> Report:
     outcomes = {}
     ok = True
     for name, spec in cases:
-        ids = _h1_ids(s, spec)
+        ids = [families.vertex("h1", s, label) for label in spec]
         sub = induced(host, ids)
         outcomes[name] = {"vertices": sorted(ids),
                           "isomorphic": is_isomorphic(sub, patterns.make(name).graph)}
@@ -89,9 +78,8 @@ def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
     for s in s_values:
         host = families.h4(s).graph
         for i in range(1, s + 1):
-            block = [families.h4_u(i, j) for j in range(1, 7)]
-            block += [families.h4_v(i, h) for h in range(1, 4)]
-            block.append(families.h4_z(s))
+            labels = [f"u{i}.{j}" for j in range(1, 7)] + [f"v{i}.{h}" for h in range(1, 4)] + ["z"]
+            block = [families.vertex("h4", s, label) for label in labels]
             ok = is_isomorphic(induced(host, block), pet)
             blocks.append({"s": s, "block": i, "isomorphic": ok})
             if not ok:

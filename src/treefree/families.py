@@ -1,27 +1,42 @@
 """The four infinite girth-5 families plus a generalized-Petersen testbed.
 
-Id helpers (h1_u, h2_w, ...) expose the per-copy coordinates, so the
-named lemma checks can replay fixed witness sets by coordinate.
+h1–h4 share one layout, held by a copy template: s copies of one block,
+copy i (1-based) at ids (i−1)·b .. i·b−1 in the order of the block's
+vertex names, then the hubs (h1: v1, v2, v3; h2 and h4: z; h3: none).
+Each copy is joined to the hubs by the same block → hub edges, or, in the
+ring h3, to the next copy by one ring edge.  ``_build`` derives a
+family's graph, labels, generators and order from its template alone.
+
+Labels are the one coordinate scheme: block vertex ``w24`` of copy 3 is
+``w3.2.4`` (the name's letter, the copy, then the name's other characters
+joined by dots), a hub is its bare name.  ``vertex(family, s, label)``
+reads a label's id off the template in O(1), so the named lemma checks
+replay fixed witness sets by label without building anything.
 
 Each constructor also returns automorphism generators: the symmetries its
-definition makes obvious (copy transpositions, rotations, reflections,
-gadget swaps), each stored as its moves, a dict that maps every vertex the
-generator moves to its image and leaves out every vertex it fixes.  A copy
-swap in h1, h2 or h4 names only the vertices of its two copies, so the
-generators of every family total O(n) entries.  They need not generate the
-whole automorphism group; ``embed.find_induced`` and ``embed.is_free`` use
-them only to skip host vertices that some automorphism maps onto one
-already tried.  ``_validate`` checks every generator at construction,
-reading only the rows of the vertices it moves.
+template makes obvious, each stored as its moves, a dict that maps every
+vertex the generator moves to its image and leaves out every vertex it
+fixes.  They are the transpositions of adjacent copies (for the ring, its
+rotation and reflection), then the block symmetries that fix the hubs,
+applied to copy 1, then those that permute the hubs, applied to every copy
+and to the hubs.  A copy swap names only the vertices of its two copies,
+so the generators of every family total O(n) entries.  They need not
+generate the whole automorphism group; ``embed.find_induced`` and
+``embed.is_free`` use them only to skip host vertices that some
+automorphism maps onto one already tried.  ``_validate`` checks every
+generator at construction, reading only the rows of the vertices it moves.
 
-``order`` reads each family's order off its size, so the constructors and
-callers that sweep sizes refuse a size above the vertex cap before
-anything is built.
+``order`` derives each family's order from its size (b·s + hubs for a
+template), so the constructors and callers that sweep sizes refuse a size
+above the vertex cap before anything is built.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Iterable
 
 from .core import VERTEX_CAP, Graph, bits, build, is_c3c4_free, is_connected
@@ -42,21 +57,109 @@ def _perm(vertices: Iterable[int], image: Callable[[int], int]) -> dict[int, int
     return {x: y for x in vertices if (y := image(x)) != x}
 
 
-_ORDERS: dict[str, Callable[[int], int]] = {
-    "h1": lambda s: 6 * s + 3,
-    "h2": lambda s: 15 * s + 1,
-    "h3": lambda s: 14 * s,
-    "h4": lambda s: 9 * s + 1,
-    "gp": lambda n: 2 * n,
+def _cycles(text: str) -> dict[str, str]:
+    """A permutation of names in cycle notation, "(a b c)(d e)", as its moves."""
+    moves = {}
+    for cycle in text.strip("()").split(")("):
+        names = cycle.split()
+        moves.update(zip(names, names[1:] + names[:1]))
+    return moves
+
+
+class _Template:
+    """s copies of one block, then the hubs (see the module docstring).
+
+    ``names`` are the block's vertex names in id order.  ``edges`` are
+    paths of names ("u1-u2-u3"): block edges, and block → hub attachments
+    wherever a path meets a hub.  ``ring`` joins a name in copy i to a name
+    in copy i+1 (mod s).  ``copy1`` and ``every`` are block symmetries in
+    cycle notation: those that fix the hubs, applied to copy 1, and those
+    that permute them, applied to every copy and the hubs.  ``side`` is a
+    ring reflection's map on each copy.
+    """
+
+    def __init__(self, names: str, edges: str, hubs: str = "", ring: str = "", min_size: int = 1,
+                 copy1: tuple[str, ...] = (), every: tuple[str, ...] = (), side: str = "",
+                 regular: int | None = None):
+        names = names.split()
+        self.hubs = hubs.split()
+        self.b = len(names)
+        self.min_size, self.regular = min_size, regular
+        at = {name: x for x, name in enumerate(names)}
+        hub_at = self.hub_at = {name: h for h, name in enumerate(self.hubs)}
+        # a block name's label is its letter, the copy number, a dot, then its other characters dotted
+        self.parts = [(name[0], ".".join(name[1:])) for name in names]
+        self.label_at = {part: x for x, part in enumerate(self.parts)}
+        self.block, self.attach = [], []
+        for path in edges.split():
+            for a, c in pairwise(path.split("-")):
+                if c in hub_at:
+                    self.attach.append((at[a], hub_at[c]))
+                elif a in hub_at:
+                    self.attach.append((at[c], hub_at[a]))
+                else:
+                    self.block.append((at[a], at[c]))
+        self.ring = tuple(at[a] for a in ring.split("-")) if ring else None
+        # the fewest vertices of one copy that a hub meets: hubs have degree s times that
+        self.share = min(Counter(h for _, h in self.attach).values(), default=3)
+        self.copy1 = [{at[a]: at[c] for a, c in _cycles(m).items()} for m in copy1]
+        self.every = [([(at[a], at[c]) for a, c in moves.items() if a in at],
+                       [(hub_at[a], hub_at[c]) for a, c in moves.items() if a in hub_at])
+                      for moves in map(_cycles, every)]
+        side = _cycles(side)
+        self.side = [at[side.get(name, name)] for name in names]
+
+
+_TEMPLATES = {
+    "h1": _Template("u1 u2 u3 u4 u5 u6", "u1-u2-u3-u4-u5-u6-u1 u1-v1-u4 u2-v2-u5 u3-v3-u6",
+                    hubs="v1 v2 v3", copy1=("(u1 u4)(u2 u5)(u3 u6)",),
+                    every=("(u1 u2 u3 u4 u5 u6)(v1 v2 v3)", "(u1 u2)(u3 u6)(u4 u5)(v1 v2)")),
+    "h2": _Template("u1 u2 u3 u4 u5 v1 v2 v3 v4 v5 w1 w2 w3 w4 w5",
+                    "u1-u2-u3-u4-u5-u1 v1-v2-v3-v4-v5-v1 u1-w1-v1 u2-w2-v2 u3-w3-v3 u4-w4-v4 "
+                    "u5-w5-v5 w1-z w2-z w3-z w4-z w5-z",
+                    hubs="z", copy1=("(u1 u2 u3 u4 u5)(v1 v2 v3 v4 v5)(w1 w2 w3 w4 w5)",
+                                     "(u2 u5)(u3 u4)(v2 v5)(v3 v4)(w2 w5)(w3 w4)",
+                                     "(u1 v1)(u2 v2)(u3 v3)(u4 v4)(u5 v5)")),
+    # u1 and u2 have degree 2 in the gadget and reach 3 through the ring
+    # edges; its w vertices form one 8-cycle
+    "h3": _Template("u1 u2 v11 v12 v21 v22 w11 w12 w13 w14 w21 w22 w23 w24",
+                    "v11-u1-v12 v21-u2-v22 w11-v11-w12 w13-v12-w14 w21-v21-w22 w23-v22-w24 "
+                    "w11-w21-w23-w12-w14-w24-w22-w13-w11",
+                    ring="u2-u1", min_size=4, regular=3,
+                    side="(u1 u2)(v11 v21)(v12 v22)(w11 w21)(w12 w22)(w13 w23)(w14 w24)",
+                    copy1=("(v11 v12)(w11 w13)(w12 w14)(w21 w22)(w23 w24)",
+                           "(v21 v22)(w21 w23)(w22 w24)(w11 w12)(w13 w14)")),
+    "h4": _Template("u1 u2 u3 u4 u5 u6 v1 v2 v3",
+                    "u1-u2-u3-u4-u5-u6-u1 u1-v1-u4 u2-v2-u5 u3-v3-u6 v1-z v2-z v3-z",
+                    hubs="z", copy1=("(u1 u2 u3 u4 u5 u6)(v1 v2 v3)", "(u1 u2)(u3 u6)(u4 u5)(v1 v2)")),
 }
 
 
 def order(family: str, size: int) -> int:
     """The order n of family(size), refused above the cap before anything is built."""
-    n = _ORDERS[family](size)
+    if family == "gp":
+        n = 2 * size
+    else:
+        t = _TEMPLATES[family]
+        n = t.b * size + len(t.hubs)
     if n > VERTEX_CAP:
         raise ConstructionError(f"{family}({size}) has {n} vertices, above the cap of {VERTEX_CAP}")
     return n
+
+
+_LABEL = re.compile(r"([a-z])([1-9][0-9]*)\.(.+)")
+
+
+def vertex(family: str, s: int, label: str) -> int:
+    """The id of the vertex labelled ``label`` in family(s), one of h1–h4,
+    read off its template without building it: ``vertex("h2", 3, "w1.2")``."""
+    t = _TEMPLATES[family]
+    if label in t.hub_at:
+        return t.b * s + t.hub_at[label]
+    m = _LABEL.fullmatch(label)
+    if m and 1 <= int(m[2]) <= s and (m[1], m[3]) in t.label_at:
+        return (int(m[2]) - 1) * t.b + t.label_at[m[1], m[3]]
+    raise ConstructionError(f"{family}({s}) has no vertex {label!r}")
 
 
 def _is_automorphism(g: Graph, moves: dict[int, int]) -> bool:
@@ -93,73 +196,43 @@ def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> F
     return fg
 
 
-def _copy_swaps(size: int, s: int) -> list[dict[int, int]]:
-    """Transpositions of adjacent copies i, i+1 of a block of ``size`` ids laid
-    out from 0, each built from its two blocks alone."""
-
-    def swap(i: int) -> dict[int, int]:
-        mid = (i + 1) * size
-        return _perm(range(i * size, mid + size), lambda x: x + size if x < mid else x - size)
-
-    return [swap(i) for i in range(s - 1)]
-
-
-# ---------------------------------------------------------------- h1
-
-def h1_u(i: int, j: int) -> int:
-    """Vertex id of cycle vertex u^(i)_j (1-based i, j in 1..6)."""
-    return (i - 1) * 6 + (j - 1)
-
-
-def h1_v(s: int, h: int) -> int:
-    """Vertex id of hub v_h (h in 1..3)."""
-    return 6 * s + (h - 1)
+def _build(family: str, s: int) -> FamilyGraph:
+    """family(s) from its template: graph, labels, generators, then ``_validate``."""
+    t = _TEMPLATES[family]
+    if s < t.min_size:
+        raise ConstructionError(f"{family} needs s >= {t.min_size}")
+    n = order(family, s)
+    b = t.b
+    hub0 = b * s
+    bases = range(0, hub0, b)
+    edges = [(base + x, base + y) for base in bases for x, y in t.block]
+    edges += [(base + x, hub0 + h) for base in bases for x, h in t.attach]
+    labels = {base + x: f"{c}{i}.{rest}"
+              for i, base in enumerate(bases, 1) for x, (c, rest) in enumerate(t.parts)}
+    labels.update(zip(range(hub0, n), t.hubs))
+    if t.ring:
+        x, y = t.ring
+        edges += [(base + x, (base + b + y) % n) for base in bases]
+        side = t.side
+        gens = [_perm(range(n), lambda v: (v + b) % n),
+                _perm(range(n), lambda v: (-(v // b)) % s * b + side[v % b])]
+    else:
+        # the transposition of copies i and i+1, built from its two blocks alone
+        gens = [_perm(range(base, base + 2 * b), lambda v, mid=base + b: v + b if v < mid else v - b)
+                for base in bases[:-1]]
+    gens += [dict(moves) for moves in t.copy1]
+    gens += [{**{base + x: base + y for base in bases for x, y in block},
+              **{hub0 + h: hub0 + k for h, k in hubs}} for block, hubs in t.every]
+    fg = FamilyGraph(family, s, build(n, edges), labels, tuple(gens))
+    return _validate(fg, min(3, s * t.share), t.regular)
 
 
 def h1(s: int) -> FamilyGraph:
-    """s disjoint 6-cycles plus v1,v2,v3; u^(i)_j ~ v_h iff j = h (mod 3).
+    """s disjoint 6-cycles plus hubs v1,v2,v3; u^(i)_j ~ v_h iff j = h (mod 3).
 
     Order 6s+3.  Minimum degree 3 needs s >= 2 (the hubs have degree 2s).
     """
-    if s < 1:
-        raise ConstructionError("h1 needs s >= 1")
-    n = order("h1", s)
-    edges = []
-    labels = {}
-    for i in range(1, s + 1):
-        for j in range(1, 7):
-            labels[h1_u(i, j)] = f"u{i}.{j}"
-            edges.append((h1_u(i, j), h1_u(i, j % 6 + 1)))
-            edges.append((h1_u(i, j), h1_v(s, (j - 1) % 3 + 1)))
-    for h in range(1, 4):
-        labels[h1_v(s, h)] = f"v{h}"
-
-    def turn(step: int) -> dict[int, int]:
-        # cycle position j -> step*j + 1 (step = 1 rotates, -1 reflects); hub class c -> step*c + 1
-        return _perm(range(n), lambda x: x - x % 6 + (step * x + 1) % 6 if x < 6 * s
-                     else 6 * s + (step * (x - 6 * s) + 1) % 3)
-
-    gens = _copy_swaps(6, s) + [_perm(range(6), lambda j: (j + 3) % 6), turn(1), turn(-1)]
-    fg = FamilyGraph("h1", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 3 if s >= 2 else 2)
-
-
-# ---------------------------------------------------------------- h2
-
-def h2_u(i: int, j: int) -> int:
-    return (i - 1) * 15 + (j - 1)
-
-
-def h2_v(i: int, j: int) -> int:
-    return (i - 1) * 15 + 5 + (j - 1)
-
-
-def h2_w(i: int, j: int) -> int:
-    return (i - 1) * 15 + 10 + (j - 1)
-
-
-def h2_z(s: int) -> int:
-    return 15 * s
+    return _build("h1", s)
 
 
 def h2(s: int) -> FamilyGraph:
@@ -168,121 +241,15 @@ def h2(s: int) -> FamilyGraph:
     Each copy has 5-cycles u1..u5 and v1..v5 plus w_j adjacent to u_j, v_j;
     z is adjacent to every w.  Order 15s+1.
     """
-    if s < 1:
-        raise ConstructionError("h2 needs s >= 1")
-    n = order("h2", s)
-    edges = []
-    labels = {h2_z(s): "z"}
-    for i in range(1, s + 1):
-        for j in range(1, 6):
-            nj = j % 5 + 1
-            edges.append((h2_u(i, j), h2_u(i, nj)))
-            edges.append((h2_v(i, j), h2_v(i, nj)))
-            edges.append((h2_w(i, j), h2_u(i, j)))
-            edges.append((h2_w(i, j), h2_v(i, j)))
-            edges.append((h2_w(i, j), h2_z(s)))
-            labels[h2_u(i, j)] = f"u{i}.{j}"
-            labels[h2_v(i, j)] = f"v{i}.{j}"
-            labels[h2_w(i, j)] = f"w{i}.{j}"
-    # inside the first copy: u, v, w at 0..4, 5..9, 10..14
-    gens = _copy_swaps(15, s) + [
-        _perm(range(15), lambda x: x - x % 5 + (x + 1) % 5),
-        _perm(range(15), lambda x: x - x % 5 + (-x) % 5),
-        _perm(range(10), lambda x: (x + 5) % 10),
-    ]
-    fg = FamilyGraph("h2", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 3)
-
-
-# ---------------------------------------------------------------- h3
-
-# The 14-vertex ring gadget.  Within one copy
-# the offsets are: u1, u2, then v(j,h), then w(j,h').  u1 and u2 have
-# degree 2 here and reach degree 3 through the ring edges.
-_H3_OFFSET = {
-    "u1": 0, "u2": 1,
-    "v11": 2, "v12": 3, "v21": 4, "v22": 5,
-    "w11": 6, "w12": 7, "w13": 8, "w14": 9,
-    "w21": 10, "w22": 11, "w23": 12, "w24": 13,
-}
-
-_H3_GADGET_EDGES = [
-    ("u1", "v11"), ("u1", "v12"), ("u2", "v21"), ("u2", "v22"),
-    ("v11", "w11"), ("v11", "w12"), ("v12", "w13"), ("v12", "w14"),
-    ("v21", "w21"), ("v21", "w22"), ("v22", "w23"), ("v22", "w24"),
-    ("w11", "w21"), ("w12", "w23"), ("w13", "w22"), ("w14", "w24"),
-    ("w11", "w13"), ("w12", "w14"), ("w21", "w23"), ("w22", "w24"),
-]
-
-
-# Gadget symmetries as swaps of offset names.  The side swap exchanges
-# u1 <-> u2 and turns the ring around; each branch swap fixes u1 and u2.
-_H3_SIDE_SWAP = (("u1", "u2"), ("v11", "v21"), ("v12", "v22"),
-                 ("w11", "w21"), ("w12", "w22"), ("w13", "w23"), ("w14", "w24"))
-_H3_BRANCH_SWAPS = (
-    (("v11", "v12"), ("w11", "w13"), ("w12", "w14"), ("w21", "w22"), ("w23", "w24")),
-    (("v21", "v22"), ("w21", "w23"), ("w22", "w24"), ("w11", "w12"), ("w13", "w14")),
-)
-
-
-def _h3_moves(swaps: tuple[tuple[str, str], ...]) -> dict[int, int]:
-    """The moves of a gadget symmetry on the offsets, which are also the ids of the first copy."""
-    moves = {}
-    for a, b in swaps:
-        moves[_H3_OFFSET[a]], moves[_H3_OFFSET[b]] = _H3_OFFSET[b], _H3_OFFSET[a]
-    return moves
-
-
-def h3_u(i: int, j: int) -> int:
-    return (i - 1) * 14 + _H3_OFFSET[f"u{j}"]
-
-
-def h3_v(i: int, j: int, h: int) -> int:
-    return (i - 1) * 14 + _H3_OFFSET[f"v{j}{h}"]
-
-
-def h3_w(i: int, j: int, h: int) -> int:
-    return (i - 1) * 14 + _H3_OFFSET[f"w{j}{h}"]
+    return _build("h2", s)
 
 
 def h3(s: int) -> FamilyGraph:
-    """Ring of s gadget copies joined by edges u^(i)_2 u^(i+1)_1 (mod s).
+    """Ring of s 14-vertex gadget copies joined by edges u^(i)_2 u^(i+1)_1 (mod s).
 
     Order 14s, 3-regular.  s >= 4 keeps the ring from closing short cycles.
     """
-    if s < 4:
-        raise ConstructionError("h3 needs s >= 4")
-    n = order("h3", s)
-    edges = []
-    labels = {}
-    for i in range(1, s + 1):
-        base = (i - 1) * 14
-        for a, b in _H3_GADGET_EDGES:
-            edges.append((base + _H3_OFFSET[a], base + _H3_OFFSET[b]))
-        for name, off in _H3_OFFSET.items():
-            labels[base + off] = f"{name[0]}{i}." + ".".join(name[1:])
-        edges.append((h3_u(i, 2), h3_u(i % s + 1, 1)))
-    side = _h3_moves(_H3_SIDE_SWAP)
-    gens = [
-        _perm(range(n), lambda x: (x + 14) % n),
-        _perm(range(n), lambda x: (-(x // 14)) % s * 14 + side.get(x % 14, x % 14)),
-    ] + [_h3_moves(swaps) for swaps in _H3_BRANCH_SWAPS]
-    fg = FamilyGraph("h3", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 3, regular=3)
-
-
-# ---------------------------------------------------------------- h4
-
-def h4_u(i: int, j: int) -> int:
-    return (i - 1) * 9 + (j - 1)
-
-
-def h4_v(i: int, h: int) -> int:
-    return (i - 1) * 9 + 6 + (h - 1)
-
-
-def h4_z(s: int) -> int:
-    return 9 * s
+    return _build("h3", s)
 
 
 def h4(s: int) -> FamilyGraph:
@@ -291,26 +258,7 @@ def h4(s: int) -> FamilyGraph:
     Each block B_i is a 6-cycle with v_1,v_2,v_3 attached by the mod-3 rule;
     B_i together with z induces a Petersen graph.  Order 9s+1.
     """
-    if s < 1:
-        raise ConstructionError("h4 needs s >= 1")
-    n = order("h4", s)
-    edges = []
-    labels = {h4_z(s): "z"}
-    for i in range(1, s + 1):
-        for j in range(1, 7):
-            edges.append((h4_u(i, j), h4_u(i, j % 6 + 1)))
-            edges.append((h4_u(i, j), h4_v(i, (j - 1) % 3 + 1)))
-            labels[h4_u(i, j)] = f"u{i}.{j}"
-        for h in range(1, 4):
-            edges.append((h4_z(s), h4_v(i, h)))
-            labels[h4_v(i, h)] = f"v{i}.{h}"
-    # inside the first block: the 6-cycle at 0..5, v1..v3 at 6..8
-    gens = _copy_swaps(9, s) + [
-        _perm(range(9), lambda x: (step * x + 1) % 6 if x < 6 else 6 + (step * (x - 6) + 1) % 3)
-        for step in (1, -1)
-    ]
-    fg = FamilyGraph("h4", s, build(n, edges), labels, tuple(gens))
-    return _validate(fg, 3)
+    return _build("h4", s)
 
 
 # ---------------------------------------------------------------- gp

@@ -21,7 +21,7 @@ from treefree.embed import (
     verify_embedding,
 )
 from treefree.errors import CapacityError
-from treefree.families import gp, h1, h1_u, h1_v, h2, h3, h4
+from treefree.families import gp, h1, h2, h3, h4, vertex
 from treefree.graphio import checked
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
@@ -55,9 +55,8 @@ def test_tstar9_found_in_h1_and_quoted_witness_verifies():
     emb = find_induced(tstar_tree(9).graph, host)
     assert emb is not None
     assert verify_embedding(tstar_tree(9).graph, host, emb)
-    quoted = [h1_u(1, 6), h1_u(1, 1), h1_v(5, 1), h1_u(4, 6), h1_u(4, 1),
-              h1_u(2, 1), h1_u(2, 6), h1_u(2, 5), h1_v(5, 2), h1_u(5, 3),
-              h1_u(5, 2), h1_u(3, 2), h1_u(3, 3)]
+    quoted = [vertex("h1", 5, label)
+              for label in "u1.6 u1.1 v1 u4.6 u4.1 u2.1 u2.6 u2.5 v2 u5.3 u5.2 u3.2 u3.3".split()]
     assert is_isomorphic(induced(host, quoted), tstar_tree(9).graph)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -10,28 +11,16 @@ from treefree import families
 from treefree.core import VERTEX_CAP, diameter, girth, induced, is_c3c4_free, stats
 from treefree.embed import is_isomorphic, verify_embedding
 from treefree.errors import ConstructionError
-from treefree.families import (
-    gp,
-    h1,
-    h1_v,
-    h2,
-    h2_u,
-    h2_v,
-    h2_w,
-    h2_z,
-    h3,
-    h3_u,
-    h3_v,
-    h3_w,
-    h4,
-    h4_u,
-    h4_v,
-    h4_z,
-    make_family,
-)
+from treefree.families import gp, h1, h2, h3, h4, make_family, order, vertex
+from treefree.graphio import emit_dot, emit_graph6
 from treefree.patterns import cycle, path, petersen, s_tree, t_tree
 
 from .oracles import automorphism_orbits, generator_orbits
+
+
+def _ids(family: str, s: int, labels: str) -> list[int]:
+    """The ids of the space-separated ``labels`` in family(s)."""
+    return [vertex(family, s, label) for label in labels.split()]
 
 
 def test_h1_orders_and_degrees():
@@ -40,7 +29,7 @@ def test_h1_orders_and_degrees():
         assert g.n == 6 * s + 3
         degs = Counter(g.degree(v) for v in range(g.n))
         assert degs == Counter({3: 6 * s}) + Counter({2 * s: 3})
-        assert g.degree(h1_v(s, 1)) == 2 * s
+        assert g.degree(vertex("h1", s, "v1")) == 2 * s
         assert stats(g).connected and is_c3c4_free(g)
 
 
@@ -48,12 +37,12 @@ def test_h2_orders_and_degrees():
     for s in range(1, 6):
         g = h2(s).graph
         assert g.n == 15 * s + 1
-        assert g.degree(h2_z(s)) == 5 * s
+        assert g.degree(vertex("h2", s, "z")) == 5 * s
         for i in range(1, s + 1):
             for j in range(1, 6):
-                assert g.degree(h2_w(i, j)) == 3
-                assert g.degree(h2_u(i, j)) == 3
-                assert g.degree(h2_v(i, j)) == 3
+                assert g.degree(vertex("h2", s, f"w{i}.{j}")) == 3
+                assert g.degree(vertex("h2", s, f"u{i}.{j}")) == 3
+                assert g.degree(vertex("h2", s, f"v{i}.{j}")) == 3
         assert stats(g).min_degree >= 3
 
 
@@ -70,8 +59,8 @@ def test_h3_is_cubic_with_21s_edges():
 def test_h3_gadget_shape():
     g = h3(4).graph
     # ring edges u2 -> next u1; inside a copy u1 and u2 see only v's
-    assert g.has_edge(h3_u(1, 2), h3_u(2, 1))
-    assert g.has_edge(h3_u(4, 2), h3_u(1, 1))
+    assert g.has_edge(*_ids("h3", 4, "u1.2 u2.1"))
+    assert g.has_edge(*_ids("h3", 4, "u4.2 u1.1"))
     assert girth(g) >= 5
 
 
@@ -79,7 +68,7 @@ def test_h4_orders_and_hub_degree():
     for s in range(1, 6):
         g = h4(s).graph
         assert g.n == 9 * s + 1
-        assert g.degree(h4_z(s)) == 3 * s
+        assert g.degree(vertex("h4", s, "z")) == 3 * s
         assert stats(g).min_degree >= 3
 
 
@@ -87,25 +76,21 @@ def test_h4_blocks_with_hub_are_petersen():
     g = h4(3).graph
     pet = petersen().graph
     for i in (1, 2, 3):
-        block = [h4_u(i, j) for j in range(1, 7)] + [h4_v(i, h) for h in range(1, 4)]
-        block.append(h4_z(3))
+        block = _ids("h4", 3, f"u{i}.1 u{i}.2 u{i}.3 u{i}.4 u{i}.5 u{i}.6 v{i}.1 v{i}.2 v{i}.3 z")
         assert is_isomorphic(induced(g, block), pet)
 
 
 def test_h4_contains_a_long_induced_path():
     g = h4(3).graph
-    p = [h4_u(1, 3), h4_u(1, 2), h4_u(1, 1), h4_v(1, 1), h4_z(3),
-         h4_v(2, 1), h4_u(2, 1), h4_u(2, 2)]
+    p = _ids("h4", 3, "u1.3 u1.2 u1.1 v1.1 z v2.1 u2.1 u2.2")
     assert verify_embedding(path(8).graph, g, p)
 
 
 def test_h2_fixed_t8_witnesses():
     g = h2(3).graph
     t8 = t_tree(8).graph
-    first = [h2_w(1, 2), h2_u(1, 2), h2_u(1, 1), h2_u(1, 4), h2_u(1, 5),
-             h2_w(1, 1), h2_v(1, 1), h2_v(1, 5), h2_v(1, 4), h2_v(1, 3)]
-    second = [h2_w(1, 2), h2_u(1, 2), h2_u(1, 1), h2_v(1, 1), h2_w(1, 1),
-              h2_u(1, 5), h2_u(1, 4), h2_w(1, 4), h2_v(1, 4), h2_v(1, 3)]
+    first = _ids("h2", 3, "w1.2 u1.2 u1.1 u1.4 u1.5 w1.1 v1.1 v1.5 v1.4 v1.3")
+    second = _ids("h2", 3, "w1.2 u1.2 u1.1 v1.1 w1.1 u1.5 u1.4 w1.4 v1.4 v1.3")
     for wset in (first, second):
         assert is_isomorphic(induced(g, wset), t8)
 
@@ -116,17 +101,13 @@ def test_h3_witness_sets_pin_the_gadget():
     t5 = t_tree(5).graph
     s700 = s_tree(7, (1, 0, 0)).graph
     prongs = [
-        [h3_u(1, 1), h3_v(1, 1, 1), h3_w(1, 1, 1), h3_w(1, 2, 2), h3_w(1, 1, 3),
-         h3_w(1, 2, 1), h3_w(1, 2, 3)],
-        [h3_w(1, 1, 2), h3_v(1, 1, 1), h3_w(1, 1, 1), h3_v(1, 1, 2), h3_w(1, 1, 3),
-         h3_w(1, 2, 1), h3_v(1, 2, 1)],
+        _ids("h3", s, "u1.1 v1.1.1 w1.1.1 w1.2.2 w1.1.3 w1.2.1 w1.2.3"),
+        _ids("h3", s, "w1.1.2 v1.1.1 w1.1.1 v1.1.2 w1.1.3 w1.2.1 v1.2.1"),
     ]
     for wset in prongs:
         assert is_isomorphic(induced(g, wset), t5)
-    deg3_center = [h3_u(s, 2), h3_u(1, 1), h3_v(1, 1, 1), h3_w(1, 1, 3), h3_w(1, 1, 1),
-                   h3_w(1, 1, 2), h3_w(1, 1, 4), h3_w(1, 2, 3), h3_v(1, 2, 2), h3_u(1, 2)]
-    ring_center = [h3_w(1, 1, 1), h3_v(1, 1, 1), h3_u(1, 1), h3_w(1, 1, 4), h3_v(1, 1, 2),
-                   h3_u(s, 2), h3_v(s, 2, 2), h3_v(s, 2, 1), h3_w(s, 2, 1), h3_w(s, 1, 1)]
+    deg3_center = _ids("h3", s, "u4.2 u1.1 v1.1.1 w1.1.3 w1.1.1 w1.1.2 w1.1.4 w1.2.3 v1.2.2 u1.2")
+    ring_center = _ids("h3", s, "w1.1.1 v1.1.1 u1.1 w1.1.4 v1.1.2 u4.2 v4.2.2 v4.2.1 w4.2.1 w4.1.1")
     for wset in (deg3_center, ring_center):
         assert is_isomorphic(induced(g, wset), s700)
 
@@ -174,6 +155,31 @@ def test_low_s_values():
     assert h4(1).graph.n == 10
     # h4(1) is one block plus z: the Petersen graph itself
     assert is_isomorphic(h4(1).graph, petersen().graph)
+
+
+_TEMPLATE_SIZES = [(make, s) for make in (h1, h2, h3, h4) for s in range(4 if make is h3 else 1, 9)]
+
+
+def test_template_outputs_are_pinned():
+    """graph6, dot and the generator list (the same dicts in the same order)
+    of h1, h2, h4 at s = 1..8 and h3 at s = 4..8, as one digest."""
+    digest = hashlib.sha256()
+    for make, s in _TEMPLATE_SIZES:
+        fg = make(s)
+        digest.update(emit_graph6(fg.graph).encode())
+        digest.update(emit_dot(fg.graph, fg.labels).encode())
+        digest.update(repr([sorted(m.items()) for m in fg.generators]).encode())
+    assert digest.hexdigest() == "07ee85e0afe8a8db6233b19a0342c9a2b9d2ecb070e01a7b0db94ceee8ee68d8"
+
+
+def test_labels_round_trip_through_vertex_and_orders_are_derived():
+    for make, s in _TEMPLATE_SIZES:
+        fg = make(s)
+        assert order(fg.family, s) == fg.graph.n == len(fg.labels)
+        assert all(vertex(fg.family, s, fg.labels[v]) == v for v in range(fg.graph.n))
+    for label in ("u6.1", "u0.1", "u01.1", "u1.7", "v4", "x1.1", "u1", "z"):
+        with pytest.raises(ConstructionError, match="has no vertex"):
+            vertex("h1", 5, label)
 
 
 @pytest.mark.parametrize("make, size, count", [

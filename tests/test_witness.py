@@ -11,7 +11,7 @@ from treefree.errors import (
     InvalidWitnessError,
     UnsupportedRamseyError,
 )
-from treefree.families import gp, h1, h1_v
+from treefree.families import gp, h1, vertex
 from treefree.graphio import parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
@@ -261,7 +261,7 @@ def test_compute_l_matches_oracle_and_stays_in_range():
 
 def test_derived_sets_empty_base():
     g = h1(5).graph
-    w = h1_v(5, 1)
+    w = vertex("h1", 5, "v1")
     ws = derived_sets(g, w, [])
     assert ws.y1 == ws.y2 == ws.z1 == ws.z2 == ws.z3 == frozenset()
     assert ws.report.passed
@@ -277,7 +277,7 @@ def test_derived_sets_domain_check():
 
 def test_derived_sets_adjacent_pair_in_h1():
     g = h1(5).graph
-    w = h1_v(5, 1)
+    w = vertex("h1", 5, "v1")
     dist = bfs_levels(g, w)
     pair = next(
         (u, v)
