@@ -309,7 +309,7 @@ def check_maxdeg_theorem(g: Graph) -> Report:
 
 
 @timed
-def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
+def scan_corpus(source: Any, tree_id: str) -> Report:
     """Filter a graph6 corpus down to connected, min-degree-3, C3/C4-free,
     tree-free members; rejections are tallied per filter.
 
@@ -323,7 +323,7 @@ def scan_corpus(source: Any, tree_id: str, lenient: bool = False) -> Report:
     tallies = {"disconnected": 0, "min_degree": 0, "c3_c4": 0, "tree_present": 0}
     members = []
     records = 0
-    for index, g in stream_corpus(source, lenient=lenient):
+    for index, g in stream_corpus(source):
         records += 1
         verdict, _ = _gate(g)
         if verdict is None:
@@ -417,7 +417,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    return _emit_report(scan_corpus(args.corpus, args.tree, lenient=args.lenient), args.report)
+    return _emit_report(scan_corpus(args.corpus, args.tree), args.report)
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
@@ -475,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="filter a graph6 corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--lenient", action="store_true")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_scan)
 

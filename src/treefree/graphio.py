@@ -134,18 +134,16 @@ def emit_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stream_corpus(
-    source: str | Path | IO[str] | Iterable[str], lenient: bool = False
-) -> Iterator[tuple[int, Graph]]:
+def stream_corpus(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, Graph]]:
     """Yield (record_number, Graph) for each non-blank graph6 line.
 
-    Record numbers are 1-based.  Malformed records raise a positioned
-    FormatError unless ``lenient`` is set, in which case they are skipped.
+    Record numbers are 1-based.  A malformed record raises a positioned
+    FormatError.
     A path is read line by line, so memory does not grow with the file.
     """
     if isinstance(source, (str, Path)):
         with open(source) as lines:
-            yield from stream_corpus(lines, lenient)
+            yield from stream_corpus(lines)
         return
     record = 0
     for line in source:
@@ -156,8 +154,6 @@ def stream_corpus(
         try:
             yield record, parse_graph6(line)
         except FormatError as exc:
-            if lenient:
-                continue
             raise FormatError(exc.message, offset=exc.offset, record=record) from exc
 
 

@@ -1,9 +1,12 @@
 """Catalog of the named tree patterns and the three small cubic graphs.
 
-Tree labelings are canonical: the main path is u1..un, the
-length-2 branch at u3 is v3, v3', pendants are w_i at u_i.  Vertex 0 is
-always u1 and added vertices are appended, so embeddings and witness sets
-replay deterministically.
+Every catalog tree is one parent array and one name list through one
+builder, ``_tree``: vertex v >= 1 hangs from an earlier vertex, so vertex 0
+is the root and ids follow the order the names are listed in.  All but
+T8star are a spine: the main path u1..un, then legs hung from it in a fixed
+order (the length-2 branch at u3 is v3, v3', pendants are w_i at u_i).
+Embeddings and witness sets therefore replay deterministically.  Fixed
+names (T8_1, petersen, ...) resolve from one table, ``_NAMED``.
 """
 
 from __future__ import annotations
@@ -24,21 +27,36 @@ class PatternSpec:
     labels: dict[int, str] = field(default_factory=dict)
 
 
-def _path_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n - 1)]
+def _tree(pattern_id: str, parents: list[int], names: list[str]) -> PatternSpec:
+    """Vertex v >= 1 hangs from ``parents[v] < v`` and is labelled ``names[v]``;
+    ``parents[0]`` is not read."""
+    edges = [(parents[v], v) for v in range(1, len(names))]
+    return PatternSpec(pattern_id, build(len(names), edges), dict(enumerate(names)))
+
+
+def _spine(pattern_id: str, n: int, legs: list[tuple[int, str]]) -> PatternSpec:
+    """The path u1..un plus legs: ``(i, "a b")`` hangs the path a-b from u_i."""
+    parents = [0, *range(n - 1)]
+    names = [f"u{i + 1}" for i in range(n)]
+    for i, leg in legs:
+        at = i - 1
+        for name in leg.split():
+            parents.append(at)
+            at = len(names)
+            names.append(name)
+    return _tree(pattern_id, parents, names)
 
 
 def path(n: int) -> PatternSpec:
     if n < 1:
         raise ConstructionError("path needs n >= 1")
-    labels = {i: f"u{i + 1}" for i in range(n)}
-    return PatternSpec(f"P{n}", build(n, _path_edges(n)), labels)
+    return _spine(f"P{n}", n, [])
 
 
 def cycle(n: int) -> PatternSpec:
     if n < 3:
         raise ConstructionError("cycle needs n >= 3")
-    edges = _path_edges(n) + [(n - 1, 0)]
+    edges = [(i, (i + 1) % n) for i in range(n)]
     return PatternSpec(f"C{n}", build(n, edges), {i: f"u{i + 1}" for i in range(n)})
 
 
@@ -46,23 +64,14 @@ def t_tree(n: int) -> PatternSpec:
     """Path u1..un plus the branch u3-v3-v3'.  Order n+2."""
     if n < 4:
         raise ConstructionError("T-tree needs n >= 4")
-    edges = _path_edges(n) + [(2, n), (n, n + 1)]
-    labels = {i: f"u{i + 1}" for i in range(n)}
-    labels[n] = "v3"
-    labels[n + 1] = "v3'"
-    return PatternSpec(f"T{n}", build(n + 2, edges), labels)
+    return _spine(f"T{n}", n, [(3, "v3 v3'")])
 
 
 def tstar_tree(n: int) -> PatternSpec:
     """T-tree with a second length-2 branch at u_{n-2}.  Order n+4."""
     if n < 6:
         raise ConstructionError("Tstar-tree needs n >= 6")
-    base = t_tree(n)
-    edges = list(base.graph.edges()) + [(n - 3, n + 2), (n + 2, n + 3)]
-    labels = dict(base.labels)
-    labels[n + 2] = f"w{n - 2}"
-    labels[n + 3] = f"w{n - 2}'"
-    return PatternSpec(f"Tstar{n}", build(n + 4, edges), labels)
+    return _spine(f"Tstar{n}", n, [(3, "v3 v3'"), (n - 2, f"w{n - 2} w{n - 2}'")])
 
 
 def s_tree(n: int, flags: tuple[int, ...]) -> PatternSpec:
@@ -71,45 +80,29 @@ def s_tree(n: int, flags: tuple[int, ...]) -> PatternSpec:
         raise ConstructionError("S-tree needs n >= 5")
     if len(flags) != n - 4 or any(f not in (0, 1) for f in flags):
         raise ConstructionError(f"S{n} needs {n - 4} flags in {{0,1}}")
-    base = t_tree(n)
-    edges = list(base.graph.edges())
-    labels = dict(base.labels)
-    nxt = n + 2
-    for i, f in zip(range(4, n), flags):
-        if f:
-            edges.append((i - 1, nxt))
-            labels[nxt] = f"w{i}"
-            nxt += 1
+    pendants = [(i, f"w{i}") for i, f in zip(range(4, n), flags) if f]
     bits = "".join(str(f) for f in flags)
-    return PatternSpec(f"S{n}:{bits}", build(nxt, edges), labels)
+    return _spine(f"S{n}:{bits}", n, [(3, "v3 v3'"), *pendants])
 
 
 def t8_1() -> PatternSpec:
     """Path of 8, branch at u3, pendants at u5 and u6 (order 12)."""
-    spec = s_tree(8, (0, 1, 1, 0))
-    return PatternSpec("T8_1", spec.graph, spec.labels)
+    return _spine("T8_1", 8, [(3, "v3 v3'"), (5, "w5"), (6, "w6")])
 
 
 def t8_2() -> PatternSpec:
     """Path of 8, branch at u3, pendant at u4 (order 11)."""
-    spec = s_tree(8, (1, 0, 0, 0))
-    return PatternSpec("T8_2", spec.graph, spec.labels)
+    return _spine("T8_2", 8, [(3, "v3 v3'"), (4, "w4")])
 
 
 def s8_1() -> PatternSpec:
     """Path of 8, length-2 branches at u3 and u6, pendants at u4, u5 (order 14)."""
-    edges = _path_edges(8) + [(2, 8), (8, 9), (5, 10), (10, 11), (3, 12), (4, 13)]
-    labels = {i: f"u{i + 1}" for i in range(8)}
-    labels.update({8: "v3", 9: "v3'", 10: "v6", 11: "v6'", 12: "w4", 13: "w5"})
-    return PatternSpec("S8_1", build(14, edges), labels)
+    return _spine("S8_1", 8, [(3, "v3 v3'"), (6, "v6 v6'"), (4, "w4"), (5, "w5")])
 
 
 def s8_2() -> PatternSpec:
     """Path of 8 with pendants at u4 and u5 (order 10)."""
-    edges = _path_edges(8) + [(3, 8), (4, 9)]
-    labels = {i: f"u{i + 1}" for i in range(8)}
-    labels.update({8: "w4", 9: "w5"})
-    return PatternSpec("S8_2", build(10, edges), labels)
+    return _spine("S8_2", 8, [(4, "w4"), (5, "w5")])
 
 
 def t8star(p1: int, p2: int) -> PatternSpec:
@@ -121,20 +114,14 @@ def t8star(p1: int, p2: int) -> PatternSpec:
     """
     if p1 < 1 or p2 < 1:
         raise ConstructionError("t8star needs p1, p2 >= 1")
-    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (0, 5)]
-    labels = {0: "v", 1: "a1", 2: "b1", 3: "w", 4: "x1", 5: f"a{p1 + 2}"}
-    nxt = 6
-    for i in range(2, p1 + 2):
-        edges += [(0, nxt), (nxt, nxt + 1)]
-        labels[nxt] = f"a{i}"
-        labels[nxt + 1] = f"x{i}"
-        nxt += 2
-    for j in range(1, p2 + 1):
-        edges += [(3, nxt), (nxt, nxt + 1)]
-        labels[nxt] = f"b{j + 1}"
-        labels[nxt + 1] = f"y{j + 1}"
-        nxt += 2
-    return PatternSpec(f"T8star:{p1},{p2}", build(nxt, edges), labels)
+    parents = [0, 0, 1, 2, 1, 0]
+    names = ["v", "a1", "b1", "w", "x1", f"a{p1 + 2}"]
+    for hub, legs in ((0, [f"a{i} x{i}" for i in range(2, p1 + 2)]),
+                      (3, [f"b{j} y{j}" for j in range(2, p2 + 2)])):
+        for leg in legs:
+            parents += [hub, len(names)]
+            names += leg.split()
+    return _tree(f"T8star:{p1},{p2}", parents, names)
 
 
 def petersen() -> PatternSpec:
@@ -165,26 +152,13 @@ def contracted_heawood() -> PatternSpec:
     return PatternSpec("contracted_heawood", g, {i: str(i) for i in range(13)})
 
 
-_NAMED = {
-    "petersen": petersen,
-    "heawood": heawood,
-    "contracted_heawood": contracted_heawood,
-}
-
-
-def named_graph(name: str) -> PatternSpec:
-    try:
-        return _NAMED[name.lower()]()
-    except KeyError:
-        raise UsageError(f"unknown named graph {name!r}") from None
+# Every fixed catalog name, keyed by its lower-case id.
+_NAMED = {f.__name__: f for f in (t8_1, t8_2, s8_1, s8_2, petersen, heawood, contracted_heawood)}
 
 
 def make(pattern_id: str) -> PatternSpec:
     """Resolve a CLI pattern id: T9, T8_1, S8:0110, Tstar8, T8star:2,1, P10, ..."""
     s = pattern_id.strip().lower()
-    fixed = {"t8_1": t8_1, "t8_2": t8_2, "s8_1": s8_1, "s8_2": s8_2}
-    if s in fixed:
-        return fixed[s]()
     if s in _NAMED:
         return _NAMED[s]()
     try:

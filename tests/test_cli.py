@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -47,6 +48,12 @@ def _named_graph_corpus():
     return [emit_graph6(g) for g in graphs]
 
 
+def _two_petersens():
+    """Disconnected, though each component has min degree 3 and girth 5."""
+    pet = petersen().graph
+    return build(20, [(a + 10 * c, b + 10 * c) for c in (0, 1) for a, b in pet.edges()])
+
+
 def test_verify_lemma_quick_slices():
     assert verify_lemma("2.2i", s_range=(5, 5)).passed
     assert verify_lemma("2.3", s_range=(3, 3)).passed
@@ -81,6 +88,8 @@ def test_diam_theorem_reports():
     assert rep.status == "vacuous" and not rep.passed and rep.counterexample is None
     rep = check_diam_theorem(cycle(9).graph)  # min degree 2: gate fails
     assert rep.status == "vacuous" and "gate" in rep.params["reason"]
+    rep = check_diam_theorem(_two_petersens())
+    assert rep.status == "vacuous" and rep.params["reason"] == "hypothesis gate failed: disconnected"
 
 
 def test_diam_theorem_reaches_the_t8_clauses():
@@ -253,12 +262,13 @@ def test_lemma_and_maxdeg_reports_are_pinned():
 
 
 def test_scan_corpus_returns_the_three_named_graphs():
-    corpus = _named_graph_corpus()
+    corpus = _named_graph_corpus() + [emit_graph6(_two_petersens())]
     rep = scan_corpus(corpus, "P8")
+    assert rep.params["records"] == 6
     assert [m["index"] for m in rep.params["members"]] == [1, 2, 3]
     assert [m["graph6"] for m in rep.params["members"]] == corpus[:3]
     assert rep.params["rejections"] == {
-        "disconnected": 0, "min_degree": 1, "c3_c4": 1, "tree_present": 0,
+        "disconnected": 1, "min_degree": 1, "c3_c4": 1, "tree_present": 0,
     }
 
 
@@ -358,6 +368,55 @@ def test_cli_check_free(capsys, tmp_path):
     host.write_text(emit_graph6(h1(5).graph) + "\n")
     assert main(["check", "--host", str(host), "--pattern", "P10"]) == 0
     assert "free" in capsys.readouterr().out
+
+
+def test_cli_check_names_where_the_pattern_is(capsys, tmp_path):
+    g = gp(129).graph
+    host = tmp_path / "gp129.g6"
+    host.write_text(emit_graph6(g) + "\n")
+    assert main(["check", "--host", str(host), "--pattern", "T8_2"]) == 0
+    head, _, at = capsys.readouterr().out.strip().partition(" at ")
+    assert head == "record 1: contains T8_2"
+    assert verify_embedding(make("T8_2").graph, g, json.loads(at))
+
+
+def _h4_with_a_block_edge_cut():
+    g = families.h4(3).graph
+    cut = (families.vertex("h4", 3, "u1.1"), families.vertex("h4", 3, "u1.2"))
+    assert g.has_edge(*cut)
+    return build(g.n, [e for e in g.edges() if e != cut])
+
+
+def _square_of_c12():
+    """C12 with each vertex also joined to the one two steps on: full of triangles."""
+    return build(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
+
+
+def _cube():
+    return build(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1])
+
+
+@pytest.mark.parametrize("lemma_id, family, make_host, argv, params", [
+    ("2.5p", "h4", _h4_with_a_block_edge_cut, ["--s", "3..3"],
+     {"failed_on": {"s": 3, "block": 1, "isomorphic": False}}),
+    ("4.1", "gp", _cube, [], {"failed_on": {"host": "gp:25", "k": 4}}),
+    ("5.1", "h1", _square_of_c12, [], {"host": "h1:5", "w": 0, "X": [7, 8, 9]}),
+    ("5.3", "h1", _square_of_c12, [], {"host": "h1:5", "w": 0, "X": [8, 9]}),
+])
+def test_a_rejected_lemma_host_is_the_counterexample_and_exits_one(
+    monkeypatch, capsys, lemma_id, family, make_host, argv, params
+):
+    """Each lemma's failure branch, reached by swapping the host builder it
+    reads for one whose graph the check must reject."""
+    host = make_host()
+    real = getattr(families, family)
+    monkeypatch.setattr(cli.families, family, lambda size: replace(real(size), graph=host))
+    rep = verify_lemma(lemma_id, s_range=(3, 3) if argv else None)
+    assert rep.status == "checked" and rep.is_failure
+    assert parse_graph6(rep.counterexample) == host
+    assert rep.params == params
+    assert main(["verify", "--lemma", lemma_id, *argv]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample"] == rep.counterexample
 
 
 def test_cli_verify_exit_codes_and_report(capsys, tmp_path):

@@ -175,12 +175,6 @@ def test_stream_strict_names_bad_record():
     assert err.value.record == 2
 
 
-def test_stream_lenient_skips():
-    src = io.StringIO("Bw\nB`\n?\n")
-    out = list(stream_corpus(src, lenient=True))
-    assert [i for i, _ in out] == [1, 3]
-
-
 def test_stream_empty_source():
     assert list(stream_corpus(io.StringIO(""))) == []
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import product
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from treefree.core import build, contract_edge, diameter, girth, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError, NotATreeError, UsageError
+from treefree.graphio import emit_dot, emit_graph6
 from treefree.patterns import (
     cycle,
     heawood,
@@ -14,7 +17,6 @@ from treefree.patterns import (
     is_subtree,
     is_tree,
     make,
-    named_graph,
     path,
     petersen,
     s8_1,
@@ -138,10 +140,10 @@ def test_named_graphs():
     assert stats(p) == (3, 3, True, False) and girth(p) == 5
     hw = heawood().graph
     assert hw.n == 14 and girth(hw) == 6 and stats(hw).bipartite
-    ch = named_graph("contracted_heawood").graph
+    ch = make("contracted_heawood").graph
     assert ch.n == 13 and stats(ch).connected and stats(ch).min_degree >= 3
     with pytest.raises(UsageError):
-        named_graph("mcgee")
+        make("mcgee")
 
 
 def test_heawood_is_the_fano_incidence_graph():
@@ -207,3 +209,44 @@ def test_pattern_graphs_have_no_leftover_vertices():
     for pid in ("T8_1", "T8_2", "S8_1", "S8_2", "Tstar9", "S8:1111"):
         g = make(pid).graph
         assert all(g.degree(v) >= 1 for v in range(g.n))
+
+
+_CATALOG_IDS = (
+    [f"P{n}" for n in range(1, 17)]
+    + [f"C{n}" for n in range(3, 17)]
+    + [f"T{n}" for n in range(4, 15)]
+    + [f"Tstar{n}" for n in range(6, 13)]
+    + [f"S{n}:" + "".join(bits) for n in range(5, 11) for bits in product("01", repeat=n - 4)]
+    + [f"T8star:{p1},{p2}" for p1 in range(1, 5) for p2 in range(1, 5)]
+    + ["T8_1", "T8_2", "S8_1", "S8_2", "petersen", "heawood", "contracted_heawood"]
+)
+
+
+def test_catalog_outputs_are_pinned():
+    """pattern_id, graph6, dot and the sorted labels of every catalog id, as
+    one digest: the builders keep every id, edge and name."""
+    assert len(_CATALOG_IDS) == 197
+    digest = hashlib.sha256()
+    for pid in _CATALOG_IDS:
+        spec = make(pid)
+        digest.update(spec.pattern_id.encode())
+        digest.update(emit_graph6(spec.graph).encode())
+        digest.update(emit_dot(spec.graph, spec.labels).encode())
+        digest.update(repr(sorted(spec.labels.items())).encode())
+    assert digest.hexdigest() == "6b4dc663a86e0fbcb49500277029ff21692b911b0b3b8714f2b9da9a8d756793"
+
+
+@pytest.mark.parametrize("pid, message", [
+    ("P0", "path needs n >= 1"),
+    ("C2", "cycle needs n >= 3"),
+    ("T3", "T-tree needs n >= 4"),
+    ("Tstar5", "Tstar-tree needs n >= 6"),
+    ("S4:", "S-tree needs n >= 5"),
+    ("S6:1", "S6 needs 2 flags in {0,1}"),
+    ("S6:21", "S6 needs 2 flags in {0,1}"),
+    ("T8star:0,1", "t8star needs p1, p2 >= 1"),
+])
+def test_invalid_catalog_ids_keep_their_messages(pid, message):
+    with pytest.raises(ConstructionError) as info:
+        make(pid)
+    assert str(info.value) == message

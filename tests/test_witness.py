@@ -388,6 +388,19 @@ def test_geodesic_check_on_gp():
         check_geodesic(g, (0, 2, 4))
 
 
+def test_geodesic_check_names_each_violated_clause():
+    # geodesic 0-1-2-3 (diameter 3); 4 sees u1 and u3 of it: clause (i)
+    g = build(5, [(0, 1), (1, 2), (2, 3), (0, 4), (2, 4)])
+    rep = check_geodesic(g, (0, 1, 2, 3))
+    assert rep.is_failure and parse_graph6(rep.counterexample) == g
+    assert rep.witness["violations"] == [{"clause": "i", "y": 4, "hits": [0, 2]}]
+    # adjacent off-path 4 and 5 attach one index apart: clause (ii)
+    g = build(6, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (4, 5)])
+    rep = check_geodesic(g, (0, 1, 2, 3))
+    assert rep.is_failure and parse_graph6(rep.counterexample) == g
+    assert rep.witness["violations"] == [{"clause": "ii", "edge": [4, 5], "gap": 1}]
+
+
 def _diameter_geodesic(g):
     best = None
     for u in range(g.n):
