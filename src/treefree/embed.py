@@ -2,20 +2,18 @@
 
 One search core serves all three.  Each pattern is compiled once into a
 plan (``_plan``, a bounded cache keyed by the pattern): a connected
-placement order (max-degree first), the pattern's distances, and the
-forward checks each placement makes.  The search places pattern vertices in
-that order and forward-checks candidate bitmasks against every placed
-image: adjacency, non-adjacency, and a distance filter (an induced image can
-only shrink distances, so the image of q lies within pattern-distance of
-the image of p).  Each check is one AND with one entry of the placed host
-vertex h's check row, picked by the pattern distance d from p to q: N(h)
-for d = 1, B(h,d) minus N[h] for d >= 2 (B(h,d) the host ball of radius d
-around h), and every non-neighbour of h for q in another component.  A
-check row is built only when the search first places its host vertex, from
-balls grown by ``core.balls``.  Candidates are scanned in ascending host
-id, so the search meets embeddings f in lexicographic order of
-(f(order[0]), f(order[1]), ...).  Isomorphism is an induced embedding
-between graphs of equal order and size, started from the degree classes.
+placement order (max-degree first) and the forward checks each placement
+makes.  Once order[idx] lands on host vertex h, each later pattern vertex q
+is cut by one AND with an entry of h's check row, picked by q's tag: N(h)
+if q is adjacent to order[idx], the vertices at distance 2 from h if they
+share a neighbour, else every non-neighbour of h other than h.  An induced
+image keeps non-edges and shared neighbours, so no embedding fails a check.
+Checks farther out prune no host-search node on the bench workloads
+(Ullmann, J. ACM 1976, checks one step out; VF2, Cordella et al., TPAMI
+2004, two).  Candidates are scanned in ascending host id, so the search
+meets embeddings f in lexicographic order of (f(order[0]), f(order[1]),
+...).  Isomorphism is an induced embedding between graphs of equal order
+and size, started from the degree classes.
 
 One invariant: every pruning keeps the lex-least embedding f*.  The search
 meets embeddings in lex order and reports only embeddings, so the first one
@@ -83,16 +81,16 @@ checks pass, the search ORs the kids' candidate masks and skips h if the
 union has fewer vertices than there are kids: distinct pattern vertices
 need distinct images, so no embedding extends that prefix.  This is the
 distinctness half of the all-different filter (Regin, AAAI 1994), applied
-to the one group where it is cheap and sharp: after the checks the kids'
-masks lie inside N(h), so it fires when host degrees are close to pattern
-degrees, as on sparse min-degree-3 hosts.  It removes only subtrees with no
-embedding, so it keeps f*, every enumeration and its order, and (c)'s
-premise that a searched root has no embedding.  It reads the masks after
-(a)'s cuts and the ``initial`` masks are applied, so it drops nothing those
-keep; (b) cuts only the candidates of the next vertex to place, so the
-union there is over supersets and the cut stays sound.  The search for
+to the one group where it is cheap and sharp: after the adjacency checks
+the kids' masks lie inside N(h), so it fires when host degrees are close to
+pattern degrees, as on sparse min-degree-3 hosts.  It removes only subtrees
+with no embedding, so it keeps f*, every enumeration and its order, and
+(c)'s premise that a searched root has no embedding.  It reads the masks
+after (a)'s cuts and the ``initial`` masks are applied, so it drops nothing
+those keep; (b) cuts only the candidates of the next vertex to place, so
+the union there is over supersets and the cut stays sound.  The search for
 S8:0001 in h2(3) without generators (which finds none) visits 4464 nodes
-(calls of ``place``) with the cut against 17134 without it.
+(calls of ``place``) with the cut against 17090 without it.
 """
 
 from __future__ import annotations
@@ -102,7 +100,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import core
-from .core import Graph, balls, bfs_levels, bits
+from .core import Graph, bits
 from .errors import CapacityError
 
 PATTERN_CAP = 16
@@ -139,21 +137,21 @@ def _search_order(pattern: Graph) -> list[int]:
 class _Plan:
     """What a search needs from a non-empty pattern alone; see ``_plan``."""
 
-    __slots__ = ("pattern", "order", "maxr", "steps", "kids", "degrees", "_cuts")
+    __slots__ = ("pattern", "order", "steps", "kids", "degrees", "_cuts")
 
     def __init__(self, pattern: Graph):
         self.pattern = pattern
         self.order = order = _search_order(pattern)
-        pdist = [bfs_levels(pattern, v) for v in range(pattern.n)]
-        self.maxr = max(max(row) for row in pdist)
+        rows = [pattern.row(v) for v in range(pattern.n)]
         # steps[idx]: the forward checks made once order[idx] is placed, as
-        # (r, pattern distance from order[idx] to r) pairs; each reads that
-        # entry of the placed host vertex's check row (see ``_search``)
-        self.steps = [[(r, pdist[q][r]) for r in order[idx + 1:]] for idx, q in enumerate(order)]
+        # (r, tag) pairs, tag 1 if r is adjacent to order[idx], 2 if they share
+        # a neighbour, else 0: the entry of the check row it reads (``_search``)
+        self.steps = [[(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)
+                       for r in order[idx + 1:]] for idx, q in enumerate(order)]
         # kids[idx]: the later neighbours of order[idx] when there are two or
         # more, else (); pruning (d) reads their masks
         self.kids = [kids if len(kids) > 1 else () for kids in
-                     (tuple(r for r, d in step if d == 1) for step in self.steps)]
+                     (tuple(r for r, t in step if t == 1) for step in self.steps)]
         self.degrees = [pattern.degree(q) for q in range(pattern.n)]
         self._cuts: list[tuple[int, ...]] | None = None
 
@@ -246,7 +244,7 @@ def _search(
     # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
     # plan holds ~160 KB of forward checks
     plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
-    order, steps, kids, maxr = plan.order, plan.steps, plan.kids, plan.maxr
+    order, steps, kids = plan.order, plan.steps, plan.kids
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = [host.row(x) for x in range(n)]
     full = (1 << n) - 1
@@ -259,21 +257,10 @@ def _search(
     base = [at_least[d] for d in plan.degrees]
     if initial is not None:
         base = [m & init for m, init in zip(base, initial)]
-    # host vertex h -> its check row, built when h is first placed: entry d
-    # masks the candidates for a pattern vertex at pattern distance d from
-    # the one on h.  Entry 1 is N(h), entry d >= 2 is B(h,d) - N[h], and the
-    # last entry, read for d = -1 (another component), is every non-neighbour
-    # of h.  With no edge in the pattern (maxr 0) that last entry is entry 1.
-    checks: dict[int, list[int]] = {}
-
-    def check_row(h: int) -> list[int]:
-        apart = full & ~hrow[h] & ~(1 << h)
-        row = [ball & apart for ball in balls(host, 1 << h, maxr)]
-        row.append(apart)
-        if maxr:
-            row[1] = hrow[h]
-        return row
-
+    # host vertex h -> its check row, built when h is first placed: for step
+    # tags 0, 1 and 2, every non-neighbour of h other than h, N(h), and the
+    # vertices at distance 2 from h
+    checks: dict[int, tuple[int, int, int]] = {}
     mapping = [-1] * k
     found: list[Embedding] = []
     # orbit rooting: generator i moves something, and fixing[h] has bit i iff
@@ -310,13 +297,17 @@ def _search(
                 continue
             fc = checks.get(h)
             if fc is None:
-                fc = checks[h] = check_row(h)
+                near, ring = hrow[h], 0
+                for x in bits(near):
+                    ring |= hrow[x]
+                apart = full ^ near ^ low
+                fc = checks[h] = (apart, near, ring & apart)
             nxt = cand[:]
             for r in cuts[idx]:
                 nxt[r] &= -(low << 1)  # ids above h
             ok = True
-            for r, d in steps[idx]:
-                c = nxt[r] & fc[d]
+            for r, t in steps[idx]:
+                c = nxt[r] & fc[t]
                 if c == 0:
                     ok = False
                     break
@@ -409,8 +400,8 @@ def verify_embedding(
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism: an induced embedding of g onto h that keeps degrees.
 
-    The search starts from the degree classes; its adjacency forward checks
-    and distance filter do the refining."""
+    The search starts from the degree classes; its forward checks (adjacent,
+    shared neighbour, apart) do the refining."""
     if g.n > ISO_CAP or h.n > ISO_CAP:
         raise CapacityError(f"isomorphism cap is {ISO_CAP} vertices")
     if g.n != h.n or g.edge_count != h.edge_count:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, build, contract_edge, is_connected
+from .core import VERTEX_CAP, Graph, build, contract_edge, is_connected
 from .errors import ConstructionError, NotATreeError, UsageError
 from . import embed
 
@@ -27,6 +27,12 @@ class PatternSpec:
     labels: dict[int, str] = field(default_factory=dict)
 
 
+def _capped(n: int) -> None:
+    """Refuse an order above the cap, as ``build`` would, before any name is made."""
+    if n > VERTEX_CAP:
+        raise ConstructionError(f"vertex count {n} outside 0..{VERTEX_CAP}")
+
+
 def _tree(pattern_id: str, parents: list[int], names: list[str]) -> PatternSpec:
     """Vertex v >= 1 hangs from ``parents[v] < v`` and is labelled ``names[v]``;
     ``parents[0]`` is not read."""
@@ -36,6 +42,7 @@ def _tree(pattern_id: str, parents: list[int], names: list[str]) -> PatternSpec:
 
 def _spine(pattern_id: str, n: int, legs: list[tuple[int, str]]) -> PatternSpec:
     """The path u1..un plus legs: ``(i, "a b")`` hangs the path a-b from u_i."""
+    _capped(n + sum(len(leg.split()) for _, leg in legs))
     parents = [0, *range(n - 1)]
     names = [f"u{i + 1}" for i in range(n)]
     for i, leg in legs:
@@ -56,6 +63,7 @@ def path(n: int) -> PatternSpec:
 def cycle(n: int) -> PatternSpec:
     if n < 3:
         raise ConstructionError("cycle needs n >= 3")
+    _capped(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     return PatternSpec(f"C{n}", build(n, edges), {i: f"u{i + 1}" for i in range(n)})
 
@@ -114,6 +122,7 @@ def t8star(p1: int, p2: int) -> PatternSpec:
     """
     if p1 < 1 or p2 < 1:
         raise ConstructionError("t8star needs p1, p2 >= 1")
+    _capped(2 * p1 + 2 * p2 + 6)
     parents = [0, 0, 1, 2, 1, 0]
     names = ["v", "a1", "b1", "w", "x1", f"a{p1 + 2}"]
     for hub, legs in ((0, [f"a{i} x{i}" for i in range(2, p1 + 2)]),

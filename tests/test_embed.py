@@ -9,7 +9,7 @@ import pytest
 
 from treefree import core, embed
 from treefree.cli import _freeness_sweep
-from treefree.core import build, induced
+from treefree.core import bfs_levels, build, induced
 from treefree.embed import (
     Embedding,
     _search,
@@ -37,6 +37,7 @@ from .oracles import (
     random_graph,
     random_tree,
 )
+from .test_patterns import _CATALOG_IDS
 
 K3 = build(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -719,3 +720,35 @@ def test_pigeonhole_cut_fires_on_the_hub_host(monkeypatch):
     with_cut = _nodes(lambda: find_induced(tree, host))
     monkeypatch.setattr(embed._plan(tree), "kids", [()] * tree.n)
     assert _nodes(lambda: find_induced(tree, host)) >= 3 * with_cut
+
+
+# ------------------------------------------------- forward-check tags
+
+def test_step_tags_agree_with_pattern_distances():
+    """Each later vertex's tag against BFS distance from order[idx]: 1 when
+    adjacent, 2 at distance 2, 0 farther away or in another component."""
+    rng = Random(73)
+    pats = [make(pid).graph for pid in _CATALOG_IDS]
+    pats += [random_graph(rng, rng.randint(2, 16), rng.uniform(0.1, 0.5)) for _ in range(6)]
+    pats += [build(4, []), build(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 5)])]
+    for pattern in (p for p in pats if p.n <= embed.PATTERN_CAP):
+        plan = embed._Plan(pattern)
+        for idx, q in enumerate(plan.order):
+            dist = bfs_levels(pattern, q)
+            later = plan.order[idx + 1:]
+            assert plan.steps[idx] == [(r, dist[r] if dist[r] in (1, 2) else 0) for r in later]
+
+
+def test_distance_two_checks_prune_isomorphism_refutation(monkeypatch):
+    # gp(7) against the cubic graph its spokes u1-v1 and u2-v2 make when
+    # switched to u1-v2 and u2-v1: same degrees, not isomorphic
+    fg = gp(7)
+    g, ids = fg.graph, {name: v for v, name in fg.labels.items()}
+    u1, v1, u2, v2 = (ids[name] for name in ("u1", "v1", "u2", "v2"))
+    switched = build(g.n, [e for e in g.edges() if e not in ((u1, v1), (u2, v2))] + [(u1, v2), (u2, v1)])
+    assert not is_isomorphic(g, switched)
+    with_ring = _nodes(lambda: is_isomorphic(g, switched))
+    plan = embed._plan(g)
+    monkeypatch.setattr(plan, "steps", [[(r, 0 if t == 2 else t) for r, t in step] for step in plan.steps])
+    assert not is_isomorphic(g, switched)
+    assert _nodes(lambda: is_isomorphic(g, switched)) >= 2 * with_ring

@@ -6,7 +6,8 @@ from random import Random
 
 import pytest
 
-from treefree.core import build, contract_edge, diameter, girth, stats
+from treefree import patterns
+from treefree.core import VERTEX_CAP, build, contract_edge, diameter, girth, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError, NotATreeError, UsageError
 from treefree.graphio import emit_dot, emit_graph6
@@ -250,3 +251,20 @@ def test_invalid_catalog_ids_keep_their_messages(pid, message):
     with pytest.raises(ConstructionError) as info:
         make(pid)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pid, n", [
+    ("P1000000", 1000000), ("C1000000", 1000000), ("T1000000", 1000002),
+    ("Tstar1000000", 1000004), ("T8star:1000000,1", 2000008), ("P65536", 65536),
+])
+def test_over_cap_catalog_ids_are_refused_before_anything_is_built(monkeypatch, pid, n):
+    built = []
+    monkeypatch.setattr(patterns, "build", lambda *a: built.append(a))
+    monkeypatch.setattr(patterns, "_tree", lambda *a: built.append(a))
+    with pytest.raises(ConstructionError) as info:
+        make(pid)
+    assert str(info.value) == f"vertex count {n} outside 0..{VERTEX_CAP}"
+    assert not built
+    # an order at the cap gets past the check and reaches the builder
+    make(f"P{VERTEX_CAP}")
+    assert [len(a[2]) for a in built] == [VERTEX_CAP]
