@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, balls, bits, induced, is_bipartite, mask_of
+from .core import Graph, bits, components, induced, is_bipartite, mask_of
 from .errors import CapacityError
 
 DEFAULT_CAP = 24
@@ -51,13 +51,7 @@ def peel(g: Graph) -> PeelDecomposition:
             deg[u] -= 1
             if deg[u] == 2:
                 ready |= low
-    core = Graph(g.n, [r & alive for r in rows])  # peeled vertices left isolated
-    comps = []
-    left = alive
-    while left:
-        comp = balls(core, left & -left)[-1]
-        comps.append(induced(g, bits(comp)))
-        left ^= comp
+    comps = [induced(g, c) for c in components(g, alive)]
     return PeelDecomposition(tuple(order), tuple(bits(alive)), comps)
 
 

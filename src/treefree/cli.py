@@ -15,7 +15,7 @@ from random import Random
 from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
-from .core import Graph, bfs_levels, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
+from .core import Graph, balls, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
 from .embed import capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
@@ -107,32 +107,28 @@ def _lemma_41_suite(seed: int) -> Report:
     return Report("lemma4.1", {"seed": seed}, passed=True, witness={"path_pairs": total})
 
 
-def sample_connected_bases(
-    g: Graph, w: int, count: int, rng: Random, max_size: int = 5
-) -> list[frozenset[int]]:
-    """Seeded connected subsets of N_{>=2}(w) with at least two vertices."""
-    dist = bfs_levels(g, w)
-    region = [v for v in range(g.n) if dist[v] >= 2]
+def sample_connected_bases(g: Graph, w: int, count: int, rng: Random) -> list[frozenset[int]]:
+    """Seeded connected subsets of N_{>=2}(w) with two to five vertices."""
+    region_mask = balls(g, 1 << w)[-1] & ~(g.row(w) | 1 << w)
+    region = list(bits(region_mask))
     if not region:
         return []
-    region_mask = mask_of(region)
     out: list[frozenset[int]] = []
     guard = 0
     while len(out) < count and guard < count * 50:
         guard += 1
-        size = rng.randint(2, max_size)
+        size = rng.randint(2, 5)
         chosen = [rng.choice(region)]
         cmask = 1 << chosen[0]
+        reach = g.row(chosen[0])  # nbhd(g, cmask), grown by one row per pick
         while len(chosen) < size:
-            frontier = 0
-            for v in chosen:
-                frontier |= g.row(v)
-            frontier &= region_mask & ~cmask
+            frontier = reach & region_mask & ~cmask
             if not frontier:
                 break
             pick = rng.choice(list(bits(frontier)))
             chosen.append(pick)
             cmask |= 1 << pick
+            reach |= g.row(pick)
         if len(chosen) >= 2:
             out.append(frozenset(chosen))
     return out
@@ -233,36 +229,34 @@ def verify_lemma(
     return _lemma_22_witnesses(lo)
 
 
-def _gate(g: Graph) -> tuple[str | None, list[int]]:
+def _min_degree(g: Graph) -> int:
+    return min((g.degree(v) for v in range(g.n)), default=0)
+
+
+def _gate(g: Graph) -> str | None:
     """The first hypothesis filter ``g`` fails, cheapest first ("disconnected",
-    "min_degree", "c3_c4"), or None; with the degree list the filters read."""
-    degrees = [g.degree(v) for v in range(g.n)]
+    "min_degree", "c3_c4"), or None."""
     if not is_connected(g):
-        return "disconnected", degrees
-    if min(degrees, default=0) < 3:
-        return "min_degree", degrees
+        return "disconnected"
+    if _min_degree(g) < 3:
+        return "min_degree"
     if not is_c3c4_free(g):
-        return "c3_c4", degrees
-    return None, degrees
+        return "c3_c4"
+    return None
 
 
-def _gate_reason(key: str, degrees: list[int]) -> str:
-    """The vacuous-report text for the filter ``key`` that ``_gate`` returned."""
-    return {"disconnected": "disconnected", "min_degree": f"min degree {min(degrees, default=0)} < 3",
-            "c3_c4": "contains C3 or C4"}[key]
-
-
-def _implication_report(check_id: str, g: Graph, gate: tuple[str | None, list[int]], quantity: str,
+def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str,
                         value: int, clauses: tuple[tuple[str, int], ...]) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis ``gate`` failed or no threshold is reached."""
+    hypothesis filter ``gate`` failed or no threshold is reached."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
     }
-    key, degrees = gate
-    if key is not None:
-        params["reason"] = f"hypothesis gate failed: {_gate_reason(key, degrees)}"
+    if gate is not None:
+        reasons = {"disconnected": "disconnected", "c3_c4": "contains C3 or C4"}
+        reason = reasons[gate] if gate in reasons else f"min degree {_min_degree(g)} < 3"
+        params["reason"] = f"hypothesis gate failed: {reason}"
         return Report(check_id, params, status="vacuous")
     outcomes = {}
     any_checked = False
@@ -292,7 +286,7 @@ def check_diam_theorem(g: Graph) -> Report:
     first embedding, so the report does not depend on it.
     """
     gate = _gate(g)
-    value = diameter(g) if gate[0] is None else -1
+    value = diameter(g) if gate is None else -1
     return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES)
 
 
@@ -303,9 +297,8 @@ def check_maxdeg_theorem(g: Graph) -> Report:
     The smallest threshold, 190375, exceeds every degree a graph under the
     65535-vertex cap can have, so no input reaches the clause searches.
     """
-    gate = _gate(g)
-    return _implication_report("theorem.maxdeg", g, gate, "max_degree",
-                               max(gate[1], default=0), MAXDEG_CLAUSES)
+    value = max((g.degree(v) for v in range(g.n)), default=0)
+    return _implication_report("theorem.maxdeg", g, _gate(g), "max_degree", value, MAXDEG_CLAUSES)
 
 
 @timed
@@ -325,7 +318,7 @@ def scan_corpus(source: Any, tree_id: str) -> Report:
     records = 0
     for index, g in stream_corpus(source):
         records += 1
-        verdict, _ = _gate(g)
+        verdict = _gate(g)
         if verdict is None:
             verdict = "member" if find_induced(pat.graph, g) is None else "tree_present"
         if verdict == "member":

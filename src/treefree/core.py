@@ -92,23 +92,30 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
+def nbhd(g: Graph, mask: int) -> int:
+    """Union of the rows of the vertices in ``mask``; it may hold vertices of
+    ``mask`` itself.  Takes the highest vertex first: clearing the top bit
+    needs no negated copy of the mask."""
+    rows = g._rows
+    out = 0
+    while mask:
+        top = mask.bit_length() - 1
+        out |= rows[top]
+        mask ^= 1 << top
+    return out
+
+
 def balls(g: Graph, sources: int, radius: int | None = None) -> list[int]:
     """Masks of the vertices within 0, 1, 2, ... steps of the ``sources`` mask.
 
-    Each step ORs the rows of the last ring.  With ``radius`` the list has
+    Each step is the ``nbhd`` of the last ring.  With ``radius`` the list has
     radius + 1 entries, the last repeated once the component is exhausted;
     without, it ends at the component.  Every single-source BFS reads these.
     """
-    rows = g._rows
     seen = ring = sources
     out = [seen]
     for _ in range(g.n if radius is None else radius):
-        grown = 0
-        while ring:
-            low = ring & -ring
-            ring ^= low
-            grown |= rows[low.bit_length() - 1]
-        ring = grown & ~seen
+        ring = nbhd(g, ring) & ~seen
         if not ring and radius is None:
             break
         seen |= ring
@@ -334,12 +341,16 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n - 1, rows)
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as ascending vertex lists, ordered by minimum id."""
+def components(g: Graph, within: int | None = None) -> list[list[int]]:
+    """Connected components of the subgraph induced by the ``within`` mask
+    (all of g by default) as ascending vertex lists, ordered by minimum id."""
     out = []
-    left = (1 << g.n) - 1
+    left = (1 << g.n) - 1 if within is None else within
     while left:
-        comp = balls(g, left & -left)[-1]
+        comp = ring = left & -left
+        while ring:
+            ring = nbhd(g, ring) & left & ~comp
+            comp |= ring
         out.append(list(bits(comp)))
         left &= ~comp
     return out

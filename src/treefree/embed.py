@@ -100,7 +100,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import core
-from .core import Graph, bits
+from .core import Graph, bits, nbhd
 from .errors import CapacityError
 
 PATTERN_CAP = 16
@@ -297,11 +297,9 @@ def _search(
                 continue
             fc = checks.get(h)
             if fc is None:
-                near, ring = hrow[h], 0
-                for x in bits(near):
-                    ring |= hrow[x]
+                near = hrow[h]
                 apart = full ^ near ^ low
-                fc = checks[h] = (apart, near, ring & apart)
+                fc = checks[h] = (apart, near, nbhd(host, near) & apart)
             nxt = cand[:]
             for r in cuts[idx]:
                 nxt[r] &= -(low << 1)  # ids above h

@@ -19,7 +19,8 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Graph, balls, bits, mask_of
+from .core import Graph, balls, bits, diameter, distance, mask_of, nbhd
+from .embed import is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -35,17 +36,6 @@ def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
     for v in vertices:
         if not 0 <= v < g.n:
             raise DomainError(f"vertex {v} is outside 0..{g.n - 1}")
-
-
-def _nbhd(g: Graph, mask: int) -> int:
-    """Union of the rows of the vertices in ``mask``."""
-    rows = g._rows
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= rows[low.bit_length() - 1]
-    return out
 
 
 def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
@@ -234,8 +224,8 @@ def compute_L(g: Graph, w: int, avoid: Iterable[int]) -> frozenset[int]:
     umask = mask_of(avoid)
     if umask >> w & 1:
         return frozenset()
-    q2 = _nbhd(g, g.row(w) & ~umask) & ~umask & ~(1 << w)
-    return frozenset(bits(_nbhd(g, q2) & ~umask & ~g.row(w) & ~(1 << w)))
+    q2 = nbhd(g, g.row(w) & ~umask) & ~umask & ~(1 << w)
+    return frozenset(bits(nbhd(g, q2) & ~umask & ~g.row(w) & ~(1 << w)))
 
 
 class RootTable:
@@ -255,7 +245,7 @@ class RootTable:
         _, closed, within2 = balls(g, 1 << w, 2)
         self.host, self.w, self.nw = g, w, g.row(w)
         self.closed, self.n2 = closed, within2 & ~closed
-        self.ring = _nbhd(g, self.nw) & ~(1 << w)
+        self.ring = nbhd(g, self.nw) & ~(1 << w)
         self.spokes = [(a, *balls(g, 1 << a, 2)[1:]) for a in bits(self.nw)]
 
 
@@ -287,9 +277,9 @@ def closure_masks(root: RootTable, xmask: int) -> ClosureMasks:
     if xmask & root.closed or xmask >> g.n:
         raise DomainError("base set must lie in N_{>=2}(w)")
     rows = g._rows
-    nx = _nbhd(g, xmask)
+    nx = nbhd(g, xmask)
     y1 = (xmask | nx) & root.n2
-    y2 = _nbhd(g, y1) & root.nw
+    y2 = nbhd(g, y1) & root.nw
     q2 = root.ring & ~xmask
     z1 = 0
     cand = nx & ~(xmask | root.closed)
@@ -298,8 +288,8 @@ def closure_masks(root: RootTable, xmask: int) -> ClosureMasks:
         cand ^= low
         if rows[low.bit_length() - 1] & q2:
             z1 |= low
-    z2 = (xmask | nx | _nbhd(g, z1)) & root.n2
-    z3 = _nbhd(g, z2) & root.nw
+    z2 = (xmask | nx | nbhd(g, z1)) & root.n2
+    z3 = nbhd(g, z2) & root.nw
     clause_i = clause_ii = 0
     for a, ball1, ball2 in root.spokes:
         if nx & ball1 and not y2 >> a & 1:
@@ -415,8 +405,6 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
     later candidate, where a fresh candidate as pattern would be compiled
     anew for each comparison.
     """
-    from .embed import is_isomorphic
-
     levels: list[list[Graph]] = [[Graph(1, (0,))]]
     for n in range(1, _R3[t]):
         nxt: list[Graph] = []
@@ -478,8 +466,6 @@ def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
     every off-path vertex sees at most one path vertex, and that two
     adjacent off-path vertices attach at indices i < i' with 2 <= i'-i <= 3.
     """
-    from .core import diameter, distance
-
     p = tuple(path)
     if len(p) < 2 or len(set(p)) != len(p):
         raise InvalidWitnessError("not a path")

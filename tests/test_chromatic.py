@@ -7,8 +7,9 @@ import pytest
 
 from treefree import chromatic
 from treefree.chromatic import _k_colorable, _pick, chi_exact, chi_structured, peel
-from treefree.core import build, is_bipartite, mask_of
+from treefree.core import Graph, build, induced, is_bipartite, mask_of
 from treefree.errors import CapacityError
+from treefree.graphio import emit_graph6
 from treefree.patterns import cycle, heawood, path, petersen
 
 from .oracles import (
@@ -55,17 +56,47 @@ def test_peel_order_is_maximal_and_valid():
         assert alive == peel_fixpoint_core(g)
 
 
-def test_peel_order_is_the_lowest_id_order():
+def _peel_samples() -> list[Graph]:
+    """Seeded graphs: 60 small ones, 60 sparse ones on the orders of the chi
+    bench corpus, then disjoint unions of two sparse ones with non-empty
+    3-cores, their ids shuffled together, so that each union's 3-core splits
+    into interleaved components."""
     rng = Random(19)
     graphs = [random_graph(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6)) for _ in range(60)]
-    for _ in range(60):  # sparse, on the orders of the chi bench corpus
+    for _ in range(60):
         n = rng.randint(25, 60)
         graphs.append(random_graph(rng, n, rng.uniform(2.4, 4.0) / (n - 1)))
+    cored = [g for g in graphs[60:] if peel_fixpoint_core(g)]
+    for a, b in zip(cored[::2], cored[1::2]):
+        ids = list(range(a.n + b.n))
+        rng.shuffle(ids)
+        edges = [(ids[u], ids[v]) for u, v in a.edges()]
+        edges += [(ids[a.n + u], ids[a.n + v]) for u, v in b.edges()]
+        graphs.append(build(a.n + b.n, edges))
+    return graphs
+
+
+def test_peel_order_is_the_lowest_id_order():
+    graphs = _peel_samples()
     assert any(len(peel(g).core_vertices) >= 10 for g in graphs[60:])
     for g in graphs:
         dec = peel(g)
         order, core = lowest_id_peel(g)
         assert list(dec.order) == order and list(dec.core_vertices) == core
+
+
+def test_peel_core_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    split = 0
+    for g in _peel_samples():
+        dec = peel(g)
+        G = nx.Graph(list(g.edges()))
+        G.add_nodes_from(range(g.n))
+        comps = sorted(sorted(c) for c in nx.connected_components(G.subgraph(dec.core_vertices)))
+        assert [emit_graph6(c) for c in dec.core_components] == [
+            emit_graph6(induced(g, c)) for c in comps]
+        split += len(comps) > 1
+    assert split >= 10
 
 
 def test_chi_exact_examples():

@@ -20,6 +20,8 @@ from treefree.core import (
     is_bipartite,
     is_c3c4_free,
     is_connected,
+    mask_of,
+    nbhd,
     rotation_roots,
     stats,
 )
@@ -278,12 +280,20 @@ def _nx_samples():
 
 def test_traversals_agree_with_networkx():
     nx = pytest.importorskip("networkx")
+    rng = Random(37)
     disconnected = 0
     for g, G in _nx_samples():
         for v in range(g.n):
             lengths = nx.single_source_shortest_path_length(G, v)
             assert bfs_levels(g, v) == [lengths.get(u, -1) for u in range(g.n)]
         assert components(g) == sorted(sorted(c) for c in nx.connected_components(G))
+        # seeded vertex masks: none, one vertex, every vertex, two random subsets
+        masks = [0, (1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)]
+        masks += [1 << rng.randrange(g.n)] if g.n else []
+        for m in masks:
+            within = nx.connected_components(G.subgraph(bits(m)))
+            assert components(g, m) == sorted(sorted(c) for c in within)
+            assert nbhd(g, m) == mask_of(u for v in bits(m) for u in G[v])
         assert is_bipartite(g) == nx.is_bipartite(G)
         assert girth(g) == (None if nx.girth(G) == float("inf") else nx.girth(G))
         if g.n == 0:
