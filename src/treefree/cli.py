@@ -159,7 +159,7 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
             sets = witness.closure_masks(root, xmask)
             if which == "5.1":
                 ok = not (sets.clause_i or sets.clause_ii)
-                detail: Any = None if ok else witness.derived_sets(host, w, base).report.witness
+                detail: Any = None if ok else witness.derived_sets(host, w, base).witness
             else:
                 sum4 = sum(m4.get(x, 0) for x in base)
                 sum5 = sum(m5.get(x, 0) for x in base)
@@ -355,11 +355,10 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
-def _write_reports(reports: list[Report], path: str | None) -> None:
-    """Write the reports to ``path`` as JSON (one report as an object), if given."""
+def _write_json(payload: Any, path: str | None) -> None:
+    """Write ``payload``, one report's dict or a list of them, to ``path`` as JSON, if given."""
     if path:
-        payload = [r.to_dict() for r in reports]
-        Path(path).write_text(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def _exit_code(reports: list[Report]) -> int:
@@ -369,7 +368,7 @@ def _exit_code(reports: list[Report]) -> int:
 def _emit_report(rep: Report, path: str | None) -> int:
     """Print one report, write it to ``path`` if given, and return its exit code."""
     print(rep.to_json())
-    _write_reports([rep], path)
+    _write_json(rep.to_dict(), path)
     return _exit_code([rep])
 
 
@@ -424,8 +423,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
         print(rep.to_json())
         failed = failed or rep.is_failure
         if args.report:
-            kept.append(rep)
-    _write_reports(kept, args.report)
+            kept.append(rep.to_dict())
+    _write_json(kept, args.report)
     return 1 if failed else 0
 
 

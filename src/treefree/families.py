@@ -297,8 +297,10 @@ def is_family_id(family_id: str) -> bool:
 def make_family(family_id: str) -> FamilyGraph:
     """Resolve a CLI family id like "h1:5" or "gp:25"."""
     head, sep, tail = family_id.strip().lower().partition(":")
-    if not sep or head not in FAMILIES:
+    if head not in FAMILIES:
         raise ConstructionError(f"unknown family id {family_id!r}")
+    if not sep:
+        raise ConstructionError(f"family id {family_id!r} needs a size, as in {head}:5")
     try:
         size = int(tail)
     except ValueError:

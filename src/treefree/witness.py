@@ -1,20 +1,21 @@
 """Induced-path sets, the root-neighborhood closure sets, and Ramsey checks.
 
 Everything here is phrased around a fixed root w: M_k collects the second
-vertices of induced v-w paths on k vertices, L(U) the vertices reaching w by
-an order-4 path avoiding U, and the Y/Z sets are the closure sets whose
-sizes bound how much of N(w) a connected set X can touch.
+vertices of induced v-w paths on k vertices, L(X) the vertices of
+N2(w) u N3(w) reaching w by an order-4 path avoiding X, and the Y/Z sets
+are the closure sets whose sizes bound how much of N(w) a connected set X
+can touch.
 
 Work that depends only on the host and the root is done once per root: one
 path table per (w, k) (``vw_paths``) and one ``RootTable`` per w for the
-closure sets, which ``closure_masks`` reads for each base X.  The sampled
+closure sets, which ``closure_masks`` reads for each base X; L(X) is
+computed there alone, from the table's ring N(N(w)) - w.  The sampled
 lemma checks evaluate every base and path pair on bitmasks and build a
 ``Report`` (``derived_sets``, ``check_path_pair``) only for a failing one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -212,22 +213,6 @@ def scan_path_pairs(
     )
 
 
-def compute_L(g: Graph, w: int, avoid: Iterable[int]) -> frozenset[int]:
-    """Vertices of N2(w) u N3(w) reaching w by an order-4 path avoiding ``avoid``.
-
-    The path is not required induced; all four of its vertices must miss the
-    avoided set.  A vertex 3 steps from w lies in N2(w) u N3(w) iff it is
-    outside N[w], so no distances are needed.
-    """
-    avoid = list(avoid)
-    _check_vertices(g, (w, *avoid))
-    umask = mask_of(avoid)
-    if umask >> w & 1:
-        return frozenset()
-    q2 = nbhd(g, g.row(w) & ~umask) & ~umask & ~(1 << w)
-    return frozenset(bits(nbhd(g, q2) & ~umask & ~g.row(w) & ~(1 << w)))
-
-
 class RootTable:
     """Everything the closure sets read that depends only on the host and w.
 
@@ -238,12 +223,12 @@ class RootTable:
     ``closure_masks`` for each.
     """
 
-    __slots__ = ("host", "w", "nw", "closed", "n2", "ring", "spokes")
+    __slots__ = ("host", "nw", "closed", "n2", "ring", "spokes")
 
     def __init__(self, g: Graph, w: int):
         _check_vertices(g, (w,))
         _, closed, within2 = balls(g, 1 << w, 2)
-        self.host, self.w, self.nw = g, w, g.row(w)
+        self.host, self.nw = g, g.row(w)
         self.closed, self.n2 = closed, within2 & ~closed
         self.ring = nbhd(g, self.nw) & ~(1 << w)
         self.spokes = [(a, *balls(g, 1 << a, 2)[1:]) for a in bits(self.nw)]
@@ -299,49 +284,27 @@ def closure_masks(root: RootTable, xmask: int) -> ClosureMasks:
     return ClosureMasks(y1, y2, z1, z2, z3, clause_i, clause_ii)
 
 
-@dataclass(frozen=True)
-class WitnessSets:
-    """The five closure sets derived from a base X under a fixed root w."""
-
-    host: Graph
-    w: int
-    base: frozenset[int]
-    y1: frozenset[int]
-    y2: frozenset[int]
-    z1: frozenset[int]
-    z2: frozenset[int]
-    z3: frozenset[int]
-    report: Report
-
-
 _CLOSURE_SETS = ("y1", "y2", "z1", "z2", "z3")
 
 
-def derived_sets(g: Graph, w: int, base: Iterable[int]) -> WitnessSets:
-    """Compute Y1, Y2, Z1, Z2, Z3 from X and check the edge-emptiness claims.
+@timed
+def derived_sets(g: Graph, w: int, base: Iterable[int]) -> Report:
+    """The lemma-5.1 report on the base X under the root w.
 
-    The sets are those of ``closure_masks``.  When the host is C3/C4-free,
-    every a in N(w)-Y2 has no edge from X into N<=1(a), and every a in
-    N(w)-Z3 has no edge from X into N<=2(a)-Z3; both are asserted in the
-    attached report, whose witness lists the five sets.
+    The witness lists the five closure sets of ``closure_masks``.  When the
+    host is C3/C4-free, every a in N(w)-Y2 has no edge from X into N<=1(a),
+    and every a in N(w)-Z3 has no edge from X into N<=2(a)-Z3; a violation
+    of either names its clause and a.
     """
-    X = frozenset(base)
+    X = sorted(set(base))
     root = RootTable(g, w)
     _check_vertices(g, X)
-    report = _closure_report(root, X)
-    sets = {name: frozenset(report.witness[name]) for name in _CLOSURE_SETS}
-    return WitnessSets(host=g, w=w, base=X, report=report, **sets)
-
-
-@timed
-def _closure_report(root: RootTable, X: frozenset[int]) -> Report:
-    """The lemma-5.1 report of ``derived_sets``."""
     masks = closure_masks(root, mask_of(X))
     witness: dict = {name: list(bits(m)) for name, m in zip(_CLOSURE_SETS, masks)}
     violations = [{"clause": "i", "a": a} for a in bits(masks.clause_i)]
     violations += [{"clause": "ii", "a": a} for a in bits(masks.clause_ii)]
     witness["violations"] = violations
-    return checked("lemma5.1", root.host, not violations, {"w": root.w, "X": sorted(X)}, witness)
+    return checked("lemma5.1", g, not violations, {"w": w, "X": X}, witness)
 
 
 _R3 = {1: 1, 2: 3, 3: 6, 4: 9}

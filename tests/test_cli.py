@@ -231,6 +231,20 @@ def test_theorem_prints_each_report_before_a_bad_record(capsys, tmp_path):
     assert json.loads(report.read_text()) == printed
 
 
+def test_theorem_report_is_a_list_for_any_corpus_and_scan_writes_one_object(capsys, tmp_path):
+    report = tmp_path / "reports.json"
+    for records, which in (([], "diam"), ([gp(53).graph], "diam"), ([petersen().graph], "maxdeg")):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("".join(emit_graph6(g) + "\n" for g in records))
+        assert main(["theorem", "--input", str(corpus), "--which", which,
+                     "--report", str(report)]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(printed) == len(records)
+        assert json.loads(report.read_text()) == printed
+    assert main(["scan", "--corpus", str(corpus), "--tree", "P8", "--report", str(report)]) == 0
+    assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
+
 def test_maxdeg_theorem_reports():
     rep = check_maxdeg_theorem(h1(8).graph)
     assert rep.status == "vacuous"
@@ -314,7 +328,7 @@ def test_every_report_is_stamped_by_the_one_clock(monkeypatch):
     c6 = cycle(6).graph
     assert_stamped(check_path_pair(c6, (0, 1, 2, 3), (0, 5, 4, 3), 4))
     assert_stamped(scan_path_pairs(c6, 4))
-    assert_stamped(derived_sets(h1(5).graph, 0, []).report)
+    assert_stamped(derived_sets(h1(5).graph, 0, []))
     for t in (2, 3, 4):
         assert_stamped(verify_ramsey_small(t))
     assert_stamped(check_geodesic(c6, (0, 1, 2, 3)))
@@ -458,7 +472,8 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
     # a family id's own construction error is reported, not retried as a pattern id
     for family_id, needle in (("h3:2", "h3 needs s >= 4"), ("gp:6", "gp needs odd n >= 5"),
                               ("gp:32769", "above the cap"), ("h1:11000", "above the cap"),
-                              ("h1:x", "bad size")):
+                              ("h1:x", "bad size"), ("h1", "needs a size, as in h1:5"),
+                              ("gp", "needs a size, as in gp:5")):
         _exit_two_with_one_line(capsys, ["gen", "--family", family_id], needle)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+from hashlib import sha256
 from random import Random
 
 import pytest
@@ -22,7 +24,6 @@ from treefree.witness import (
     check_geodesic,
     check_path_pair,
     closure_masks,
-    compute_L,
     compute_Mk,
     derived_sets,
     iter_vw_paths,
@@ -38,7 +39,6 @@ from .oracles import (
     canonical_classes,
     closure_oracle,
     independence_at_most,
-    l_oracle,
     mk_oracle,
     path_pair_oracle,
     ramsey_labelled,
@@ -88,8 +88,6 @@ def test_path_enumeration_matches_unpruned_oracle():
     pytest.param(lambda g: list(iter_vw_paths(g, -2, 3, 4)), id="iter_vw_paths"),
     pytest.param(lambda g: compute_Mk(g, -2, 3, 4), id="compute_Mk-v"),
     pytest.param(lambda g: compute_Mk(g, 0, 9, 4), id="compute_Mk-w"),
-    pytest.param(lambda g: compute_L(g, -1, []), id="compute_L-w"),
-    pytest.param(lambda g: compute_L(g, 0, [6]), id="compute_L-avoid"),
     pytest.param(lambda g: derived_sets(g, 9, []), id="derived_sets-w"),
     pytest.param(lambda g: derived_sets(g, 0, [-3]), id="derived_sets-base"),
     pytest.param(lambda g: check_path_pair(g, (0, 1, 2, 3), (0, 5, 4, -3), 4),
@@ -189,19 +187,20 @@ def _closure_agrees(g, w, root, base):
         assert set(bits(getattr(got, name))) == want[name], (name, w, sorted(base))
     assert list(bits(got.clause_i)) == want["clause_i"]
     assert list(bits(got.clause_ii)) == want["clause_ii"]
-    ws = derived_sets(g, w, base)
-    assert (ws.y1, ws.y2, ws.z1, ws.z2, ws.z3) == tuple(want[n] for n in ("y1", "y2", "z1", "z2", "z3"))
+    rep = derived_sets(g, w, base)
+    for name in ("y1", "y2", "z1", "z2", "z3"):
+        assert rep.witness[name] == sorted(want[name]), (name, w, sorted(base))
     violations = [{"clause": "i", "a": a} for a in want["clause_i"]]
     violations += [{"clause": "ii", "a": a} for a in want["clause_ii"]]
-    assert ws.report.witness["violations"] == violations
-    assert ws.report.passed == (not violations)
+    assert rep.witness["violations"] == violations
+    assert rep.passed == (not violations)
     return bool(violations)
 
 
 def _connected_bases(g, region, sizes):
     """Every connected vertex set of the given sizes inside ``region``."""
-    found = set()
     layer = {frozenset([v]) for v in region}
+    found = set(layer) if 1 in sizes else set()
     for size in range(2, max(sizes) + 1):
         layer = {s | {u} for s in layer for v in s for u in g.neighbors(v)
                  if u in region and u not in s}
@@ -240,31 +239,50 @@ def test_closure_sets_match_the_oracle_on_hosts_with_short_cycles():
     assert broken > 10
 
 
-def test_compute_l_on_c8():
-    c8 = cycle(8).graph
-    got = compute_L(c8, 0, [])
-    assert got == l_oracle(c8, 0, set()) == {3, 5}
-    assert compute_L(c8, 0, range(1, 8)) == frozenset()
-
-
-def test_compute_l_matches_oracle_and_stays_in_range():
-    rng = Random(43)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(4, 10), 0.35)
+def _derived_sets_cases():
+    """Every connected base of 1-3 vertices in N>=2(w) for two roots each of
+    h1(5) and gp(25), then seeded bases on random hosts with short cycles."""
+    for g in (h1(5).graph, gp(25).graph):
+        for w in (0, g.n - 1):
+            dist = bfs_levels(g, w)
+            region = {v for v in range(g.n) if dist[v] >= 2}
+            for base in _connected_bases(g, region, (1, 2, 3)):
+                yield g, w, sorted(base)
+    rng = Random(51)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(7, 11), 0.3)
         w = rng.randrange(g.n)
-        avoid = set(rng.sample(range(g.n), rng.randint(0, g.n // 2)))
-        got = compute_L(g, w, avoid)
-        assert got == l_oracle(g, w, avoid)
         dist = bfs_levels(g, w)
-        assert all(dist[v] in (2, 3) for v in got)
+        region = [v for v in range(g.n) if dist[v] >= 2]
+        for _ in range(4 if region else 0):
+            yield g, w, rng.sample(region, rng.randint(1, min(4, len(region))))
+
+
+def test_derived_sets_reports_are_pinned():
+    # one sha256 over every report (runtime_ms dropped), taken before
+    # derived_sets returned its report directly; a change to any closure set,
+    # violation, verdict or parameter moves the digest, and the failing
+    # reports include some that break both clauses
+    digest = sha256()
+    reports = failing = both_clauses = 0
+    for g, w, base in _derived_sets_cases():
+        rep = derived_sets(g, w, base)
+        payload = rep.to_dict()
+        del payload["runtime_ms"]
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+        reports += 1
+        failing += not rep.passed
+        both_clauses += {v["clause"] for v in rep.witness["violations"]} == {"i", "ii"}
+    assert (reports, failing, both_clauses) == (942, 23, 14)
+    assert digest.hexdigest() == "e993d60e80aa5c2eff211f80c1c15c2460a369b5ccc3e3bc9b5e7752c6930e0b"
 
 
 def test_derived_sets_empty_base():
     g = h1(5).graph
     w = vertex("h1", 5, "v1")
-    ws = derived_sets(g, w, [])
-    assert ws.y1 == ws.y2 == ws.z1 == ws.z2 == ws.z3 == frozenset()
-    assert ws.report.passed
+    rep = derived_sets(g, w, [])
+    assert all(rep.witness[name] == [] for name in ("y1", "y2", "z1", "z2", "z3"))
+    assert rep.passed
 
 
 def test_derived_sets_domain_check():
@@ -284,13 +302,14 @@ def test_derived_sets_adjacent_pair_in_h1():
         for u, v in g.edges()
         if dist[u] >= 2 and dist[v] >= 2
     )
-    ws = derived_sets(g, w, pair)
-    assert ws.report.passed
-    assert ws.y1 <= ws.z2 and ws.y2 <= ws.z3
+    rep = derived_sets(g, w, pair)
+    assert rep.passed
+    y1, y2, z2, z3 = (set(rep.witness[name]) for name in ("y1", "y2", "z2", "z3"))
+    assert y1 <= z2 and y2 <= z3
     nw = set(g.neighbors(w))
     n2 = {v for v in range(g.n) if dist[v] == 2}
-    assert ws.y2 <= nw and ws.z3 <= nw
-    assert ws.y1 <= n2 and ws.z2 <= n2
+    assert y2 <= nw and z3 <= nw
+    assert y1 <= n2 and z2 <= n2
 
 
 def test_derived_set_inclusions_on_random_bases():
@@ -299,9 +318,10 @@ def test_derived_set_inclusions_on_random_bases():
     g = gp(25).graph
     rng = Random(47)
     for base in sample_connected_bases(g, 0, 25, rng):
-        ws = derived_sets(g, 0, base)
-        assert ws.y1 <= ws.z2 and ws.y2 <= ws.z3
-        assert ws.report.passed
+        rep = derived_sets(g, 0, base)
+        y1, y2, z2, z3 = (set(rep.witness[name]) for name in ("y1", "y2", "z2", "z3"))
+        assert y1 <= z2 and y2 <= z3
+        assert rep.passed
 
 
 def test_ramsey_threshold_table():
