@@ -355,6 +355,12 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
+def _clear_report(path: str | None) -> None:
+    """Remove any earlier file at ``--report``, so a run that exits 2 leaves none."""
+    if path:
+        Path(path).unlink(missing_ok=True)
+
+
 def _write_json(payload: Any, path: str | None) -> None:
     """Write ``payload``, one report's dict or a list of them, to ``path`` as JSON, if given."""
     if path:
@@ -486,6 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _clear_report(getattr(args, "report", None))
         return args.func(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

@@ -246,7 +246,7 @@ def _search(
     plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
     order, steps, kids = plan.order, plan.steps, plan.kids
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
-    hrow = [host.row(x) for x in range(n)]
+    hrow = host._rows
     full = (1 << n) - 1
     # degree base: one mask of the host vertices of degree >= d per distinct d
     of_degree: dict[int, int] = {}

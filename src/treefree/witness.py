@@ -9,9 +9,11 @@ can touch.
 Work that depends only on the host and the root is done once per root: one
 path table per (w, k) (``vw_paths``) and one ``RootTable`` per w for the
 closure sets, which ``closure_masks`` reads for each base X; L(X) is
-computed there alone, from the table's ring N(N(w)) - w.  The sampled
-lemma checks evaluate every base and path pair on bitmasks and build a
-``Report`` (``derived_sets``, ``check_path_pair``) only for a failing one.
+computed there alone, from the table's ring N(N(w)) - w.  The path-pair
+clauses test M_4 membership on three rows, so a path-pair check reads at
+most one table, of its own order.  The sampled lemma checks evaluate every
+base and path pair on bitmasks and build a ``Report`` (``derived_sets``,
+``check_path_pair``) only for a failing one.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
     One walk over the induced paths w = p0, p1, ... grown from the root: a
     partial path carries the mask of its vertices and of every neighbour of
     all but its last vertex, so an extension is a neighbour of the last
-    vertex outside that mask.  Every such v is non-adjacent to w.
+    vertex outside that mask.  Every such end is non-adjacent to w, and the
+    table is the last frontier grouped by end vertex.
     """
     _check_vertices(g, (w,))
     if k < 3:
         raise DomainError("an induced path between non-adjacent vertices has k >= 3")
     rows = g._rows
     frontier = [((w,), 1 << w)]
-    for _ in range(k - 2):
+    for _ in range(k - 1):
         grown = []
         for p, seen in frontier:
             last = rows[p[-1]]
@@ -64,14 +67,8 @@ def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
                 grown.append((p + (low.bit_length() - 1,), seen | low))
         frontier = grown
     table: dict[int, list[Path]] = {}
-    for p, seen in frontier:
-        ext = rows[p[-1]] & ~seen
-        rev = p[::-1]
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            table.setdefault(v, []).append((v, *rev))
+    for p, _ in frontier:
+        table.setdefault(p[-1], []).append(p[::-1])
     for paths in table.values():
         paths.sort()
     return table
@@ -113,13 +110,15 @@ def _validate_vw_path(g: Graph, q: Sequence[int], k: int) -> None:
 
 
 def _path_pair_clauses(
-    rows: Sequence[int], q1: Sequence[int], q2: Sequence[int], k: int, m4: int | None
+    rows: Sequence[int], q1: Sequence[int], q2: Sequence[int], k: int
 ) -> dict[str, bool]:
     """Evaluate the applicable disjointness clauses for one ordered pair.
 
-    ``rows`` are the host's adjacency rows and ``m4`` the mask of M_4(v, w)
-    (k = 5 only).  Path vertices are distinct, so clearing one bit of q2's
-    inner mask drops exactly the pair a clause allows.
+    ``rows`` are the host's adjacency rows.  Path vertices are distinct, so
+    clearing one bit of q2's inner mask drops exactly the pair a clause
+    allows.  Clause (v) needs a1 = q1[1] outside M_4(v, w).  As q1 is
+    induced, a1 is in N(v) - N[w], so a1 is in M_4(v, w) iff some b in
+    N(a1) n N(w) misses N(v): then v-a1-b-w is an induced path.
     """
     a1, a2, b1, b2 = q1[1], q1[2], q2[1], q2[2]
     clauses = {"i": a1 != b1 and a1 != b2 and a2 != b1 and a2 != b2}
@@ -133,7 +132,7 @@ def _path_pair_clauses(
         # edges from a2 and a3 beyond the allowed a2-b2 and a3-b1
         rest = rows[a2] & inner & ~(1 << b2) or rows[a3] & inner & ~(1 << b1)
         clauses["iv"] = not (rest or rows[a1] & inner & ~(1 << b3))
-        if m4 is not None and not m4 >> a1 & 1:
+        if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:
             # clause (v): with q1[1] outside M_4, the a1-c2 edge is gone too
             clauses["v"] = not (rest or rows[a1] & inner)
     return clauses
@@ -155,8 +154,7 @@ def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> R
         raise InvalidWitnessError("paths must share both endpoints")
     if q1[1] == q2[1]:
         raise InvalidWitnessError("second vertices must differ")
-    m4 = mask_of(compute_Mk(g, q1[0], q1[-1], 4)) if k == 5 else None
-    clauses = _path_pair_clauses(g._rows, q1, q2, k, m4)
+    clauses = _path_pair_clauses(g._rows, q1, q2, k)
     return checked(
         "lemma4.1.pair", g, all(clauses.values()),
         {"k": k, "v": q1[0], "w": q1[-1], "q1": list(q1), "q2": list(q2)},
@@ -186,24 +184,17 @@ def scan_path_pairs(
         nonadj = Random(seed).sample(nonadj, vw_samples)
     pair_count = 0
     violations: list[dict] = []
-    tables: dict[tuple[int, int], dict[int, list[Path]]] = {}
-
-    def paths_to(v: int, w: int, order: int) -> list[Path]:
-        if (w, order) not in tables:
-            tables[w, order] = vw_paths(g, w, order)
-        return tables[w, order].get(v, [])
-
+    tables: dict[int, dict[int, list[Path]]] = {}
     for v, w in nonadj:
-        paths = paths_to(v, w, k)
-        if len(paths) < 2:
-            continue
-        m4 = mask_of(p[1] for p in paths_to(v, w, 4)) if k == 5 else None
+        if w not in tables:
+            tables[w] = vw_paths(g, w, k)
+        paths = tables[w].get(v, [])
         for q1 in paths:
             for q2 in paths:
                 if q1[1] == q2[1]:
                     continue
                 pair_count += 1
-                clauses = _path_pair_clauses(rows, q1, q2, k, m4)
+                clauses = _path_pair_clauses(rows, q1, q2, k)
                 if not all(clauses.values()):
                     violations.append({"q1": list(q1), "q2": list(q2), "clauses": clauses})
     return checked(

@@ -245,6 +245,24 @@ def test_theorem_report_is_a_list_for_any_corpus_and_scan_writes_one_object(caps
     assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--lemma", "9.9"], id="verify"),
+    pytest.param(["scan", "--corpus", "{corpus}", "--tree", "P8"], id="scan"),
+    pytest.param(["theorem", "--input", "{corpus}", "--which", "diam"], id="theorem"),
+])
+def test_a_run_that_exits_two_leaves_no_report_file(capsys, tmp_path, argv):
+    # an earlier run's file at --report is removed before anything is built or
+    # read, so a failing run cannot leave it looking like its own report
+    corpus = tmp_path / "bad_second.g6"
+    corpus.write_text(emit_graph6(gp(53).graph) + "\nBw!\n")
+    report = tmp_path / "report.json"
+    report.write_text("OLD")
+    argv = [arg.format(corpus=corpus) for arg in argv]
+    assert main([*argv, "--report", str(report)]) == 2
+    assert not report.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_maxdeg_theorem_reports():
     rep = check_maxdeg_theorem(h1(8).graph)
     assert rep.status == "vacuous"

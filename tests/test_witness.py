@@ -132,7 +132,8 @@ def test_scan_path_pairs_clean_hosts():
 
 
 def test_scan_violations_match_the_single_pair_check():
-    # hosts with C3/C4 break the clauses; clause (v) reads M_4 from its own table
+    # hosts with C3/C4 break the clauses; both checks test clause (v)'s
+    # M_4 membership on the rows of v, w and q1's second vertex
     rng = Random(67)
     seen_v = 0
     for _ in range(30):
@@ -143,6 +144,67 @@ def test_scan_violations_match_the_single_pair_check():
                 assert single.witness["clauses"] == bad["clauses"]
                 seen_v += "v" in bad["clauses"]
     assert seen_v > 0
+
+
+def test_path_pair_checks_read_one_table_of_their_own_order(monkeypatch):
+    # clause (v) tests M_4 membership on rows: the single-pair check builds no
+    # table, and the scan one order-k table per root w
+    from treefree import witness
+
+    orders = []
+
+    def recording(g, w, k):
+        orders.append((w, k))
+        return vw_paths(g, w, k)
+
+    monkeypatch.setattr(witness, "vw_paths", recording)
+    g = gp(25).graph
+    q1, q2 = next((p[0], p[1]) for p in vw_paths(g, 0, 5).values() if len(p) > 1)
+    check_path_pair(g, q1, q2, 5)
+    assert orders == []
+    rep = scan_path_pairs(g, 5)
+    assert sorted(orders) == [(w, 5) for w in range(g.n)]
+    assert rep.passed and rep.witness["path_pairs"] > 0
+
+
+def _path_pair_reports():
+    """Every scan and every ordered pair's check of the 4.1 hosts and of
+    seeded hosts with short cycles, both k; pairs come from the oracle."""
+    rng = Random(83)
+    hosts = [*LEMMA_41_HOSTS] + [random_graph(rng, rng.randint(6, 10), 0.35) for _ in range(60)]
+    for g in hosts:
+        for k in (4, 5):
+            yield scan_path_pairs(g, k)
+            for w in range(g.n):
+                for v in range(g.n):
+                    if v == w or g.has_edge(v, w):
+                        continue
+                    paths = all_vw_paths(g, v, w, k)
+                    for q1 in paths:
+                        for q2 in paths:
+                            if q1[1] != q2[1]:
+                                yield check_path_pair(g, q1, q2, k)
+
+
+def test_path_pair_reports_are_pinned():
+    # one sha256 over every report (runtime_ms dropped), taken before clause
+    # (v) tested M_4 membership on rows; the failing reports include scans and
+    # single pairs, and clause (v) both holds and fails among the pairs
+    digest = sha256()
+    reports = failing = failing_scans = 0
+    clause_v = {True: 0, False: 0}
+    for rep in _path_pair_reports():
+        payload = rep.to_dict()
+        del payload["runtime_ms"]
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+        reports += 1
+        failing += not rep.passed
+        if rep.check_id == "lemma4.1.scan":
+            failing_scans += not rep.passed
+        elif "v" in rep.witness["clauses"]:
+            clause_v[rep.witness["clauses"]["v"]] += 1
+    assert (reports, failing, failing_scans, clause_v) == (4276, 1187, 61, {True: 704, False: 26})
+    assert digest.hexdigest() == "8c34d7416067c97f713e5440b08f7fc746fc814b91ea9a492022b78172ad2c65"
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
@@ -168,14 +230,14 @@ def test_mask_clauses_match_the_set_oracle():
             tables = {k: vw_paths(g, w, k) for k in (4, 5)}
             for k in (4, 5):
                 for v, paths in tables[k].items():
+                    # M_4 from the order-4 table: the oracle of the clauses' row test
                     m4 = frozenset(p[1] for p in tables[4].get(v, ())) if k == 5 else None
-                    m4mask = None if m4 is None else mask_of(m4)
                     for q1 in paths:
                         for q2 in paths:
                             if q1[1] == q2[1]:
                                 continue
                             want = path_pair_oracle(g, q1, q2, k, m4)
-                            assert _path_pair_clauses(g._rows, q1, q2, k, m4mask) == want
+                            assert _path_pair_clauses(g._rows, q1, q2, k) == want
                             failing += not all(want.values())
     assert failing > 0
 
