@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from random import Random
@@ -355,12 +356,6 @@ def _parse_cap(text: str) -> int:
     return cap
 
 
-def _clear_report(path: str | None) -> None:
-    """Remove any earlier file at ``--report``, so a run that exits 2 leaves none."""
-    if path:
-        Path(path).unlink(missing_ok=True)
-
-
 def _write_json(payload: Any, path: str | None) -> None:
     """Write ``payload``, one report's dict or a list of them, to ``path`` as JSON, if given."""
     if path:
@@ -492,7 +487,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _clear_report(getattr(args, "report", None))
+        report = getattr(args, "report", None)
+        if report:
+            source = getattr(args, "corpus", None) or getattr(args, "input", None)
+            if (source and os.path.exists(source) and os.path.exists(report)
+                    and os.path.samefile(report, source)):
+                raise UsageError(f"--report {report!r} is the command's own input")
+            # an earlier run's file must not pass for this run's report if this run exits 2
+            Path(report).unlink(missing_ok=True)
         return args.func(args)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)

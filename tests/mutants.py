@@ -2,17 +2,16 @@
 
 Run from anywhere, outside the tier-1 suite (pytest does not collect this file):
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # only the named mutants
+    python tests/mutants.py
 
 A record names a file under ``src/``, an exact snippet of it, the snippet's
 replacement, and the tests expected to fail.  The runner copies ``src/`` to a
-temporary directory, runs the named tests of every chosen mutant once against
+temporary directory, runs the named tests of every mutant once against
 that unmutated copy (they must pass), and then, for each mutant, applies it to
 a fresh copy and runs only its named tests there.  The working tree is never
 edited.  A snippet that does not occur exactly once is an error, not a skip:
 a refactor that moves a snippet must update its record.  Exit status 0 means
-every chosen mutant was killed.
+every mutant was killed.
 
 Each change to ``src/`` that a test pins adds its mutants here.
 """
@@ -98,22 +97,17 @@ def _pytest(src: Path, tests: list[str]) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str]) -> int:
-    names = {m.name for m in MUTANTS}
-    unknown = sorted(set(argv) - names)
-    if unknown:
-        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         clean = _copy_src(Path(tmp) / "clean")
-        for mutant in chosen:  # every snippet is checked before anything runs
+        for mutant in MUTANTS:  # every snippet is checked before anything runs
             _apply(_copy_src(Path(tmp) / mutant.name), mutant)
-        named = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        named = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         if _pytest(clean, named) != 0:
             print("the named tests fail on the unmutated source", file=sys.stderr)
             return 1
         survivors = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             code = _pytest(Path(tmp) / mutant.name / "src", list(mutant.tests))
             # pytest exits 1 when tests ran and some failed; any other code is
             # a survivor (0) or a run that did not test (collection or usage error)
@@ -124,4 +118,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

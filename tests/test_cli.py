@@ -263,6 +263,37 @@ def test_a_run_that_exits_two_leaves_no_report_file(capsys, tmp_path, argv):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--lemma", "4.1", "--s", "5..x"], id="verify-bad-range"),
+    pytest.param(["scan", "--corpus", "{corpus}"], id="scan-no-tree"),
+    pytest.param(["theorem", "--input", "{corpus}", "--which", "girth"], id="theorem-bad-choice"),
+])
+def test_a_refused_command_line_touches_no_file(capsys, tmp_path, argv):
+    # argparse refuses the command line before any option is acted on, so the
+    # file at --report is left as it was
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(emit_graph6(gp(53).graph) + "\n")
+    report = tmp_path / "report.json"
+    report.write_text("OLD")
+    argv = [arg.format(corpus=corpus) for arg in argv]
+    assert main([*argv, "--report", str(report)]) == 2
+    assert report.read_text() == "OLD"
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["scan", "--tree", "P8", "--corpus"], id="scan"),
+    pytest.param(["theorem", "--which", "diam", "--input"], id="theorem"),
+])
+def test_a_report_path_naming_the_input_is_refused(capsys, tmp_path, argv):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(emit_graph6(gp(53).graph) + "\n")
+    before = corpus.read_text()
+    assert main([*argv, str(corpus), "--report", str(tmp_path / "." / "corpus.g6")]) == 2
+    assert corpus.read_text() == before
+    assert "own input" in capsys.readouterr().err
+
+
 def test_maxdeg_theorem_reports():
     rep = check_maxdeg_theorem(h1(8).graph)
     assert rep.status == "vacuous"
