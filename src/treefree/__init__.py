@@ -7,7 +7,6 @@ from .core import (
     contract_edge,
     diameter,
     distance,
-    girth,
     induced,
     is_c3c4_free,
     stats,
@@ -29,7 +28,6 @@ __all__ = [
     "emit_dot",
     "emit_graph6",
     "find_induced",
-    "girth",
     "induced",
     "is_c3c4_free",
     "is_free",

@@ -362,15 +362,11 @@ def _write_json(payload: Any, path: str | None) -> None:
         Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def _exit_code(reports: list[Report]) -> int:
-    return 1 if any(r.is_failure for r in reports) else 0
-
-
 def _emit_report(rep: Report, path: str | None) -> int:
     """Print one report, write it to ``path`` if given, and return its exit code."""
     print(rep.to_json())
     _write_json(rep.to_dict(), path)
-    return _exit_code([rep])
+    return 1 if rep.is_failure else 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -223,34 +223,6 @@ def diameter(g: Graph) -> int:
     return d
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests.
-
-    From each root, the first ring d holding a vertex with two neighbours in
-    ring d - 1 closes a cycle of length at most 2d, and an edge inside ring d
-    one of at most 2d + 1.  A root on a shortest cycle finds its length.
-    """
-    rows = g._rows
-    best: int | None = None
-    for root in range(g.n):
-        inner = 0
-        # rings past (best - 1) // 2 can only close cycles of length >= best
-        radius = None if best is None else (best - 1) // 2
-        for d, ball in enumerate(balls(g, 1 << root, radius)):
-            ring = ball & ~inner
-            if any((rows[v] & inner).bit_count() >= 2 for v in bits(ring)):
-                cyc = 2 * d
-            elif any(rows[v] & ring for v in bits(ring)):
-                cyc = 2 * d + 1
-            else:
-                inner = ball
-                continue
-            if best is None or cyc < best:
-                best = cyc
-            break
-    return best
-
-
 def is_c3c4_free(g: Graph) -> bool:
     """True iff the graph has no 3-cycle and no 4-cycle.
 

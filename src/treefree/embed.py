@@ -104,7 +104,6 @@ from .core import Graph, bits, nbhd
 from .errors import CapacityError
 
 PATTERN_CAP = 16
-ISO_CAP = 64
 PLAN_CACHE = 256
 
 
@@ -241,9 +240,7 @@ def _search(
         return [Embedding(())]
     if k > n:
         return []
-    # isomorphism inputs above the pattern cap are planned afresh: a 64-vertex
-    # plan holds ~160 KB of forward checks
-    plan = _plan(pattern) if k <= PATTERN_CAP else _Plan(pattern)
+    plan = _plan(pattern)
     order, steps, kids = plan.order, plan.steps, plan.kids
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = host._rows
@@ -372,18 +369,9 @@ def is_free(host: Graph, pattern: Graph, generators: Sequence[Mapping[int, int]]
     return find_induced(pattern, host, generators) is None
 
 
-def verify_embedding(
-    pattern: Graph, host: Graph, mapping: Embedding | Mapping[int, int] | Sequence[int]
-) -> bool:
+def verify_embedding(pattern: Graph, host: Graph, mapping: Embedding | Sequence[int]) -> bool:
     """Check injectivity plus the induced condition, edge for edge."""
-    if isinstance(mapping, Embedding):
-        img = list(mapping.mapping)
-    elif isinstance(mapping, Mapping):
-        if sorted(mapping.keys()) != list(range(pattern.n)):
-            return False
-        img = [mapping[i] for i in range(pattern.n)]
-    else:
-        img = list(mapping)
+    img = list(mapping.mapping if isinstance(mapping, Embedding) else mapping)
     if len(img) != pattern.n or len(set(img)) != len(img):
         return False
     if any(not 0 <= h < host.n for h in img):
@@ -399,10 +387,10 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism: an induced embedding of g onto h that keeps degrees.
 
     The search starts from the degree classes; its forward checks (adjacent,
-    shared neighbour, apart) do the refining."""
-    if g.n > ISO_CAP or h.n > ISO_CAP:
-        raise CapacityError(f"isomorphism cap is {ISO_CAP} vertices")
-    if g.n != h.n or g.edge_count != h.edge_count:
+    shared neighbour, apart) do the refining.  Both graphs share the pattern
+    cap: CapacityError when either has more than PATTERN_CAP vertices, and
+    g's plan comes from the plan cache."""
+    if capped(g).n != capped(h).n or g.edge_count != h.edge_count:
         return False
     dg = [g.degree(v) for v in range(g.n)]
     dh = [h.degree(x) for x in range(h.n)]

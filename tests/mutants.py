@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
 
 
 WITNESS = "treefree/witness.py"
+EMBED = "treefree/embed.py"
+STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 
 MUTANTS = (
@@ -51,10 +53,32 @@ MUTANTS = (
     Mutant("vw-paths-one-step-short", WITNESS, "for _ in range(k - 1):", "for _ in range(k - 2):",
            ("tests/test_witness.py::test_mk_on_cycles",
             "tests/test_witness.py::test_path_pair_reports_are_pinned")),
-    Mutant("distance-2-entry-is-apart", "treefree/embed.py",
+    Mutant("distance-2-entry-is-apart", EMBED,
            "fc = checks[h] = (apart, near, nbhd(host, near) & apart)",
            "fc = checks[h] = (apart, near, apart)",
            ("tests/test_embed.py::test_distance_two_checks_prune_isomorphism_refutation",)),
+    # the ring of h holds h itself, so a tag-2 vertex could land on h
+    Mutant("distance-2-entry-without-apart", EMBED,
+           "fc = checks[h] = (apart, near, nbhd(host, near) & apart)",
+           "fc = checks[h] = (apart, near, nbhd(host, near))",
+           ("tests/test_embed.py::test_engine_agrees_with_oracle_on_200_random_pairs",)),
+    Mutant("step-tag-2-is-0", EMBED, STEP_TAG, "(r, 1 if rows[q] >> r & 1 else 0)",
+           ("tests/test_embed.py::test_step_tags_agree_with_pattern_distances",
+            "tests/test_embed.py::test_distance_two_checks_prune_isomorphism_refutation")),
+    Mutant("step-tag-0-is-2", EMBED, STEP_TAG, "(r, 1 if rows[q] >> r & 1 else 2)",
+           ("tests/test_embed.py::test_step_tags_agree_with_pattern_distances",
+            "tests/test_embed.py::test_engine_agrees_with_oracle_on_200_random_pairs")),
+    # pruning (c) must search the lowest root before it cuts the rest by the rotation
+    Mutant("lowest-root-skipped", EMBED, "if lowest and not place(0, base, 0, lowest):", "if lowest:",
+           ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    Mutant("iso-uncapped", EMBED, "if capped(g).n != capped(h).n", "if g.n != h.n",
+           ("tests/test_embed.py::test_iso_cap",)),
+    Mutant("iso-second-input-uncapped", EMBED, "if capped(g).n != capped(h).n", "if capped(g).n != h.n",
+           ("tests/test_embed.py::test_iso_cap",)),
+    Mutant("cycle-uncapped", "treefree/patterns.py",
+           "    _capped(n)\n    edges = [(i, (i + 1) % n) for i in range(n)]",
+           "    edges = [(i, (i + 1) % n) for i in range(n)]",
+           ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
     Mutant("components-ignore-within", "treefree/core.py",
            "left = (1 << g.n) - 1 if within is None else within", "left = (1 << g.n) - 1",
            ("tests/test_core.py::test_traversals_agree_with_networkx",

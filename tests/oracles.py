@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately implemented without the package's pruned
-search machinery: plain enumeration, Floyd-Warshall, permutations.
+search machinery: plain enumeration, Floyd-Warshall, breadth-first search
+over neighbour sets, permutations.
 """
 
 from __future__ import annotations
@@ -73,15 +74,20 @@ def brute_diameter(g: Graph) -> float:
 
 
 def shortest_cycle(g: Graph) -> int | None:
-    """Girth by removing each edge and measuring the detour distance."""
+    """Girth by removing each edge uv and measuring the detour from u to v,
+    a breadth-first search over neighbour sets."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
     best: int | None = None
     for u, v in g.edges():
-        rows = list(g._rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        d = floyd_warshall(Graph(g.n, rows))[u][v]
-        if d < INF and (best is None or d + 1 < best):
-            best = int(d) + 1
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for y in adj[x]:
+                if y not in dist and (x, y) != (u, v):
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
     return best
 
 

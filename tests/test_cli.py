@@ -643,12 +643,11 @@ def test_cli_vacuous_is_not_failure(capsys, tmp_path):
 
 
 def test_checked_failure_maps_to_exit_one():
-    # no honest input produces a checked failure, so aggregate synthetically
-    from treefree.cli import _exit_code
+    # no honest input produces a checked failure, so emit synthetic reports
+    from treefree.cli import _emit_report
     from treefree.graphio import Report
 
     good = Report(check_id="x", passed=True, status="checked")
     vac = Report(check_id="x", passed=False, status="vacuous")
     bad = Report(check_id="x", passed=False, status="checked", counterexample="Bw")
-    assert _exit_code([good, vac]) == 0
-    assert _exit_code([good, bad]) == 1
+    assert [_emit_report(rep, None) for rep in (good, vac, bad)] == [0, 0, 1]

@@ -15,7 +15,6 @@ from treefree.core import (
     contract_edge,
     diameter,
     distance,
-    girth,
     induced,
     is_bipartite,
     is_c3c4_free,
@@ -177,18 +176,10 @@ def test_rotation_diameter_equals_the_lock_step_sweep_and_networkx(monkeypatch):
         diameter(_two_c5s())
 
 
-def test_girth_examples():
-    assert girth(heawood().graph) == 6
+def test_shortest_cycle_examples():
     assert shortest_cycle(heawood().graph) == 6
-    assert girth(path(7).graph) is None
-    assert girth(cycle(7).graph) == 7
-
-
-def test_girth_matches_oracle_on_random_graphs():
-    rng = Random(13)
-    for _ in range(80):
-        g = random_graph(rng, rng.randint(2, 9), 0.3)
-        assert girth(g) == shortest_cycle(g)
+    assert shortest_cycle(path(7).graph) is None
+    assert shortest_cycle(cycle(7).graph) == 7
 
 
 def test_contract_edge_examples():
@@ -295,7 +286,7 @@ def test_traversals_agree_with_networkx():
             assert components(g, m) == sorted(sorted(c) for c in within)
             assert nbhd(g, m) == mask_of(u for v in bits(m) for u in G[v])
         assert is_bipartite(g) == nx.is_bipartite(G)
-        assert girth(g) == (None if nx.girth(G) == float("inf") else nx.girth(G))
+        assert shortest_cycle(g) == (None if nx.girth(G) == float("inf") else nx.girth(G))
         if g.n == 0:
             assert is_connected(g)
             with pytest.raises(DisconnectedError):

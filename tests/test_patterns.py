@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from treefree import patterns
-from treefree.core import VERTEX_CAP, build, contract_edge, diameter, girth, stats
+from treefree.core import VERTEX_CAP, build, contract_edge, diameter, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError, NotATreeError, UsageError
 from treefree.graphio import emit_dot, emit_graph6
@@ -30,7 +30,7 @@ from treefree.patterns import (
     tstar_tree,
 )
 
-from .oracles import caterpillar_by_spines, perm_isomorphic, random_tree
+from .oracles import caterpillar_by_spines, perm_isomorphic, random_tree, shortest_cycle
 
 
 def test_orders_match_formulas():
@@ -138,9 +138,9 @@ def test_subtree_reflexive_and_transitive_on_catalog():
 
 def test_named_graphs():
     p = petersen().graph
-    assert stats(p) == (3, 3, True, False) and girth(p) == 5
+    assert stats(p) == (3, 3, True, False) and shortest_cycle(p) == 5
     hw = heawood().graph
-    assert hw.n == 14 and girth(hw) == 6 and stats(hw).bipartite
+    assert hw.n == 14 and shortest_cycle(hw) == 6 and stats(hw).bipartite
     ch = make("contracted_heawood").graph
     assert ch.n == 13 and stats(ch).connected and stats(ch).min_degree >= 3
     with pytest.raises(UsageError):
