@@ -11,12 +11,14 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, NoReturn
 
 from . import chromatic, families, patterns, witness
-from .core import Graph, balls, bits, diameter, induced, is_c3c4_free, is_connected, mask_of
+from .core import (Graph, balls, bits, degree_classes, diameter, induced, is_c3c4_free,
+                   is_connected, mask_of)
 from .embed import capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
@@ -231,7 +233,7 @@ def verify_lemma(
 
 
 def _min_degree(g: Graph) -> int:
-    return min((g.degree(v) for v in range(g.n)), default=0)
+    return min(degree_classes(g), default=0)
 
 
 def _gate(g: Graph) -> str | None:
@@ -244,6 +246,13 @@ def _gate(g: Graph) -> str | None:
     if not is_c3c4_free(g):
         return "c3_c4"
     return None
+
+
+@cache
+def _clause_tree(name: str) -> Graph:
+    """The catalog tree of a theorem clause, built once per process; only the
+    six names of ``DIAM_CLAUSES`` and ``MAXDEG_CLAUSES`` reach it."""
+    return patterns.make(name).graph
 
 
 def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str,
@@ -265,7 +274,7 @@ def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str
     for name, thr in clauses:
         if value >= thr:
             any_checked = True
-            emb = find_induced(patterns.make(name).graph, g)
+            emb = find_induced(_clause_tree(name), g)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": list(emb.mapping) if emb else None}
             all_found = all_found and emb is not None
@@ -281,8 +290,9 @@ def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
 
-    Each reached clause tree is built once per call.  ``core.diameter`` and
-    the clause searches both use the host's block rotation, if it has one
+    Each clause tree is built once per process, when a host first reaches
+    its threshold (``_clause_tree``).  ``core.diameter`` and the clause
+    searches both use the host's block rotation, if it has one
     (``core.rotation_roots``, computed once per graph); rooting keeps the
     first embedding, so the report does not depend on it.
     """
@@ -298,7 +308,7 @@ def check_maxdeg_theorem(g: Graph) -> Report:
     The smallest threshold, 190375, exceeds every degree a graph under the
     65535-vertex cap can have, so no input reaches the clause searches.
     """
-    value = max((g.degree(v) for v in range(g.n)), default=0)
+    value = max(degree_classes(g), default=0)
     return _implication_report("theorem.maxdeg", g, _gate(g), "max_degree", value, MAXDEG_CLAUSES)
 
 

@@ -37,12 +37,13 @@ class Graph:
     No loops, no parallel edges; rows are always symmetric.
     """
 
-    __slots__ = ("n", "_rows", "_roots")
+    __slots__ = ("n", "_rows", "_roots", "_classes")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self._rows = tuple(rows)
         self._roots: int | None = -1  # ``rotation_roots``, filled on first ask
+        self._classes: dict[int, int] | None = None  # ``degree_classes``, likewise
 
     def row(self, v: int) -> int:
         return self._rows[v]
@@ -140,6 +141,19 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     return None if d < 0 else d
 
 
+def degree_classes(g: Graph) -> dict[int, int]:
+    """Degree -> the mask of the vertices with that degree, for every degree
+    that occurs.  Rows never change, so the table is computed on the first
+    ask and kept on the graph; callers read it and never change it."""
+    if g._classes is None:
+        classes: dict[int, int] = {}
+        for x, row in enumerate(g._rows):
+            d = row.bit_count()
+            classes[d] = classes.get(d, 0) | 1 << x
+        g._classes = classes
+    return g._classes
+
+
 def rotation_roots(g: Graph) -> int | None:
     """The mask of the least vertex of each orbit of the least block
     rotation of ``g``, or None when it has none.
@@ -224,23 +238,36 @@ def diameter(g: Graph) -> int:
 
 
 def is_c3c4_free(g: Graph) -> bool:
-    """True iff the graph has no 3-cycle and no 4-cycle.
+    """True iff the graph has no 3-cycle and no 4-cycle: one row union per
+    vertex and one count.
 
-    For each v, the rows of its neighbours (v removed) must be disjoint from
-    N(v), or a triangle closes, and pairwise disjoint, or two neighbours of
-    v share a second common neighbour and a 4-cycle closes.  O(m) row ops.
+    Take v with N(v) non-empty and nb = ``nbhd(g, N(v))``, the union of the
+    rows N(u) over u in N(v).
+    - A triangle passes through v iff nb & N(v) is non-zero: a u in both lies
+      in N(u') for some u' in N(v), u != u', so v, u, u' is a triangle, and
+      a triangle v, u, u' puts u' in N(u) and in N(v).
+    - Every N(u) holds v, so nb is {v} together with the sets N(u) - {v},
+      none of which holds v, and |nb| <= 1 + sum over u in N(v) of
+      (deg u - 1).  Equality holds iff those sets are pairwise disjoint.  A
+      w in N(u) - {v} and N(u') - {v} for distinct u, u' is neither v nor u
+      nor u' (no loops), so v, u, w, u' is a 4-cycle; conversely a 4-cycle
+      v, u, w, u' puts w in both sets.  So equality holds iff no 4-cycle
+      passes through v.
+    Every v meets its inequality, so the sums over all v are equal iff every
+    v meets it with equality.  Summed over v, the right-hand side counts
+    each u once per neighbour, deg u times, so it is the sum over the
+    degrees d >= 1 of |D_d| (d (d - 1) + 1), D_d the vertices of degree d,
+    read off ``degree_classes`` with no walk over neighbours.
     """
     rows = g._rows
-    for v in range(g.n):
-        rv = rows[v]
-        keep = ~(1 << v)
-        acc = rv
-        for u in bits(rv):
-            r = rows[u] & keep
-            if r & acc:
+    reach = 0
+    for rv in rows:
+        if rv:
+            nb = nbhd(g, rv)
+            if nb & rv:
                 return False
-            acc |= r
-    return True
+            reach += nb.bit_count()
+    return reach == sum(m.bit_count() * (d * d - d + 1) for d, m in degree_classes(g).items() if d)
 
 
 class GraphStats(NamedTuple):
@@ -270,7 +297,7 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def stats(g: Graph) -> GraphStats:
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = degree_classes(g)
     return GraphStats(
         min_degree=min(degs, default=0),
         max_degree=max(degs, default=0),

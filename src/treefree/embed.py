@@ -245,12 +245,10 @@ def _search(
     cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
     hrow = host._rows
     full = (1 << n) - 1
-    # degree base: one mask of the host vertices of degree >= d per distinct d
-    of_degree: dict[int, int] = {}
-    for x, row in enumerate(hrow):
-        dx = row.bit_count()
-        of_degree[dx] = of_degree.get(dx, 0) | 1 << x
-    at_least = {d: sum(m for dx, m in of_degree.items() if dx >= d) for d in set(plan.degrees)}
+    # degree base: one mask of the host vertices of degree >= d per distinct
+    # d, read off the host's degree table
+    classes = core.degree_classes(host)
+    at_least = {d: sum(m for dx, m in classes.items() if dx >= d) for d in set(plan.degrees)}
     base = [at_least[d] for d in plan.degrees]
     if initial is not None:
         base = [m & init for m, init in zip(base, initial)]
@@ -390,13 +388,12 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     shared neighbour, apart) do the refining.  Both graphs share the pattern
     cap: CapacityError when either has more than PATTERN_CAP vertices, and
     g's plan comes from the plan cache."""
-    if capped(g).n != capped(h).n or g.edge_count != h.edge_count:
+    for which, x in (("first", g), ("second", h)):
+        if x.n > PATTERN_CAP:
+            raise CapacityError(f"is_isomorphic's {which} input has {x.n} > {PATTERN_CAP} vertices")
+    if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    dg = [g.degree(v) for v in range(g.n)]
-    dh = [h.degree(x) for x in range(h.n)]
-    if sorted(dg) != sorted(dh):
+    cg, ch = core.degree_classes(g), core.degree_classes(h)
+    if {d: m.bit_count() for d, m in cg.items()} != {d: m.bit_count() for d, m in ch.items()}:
         return False
-    classes: dict[int, int] = {}
-    for x, d in enumerate(dh):
-        classes[d] = classes.get(d, 0) | 1 << x
-    return bool(_search(g, h, limit=1, initial=[classes[d] for d in dg]))
+    return bool(_search(g, h, limit=1, initial=[ch[g.degree(v)] for v in range(g.n)]))

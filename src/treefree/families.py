@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import Callable, Iterable
 
-from .core import VERTEX_CAP, Graph, bits, build, is_c3c4_free, is_connected
+from .core import VERTEX_CAP, Graph, bits, build, degree_classes, is_c3c4_free, is_connected
 from .errors import ConstructionError
 
 
@@ -187,7 +187,7 @@ def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> F
         raise ConstructionError(f"{fg.family}({fg.size}): disconnected")
     if not is_c3c4_free(g):
         raise ConstructionError(f"{fg.family}({fg.size}): contains a C3 or C4")
-    degrees = [g.degree(v) for v in range(g.n)]
+    degrees = degree_classes(g)
     low, high = min(degrees), max(degrees)
     if low < min_degree:
         raise ConstructionError(f"{fg.family}({fg.size}): min degree {low} < {min_degree}")

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 WITNESS = "treefree/witness.py"
 EMBED = "treefree/embed.py"
+CORE = "treefree/core.py"
 STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 
@@ -71,10 +72,21 @@ MUTANTS = (
     # pruning (c) must search the lowest root before it cuts the rest by the rotation
     Mutant("lowest-root-skipped", EMBED, "if lowest and not place(0, base, 0, lowest):", "if lowest:",
            ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
-    Mutant("iso-uncapped", EMBED, "if capped(g).n != capped(h).n", "if g.n != h.n",
+    Mutant("iso-uncapped", EMBED, "        if x.n > PATTERN_CAP:\n", "        if False:\n",
            ("tests/test_embed.py::test_iso_cap",)),
-    Mutant("iso-second-input-uncapped", EMBED, "if capped(g).n != capped(h).n", "if capped(g).n != h.n",
-           ("tests/test_embed.py::test_iso_cap",)),
+    Mutant("iso-second-input-uncapped", EMBED, 'for which, x in (("first", g), ("second", h)):',
+           'for which, x in (("first", g),):', ("tests/test_embed.py::test_iso_cap",)),
+    # is_c3c4_free: the triangle test, and the count identity's d >= 1
+    Mutant("c3c4-triangle-test-dropped", CORE, "            if nb & rv:\n                return False\n", "",
+           ("tests/test_core.py::test_c3c4_free_examples",
+            "tests/test_core.py::test_c3c4_free_matches_neighborhood_characterization")),
+    Mutant("c3c4-isolated-vertices-counted", CORE, "degree_classes(g).items() if d)",
+           "degree_classes(g).items())",
+           ("tests/test_core.py::test_c3c4_free_agrees_with_networkx_girth_with_isolated_vertices",
+            "tests/test_core.py::test_c3c4_free_matches_neighborhood_characterization")),
+    Mutant("min-degree-reads-max", "treefree/cli.py", "return min(degree_classes(g), default=0)",
+           "return max(degree_classes(g), default=0)",
+           ("tests/test_cli.py::test_the_gate_reads_the_minimum_degree",)),
     Mutant("cycle-uncapped", "treefree/patterns.py",
            "    _capped(n)\n    edges = [(i, (i + 1) % n) for i in range(n)]",
            "    edges = [(i, (i + 1) % n) for i in range(n)]",

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from treefree.core import Graph, build, is_c3c4_free, is_connected
+from treefree.core import Graph, build, is_connected
 from treefree.embed import Embedding
 from treefree.errors import CapacityError
 
@@ -410,16 +410,34 @@ def random_tree(rng: Random, n: int) -> Graph:
     return build(n, edges)
 
 
+def girth_at_least_5(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """No C3 or C4, by pairs: no adjacent pair shares a neighbour and no pair
+    shares two.  Every pair of neighbours of w shares w; a pair met again at
+    a second w shares two."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    shared = set()
+    for w in range(n):
+        for pair in combinations(sorted(nbrs[w]), 2):
+            if pair[1] in nbrs[pair[0]] or pair in shared:
+                return False
+            shared.add(pair)
+    return True
+
+
 def random_girth5_cubic(rng: Random, n: int) -> Graph:
     """A connected cubic graph of girth >= 5 on n (even) vertices: pairing
-    model, resampled until the pairing is simple, connected and C3/C4-free."""
+    model, resampled until the pairing is simple, connected and passes
+    ``girth_at_least_5``."""
     while True:
         points = [v for v in range(n) for _ in range(3)]
         rng.shuffle(points)
         edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
-        if len(edges) == 3 * n // 2:
+        if len(edges) == 3 * n // 2 and girth_at_least_5(n, edges):
             g = build(n, edges)
-            if is_connected(g) and is_c3c4_free(g):
+            if is_connected(g):
                 return g
 
 

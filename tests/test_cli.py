@@ -92,6 +92,18 @@ def test_diam_theorem_reports():
     assert rep.status == "vacuous" and rep.params["reason"] == "hypothesis gate failed: disconnected"
 
 
+def test_the_gate_reads_the_minimum_degree():
+    # Petersen with one edge subdivided: connected and C3/C4-free, with
+    # degrees 2 and 3, so only the minimum degree fails the gate
+    (a, b), *rest = petersen().graph.edges()
+    g = build(11, [*rest, (a, 10), (10, b)])
+    assert core.stats(g)[:3] == (2, 3, True) and core.is_c3c4_free(g)
+    rep = check_diam_theorem(g)
+    assert rep.status == "vacuous"
+    assert rep.params["reason"] == "hypothesis gate failed: min degree 2 < 3"
+    assert scan_corpus([emit_graph6(g)], "P8").params["rejections"]["min_degree"] == 1
+
+
 def test_diam_theorem_reaches_the_t8_clauses():
     for n in (65, 81, 129):
         host = gp(n).graph
@@ -108,11 +120,16 @@ def test_diam_theorem_reaches_the_t8_clauses():
 
 
 def test_diam_theorem_builds_each_clause_tree_once(monkeypatch):
+    # clause trees are kept for the process: two hosts that reach every
+    # clause build each tree once between them
+    cli._clause_tree.cache_clear()
     built = []
     monkeypatch.setattr(cli.patterns, "make", lambda name: built.append(name) or make(name))
-    rep = check_diam_theorem(gp(129).graph)  # every clause searched
-    assert all(rep.witness[name]["found"] for name, _ in DIAM_CLAUSES)
+    for _ in range(2):
+        rep = check_diam_theorem(gp(129).graph)  # every clause searched
+        assert all(rep.witness[name]["found"] for name, _ in DIAM_CLAUSES)
     assert sorted(built) == sorted(name for name, _ in DIAM_CLAUSES)
+    cli._clause_tree.cache_clear()
     built.clear()
     check_diam_theorem(cycle(9).graph)  # the gate fails before any tree is needed
     assert built == []

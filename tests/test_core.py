@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from treefree.core import (
     build,
     components,
     contract_edge,
+    degree_classes,
     diameter,
     distance,
     induced,
@@ -25,13 +27,14 @@ from treefree.core import (
     stats,
 )
 from treefree.errors import ConstructionError, DisconnectedError, MissingEdgeError
-from treefree.families import gp, h3
+from treefree.families import gp, h1, h2, h3, h4
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, heawood, path, petersen
 from treefree.embed import _orbit_least, is_isomorphic
 
 from .oracles import (
     brute_diameter,
+    girth_at_least_5,
     has_c3_or_c4,
     oracle_block_rotation,
     random_girth5_cubic,
@@ -84,6 +87,93 @@ def test_c3c4_free_matches_neighborhood_characterization():
             for v in range(u + 1, g.n)
         )
         assert is_c3c4_free(g) == by_def == (independent and shared)
+
+
+def _nx_graph(g):
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def test_c3c4_free_agrees_with_networkx_girth_on_hub_hosts():
+    # a hub of degree d adds d (d - 1) to the count identity.  An edge from a
+    # vertex to one two steps away closes a C3, to one three steps away a C4
+    # and no C3; each runs from the hub when the hub has such a vertex (h2's
+    # and h4's hubs reach every vertex in two steps)
+    nx = pytest.importorskip("networkx")
+    hosts = [h1(s).graph for s in (2, 3, 5)] + [h2(s).graph for s in (1, 3, 4)]
+    hosts += [h4(s).graph for s in (2, 3, 5)]
+    from_hub = 0
+    for g in hosts:
+        G = _nx_graph(g)
+        assert is_c3c4_free(g) and nx.girth(G) >= 5
+        hub = max(G, key=lambda v: (G.degree(v), -v))
+        for steps in (2, 3):
+            u, v = next((u, v) for u in (hub, *G) for v, d in
+                        sorted(nx.single_source_shortest_path_length(G, u, cutoff=3).items())
+                        if d == steps)
+            from_hub += u == hub
+            extra = build(g.n, [*g.edges(), (u, v)])
+            assert nx.girth(_nx_graph(extra)) == steps + 1
+            assert not is_c3c4_free(extra)
+    assert from_hub == len(hosts) + 3  # every C3 edge, and h1's C4 edges
+
+
+def test_c3c4_free_agrees_with_networkx_girth_with_isolated_vertices():
+    nx = pytest.importorskip("networkx")
+    rng = Random(61)
+    pet, c5, c4 = petersen().graph, cycle(5).graph, cycle(4).graph
+
+    def union(*parts, isolated=0):
+        edges, base = [], 0
+        for part in parts:
+            edges += [(base + a, base + b) for a, b in part.edges()]
+            base += part.n
+        return build(base + isolated, edges)
+
+    graphs = [build(1, []), build(3, []), union(pet, isolated=2), union(c5, pet, c5),
+              union(pet, c4, isolated=1), union(c5, build(3, [(0, 1), (1, 2), (0, 2)]), isolated=3)]
+    for _ in range(150):
+        n = rng.randint(2, 30)
+        graphs.append(random_graph(rng, n, rng.choice([0.5, 1.0, 2.0, 4.0]) / n))
+    free = isolated = 0
+    for g in graphs:
+        G = _nx_graph(g)
+        assert is_c3c4_free(g) == girth_at_least_5(g.n, g.edges()) == (nx.girth(G) >= 5), emit_graph6(g)
+        free += nx.girth(G) >= 5
+        isolated += any(d == 0 for _, d in G.degree())
+    assert free >= 40 and len(graphs) - free >= 40 and isolated >= 100
+
+
+def test_degree_classes_match_networkx_degree_histogram():
+    nx = pytest.importorskip("networkx")
+    rng = Random(67)
+    graphs = [build(0, []), build(4, []), h2(3).graph]
+    graphs += [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.2, 0.5])) for _ in range(60)]
+    for g in graphs:
+        classes = degree_classes(g)
+        hist = nx.degree_histogram(_nx_graph(g))
+        assert {d: m.bit_count() for d, m in classes.items()} == {d: c for d, c in enumerate(hist) if c}
+        assert all(g.degree(v) == d for d, m in classes.items() for v in bits(m))
+        assert sum(classes.values()) == (1 << g.n) - 1
+        assert degree_classes(g) is classes  # kept on the graph
+        assert stats(g)[:2] == (min(classes, default=0), max(classes, default=0))
+
+
+def test_random_girth5_cubic_is_pinned():
+    # the first graphs the test generator draws at three seeds; its filter is
+    # a pair test of its own, independent of core.is_c3c4_free
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        rng = Random(seed)
+        for n in (24, 30, 40):
+            g = random_girth5_cubic(rng, n)
+            assert is_c3c4_free(g) and is_connected(g) and {g.degree(v) for v in range(n)} == {3}
+            h.update(emit_graph6(g).encode() + b"\n")
+    assert h.hexdigest()[:16] == "09f0e95df196e5a8"
 
 
 def test_distance_examples():
@@ -254,8 +344,6 @@ def _nx_samples():
     """(graph, networkx copy) pairs: seeded random graphs from empty to dense,
     disconnected ones included, the n = 0 and n = 1 graphs, and girth-4/5/6
     named graphs."""
-    import networkx as nx
-
     rng = Random(31)
     graphs = [build(0, []), build(1, []), build(2, []), petersen().graph, heawood().graph,
               gp(25).graph, cycle(4).graph, cycle(5).graph, path(9).graph]
@@ -263,10 +351,7 @@ def _nx_samples():
         n = rng.randint(2, 40)
         graphs.append(random_graph(rng, n, rng.choice([0.5, 1.5, 3.0, 6.0]) / n))
     for g in graphs:
-        G = nx.Graph()
-        G.add_nodes_from(range(g.n))
-        G.add_edges_from(g.edges())
-        yield g, G
+        yield g, _nx_graph(g)
 
 
 def test_traversals_agree_with_networkx():

@@ -169,11 +169,14 @@ def test_iso_agrees_with_permutation_oracle():
 
 
 def test_iso_cap():
-    # isomorphism shares the pattern cap, whichever argument is over it
-    big, small = build(embed.PATTERN_CAP + 1, []), build(embed.PATTERN_CAP, [])
-    for g, h in ((big, big), (big, small), (small, big)):
-        with pytest.raises(CapacityError):
+    # isomorphism shares the pattern cap, whichever argument is over it, and
+    # the refusal names the argument that is
+    cap = embed.PATTERN_CAP
+    big, small = build(cap + 1, []), build(cap, [])
+    for g, h, which in ((big, big, "first"), (big, small, "first"), (small, big, "second")):
+        with pytest.raises(CapacityError) as err:
             is_isomorphic(g, h)
+        assert str(err.value) == f"is_isomorphic's {which} input has {cap + 1} > {cap} vertices"
     assert is_isomorphic(small, small)
 
 
