@@ -11,7 +11,7 @@ from .core import (
     is_c3c4_free,
     stats,
 )
-from .embed import Embedding, find_induced, is_free, is_isomorphic, verify_embedding
+from .embed import find_induced, is_free, is_isomorphic
 from .graphio import Report, emit_dot, emit_graph6, parse_graph6, stream_corpus
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "GraphStats",
-    "Embedding",
     "Report",
     "build",
     "contract_edge",
@@ -35,6 +34,5 @@ __all__ = [
     "parse_graph6",
     "stats",
     "stream_corpus",
-    "verify_embedding",
     "__version__",
 ]

@@ -54,7 +54,7 @@ def _freeness_sweep(
             emb = find_induced(pat.graph, fg.graph, fg.generators)
             if emb is not None:
                 return checked(check_id, fg.graph, False, {"failed_on": done[-1]},
-                               {"embedding": list(emb.mapping)})
+                               {"embedding": list(emb)})
     return Report(check_id, {"checked": done}, passed=True)
 
 
@@ -150,8 +150,8 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
     samples = 100
     bases = 0
     for name, host in hosts:
-        degs = [host.degree(v) for v in range(host.n)]
-        w = degs.index(max(degs))
+        classes = degree_classes(host)
+        w = next(bits(classes[max(classes)]))  # the lowest vertex of maximum degree
         root = witness.RootTable(host, w)
         if which == "5.3":
             # |M_k(x, w)| for every x, read off one path table per k since w is fixed
@@ -276,7 +276,7 @@ def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str
             any_checked = True
             emb = find_induced(_clause_tree(name), g)
             outcomes[name] = {"checked": True, "found": emb is not None,
-                              "embedding": list(emb.mapping) if emb else None}
+                              "embedding": None if emb is None else list(emb)}
             all_found = all_found and emb is not None
         else:
             outcomes[name] = {"checked": False}
@@ -401,7 +401,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if emb is None:
             print(f"record {index}: free")
         else:
-            print(f"record {index}: contains {pat.pattern_id} at {list(emb.mapping)}")
+            print(f"record {index}: contains {pat.pattern_id} at {list(emb)}")
     return 0
 
 

@@ -18,60 +18,61 @@ and size, started from the degree classes.
 One invariant: every pruning keeps the lex-least embedding f*.  The search
 meets embeddings in lex order and reports only embeddings, so the first one
 it reports is f*: ``find_induced`` returns the same witness and ``is_free``
-the same verdict whatever prunings ran.  An enumeration
-(``find_all_induced`` with any limit but 1) runs only the prunings that
-keep every embedding: the forward checks, which no embedding fails, and
-(d).  The four prunings:
+the same verdict whatever prunings ran.  A first-hit search (``limit == 1``)
+without ``initial`` masks is rooted and runs all three prunings.  Any other
+search (an enumeration, ``is_isomorphic``, the orbit checks of (a)) runs
+only those that keep every embedding: the forward checks, which no
+embedding fails, and (c).  The three prunings:
 
-(a) Symmetry breaking, in first-hit searches (``limit == 1``, no
-``initial`` masks).  For each idx >= 1 the plan holds the orbit of
-order[idx] under the pattern automorphisms that fix order[:idx] pointwise.
-Once order[idx] lands on host vertex h, every other vertex of that orbit is
-cut to ids above h: a lex-leader condition (Crawford, Ginsberg, Luks and
-Roy, KR 1996; Grochow and Kellis, RECOMB 2007).  If f* broke the cut at
-orbit vertex j, the automorphism tau that fixes order[:idx] and maps
-order[idx] to j would make f* o tau an embedding that agrees with f* on the
-prefix and is smaller at idx.  Each orbit member is confirmed by one
-pattern-to-pattern search with singleton ``initial`` masks, so Aut(P) is
-never listed (a 15-leaf star has 15! automorphisms), and the orbits are
-built the first time a pattern serves such a search.  With ``initial``
-masks, f* o tau may leave the masks, so they turn the cuts off.
+(a) Symmetry breaking, in rooted searches.  For each idx >= 1 the plan
+holds the orbit of order[idx] under the pattern automorphisms that fix
+order[:idx] pointwise.  Once order[idx] lands on host vertex h, every other
+vertex of that orbit is cut to ids above h: a lex-leader condition
+(Crawford, Ginsberg, Luks and Roy, KR 1996; Grochow and Kellis, RECOMB
+2007).  If f* broke the cut at orbit vertex j, the automorphism tau that
+fixes order[:idx] and maps order[idx] to j would make f* o tau an embedding
+that agrees with f* on the prefix and is smaller at idx.  Each orbit member
+is confirmed by one pattern-to-pattern search with singleton ``initial``
+masks, so Aut(P) is never listed (a 15-leaf star has 15! automorphisms),
+and the orbits are built the first time a pattern serves a rooted search.
+With ``initial`` masks, f* o tau may leave the masks, so they turn the cuts
+off.
 
-(b) Orbit rooting, when host automorphism ``generators`` are given (the
-family constructors supply them) and no ``initial`` masks.  Each generator
-is given by its moves, a dict from each vertex it moves to its image, with
-every vertex it leaves out fixed, so the search reads the moved vertices
-off the keys and never scans a full-length permutation.  The search
-numbers the generators that move some vertex, and ``fixing[h]`` masks
-those that fix host vertex h.  Each node carries ``sub``, its parent's
-``sub & fixing[h]``: the generators that fix every host vertex placed so
-far.  Let H_d be the group they generate at depth d.  The candidates there
-are cut to ``least[sub]``, the vertices that are the least of their
-H_d-orbit, a mask ``_orbit_least`` builds once per distinct ``sub`` and
-search.  A rotation moves every vertex, so it roots only the first
-placement (gp(n): 2 roots of 2n), and ``_orbit_least``'s array union-find
-keeps that table O(n).  Let y = f*(order[d]).  For g in H_d, g o f* is an
-embedding that agrees with f* on the prefix, so g(y) >= y: y is the least
-vertex of its whole H_d-orbit, and the cut keeps it whatever the rest of
-the candidate mask holds.  Once no generator fixes a branch's prefix
-(``sub`` is 0), the branch is searched in full.
+(b) Orbit rooting, in rooted searches: the host-side lex-leader condition.
+Let H_d be a group of host automorphisms that fix f*(order[:d]) pointwise,
+and y = f*(order[d]).  For g in H_d, g o f* is an embedding that agrees
+with f* on the prefix, so g(y) >= y: y is the least vertex of its
+H_d-orbit, and cutting the candidates for order[d] to the orbit leasts
+keeps f* whatever else the candidate mask holds.  The symmetry has two
+sources.  Host automorphism ``generators`` (the family constructors supply
+them) are each given by its moves, a dict from each vertex it moves to its
+image, with every vertex it leaves out fixed, so the search reads the
+moved vertices off the keys and never scans a full-length permutation.
+The search numbers the generators that move some vertex, and ``fixing[h]``
+masks those that fix host vertex h.  Each node carries ``sub``, its
+parent's ``sub & fixing[h]``: the generators that fix every host vertex
+placed so far, which generate H_d.  ``least[sub]`` masks the orbit leasts,
+built by ``_orbit_least`` once per distinct ``sub`` and search; its array
+union-find keeps that table O(n) for a rotation, which moves every vertex
+and so roots only the first placement (gp(n): 2 roots of 2n).  Once no
+generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
+full.  Without generators, H_0 is generated by the host's block rotation
+sigma, which ``core.rotation_roots`` detects if the host has one; sigma
+moves every vertex, so it roots only the first placement and every branch
+below a root is searched in full.  A host without a rotation, such as a
+relabelled gp(n) or h3(s), has every root tried.
 
-(c) Lazy rotation rooting, in unrooted first-hit searches (``limit == 1``,
-no ``generators``, no ``initial`` masks).  The search tries its lowest root
-(the least candidate for q0 = order[0]) first.  Only when that root has no
-embedding does it ask ``core.rotation_roots`` for the host's block rotation
-sigma, and when the host has one the remaining roots are cut to the least
-vertex of each sigma-orbit, the mask that call returns.  (b)'s argument
-covers the cut: the lowest root has no embedding, and f*(q0) is the least
-vertex of its orbit, since g o f* is an embedding for every power g of
-sigma.  sigma moves every vertex, so no generator fixes a placed root and
-every branch below a root is searched in full.  Trying the lowest root
-first spares detection on the hosts that embed the pattern there, as most
-``scan`` records do.  A host without a rotation, such as a relabelled
-gp(n) or h3(s), has every root tried; verdicts and witnesses are the same
-either way.
+Every rooted search places its lowest root (the least candidate for q0 =
+order[0]) first.  The candidates for q0 are every host vertex of degree at
+least deg(q0), a set each automorphism keeps, so the lowest root is the
+least of its orbit under any group and survives any cut.  Only when it has
+no embedding are the other roots cut, to ``least[every]`` with generators
+and to the mask ``core.rotation_roots`` returns without.  That spares
+rotation detection on hosts that embed the pattern at the lowest root, as
+most ``scan`` records do, and costs a generator-rooted search one more call
+of ``place`` at level 0.
 
-(d) Sibling pigeonhole, in every search.  The search keeps a pattern
+(c) Sibling pigeonhole, in every search.  The search keeps a pattern
 vertex's image off the images of other vertices only through the forward
 checks, so two unplaced neighbours of one placed vertex can be left with
 the same single candidate, and the clash would show only once both are
@@ -85,17 +86,17 @@ to the one group where it is cheap and sharp: after the adjacency checks
 the kids' masks lie inside N(h), so it fires when host degrees are close to
 pattern degrees, as on sparse min-degree-3 hosts.  It removes only subtrees
 with no embedding, so it keeps f*, every enumeration and its order, and
-(c)'s premise that a searched root has no embedding.  It reads the masks
-after (a)'s cuts and the ``initial`` masks are applied, so it drops nothing
-those keep; (b) cuts only the candidates of the next vertex to place, so
-the union there is over supersets and the cut stays sound.  The search for
-S8:0001 in h2(3) without generators (which finds none) visits 4464 nodes
-(calls of ``place``) with the cut against 17090 without it.
+(b)'s premise that a searched lowest root has no embedding.  It reads the
+masks after (a)'s cuts and the ``initial`` masks are applied, so it drops
+nothing those keep; (b) cuts only the candidates of the next vertex to
+place, so the union there is over supersets and the cut stays sound.  The
+search for S8:0001 in h2(3) without generators (which finds none, its plan
+built) visits 4420 nodes (calls of ``place``) with the cut against
+17090 without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -105,13 +106,6 @@ from .errors import CapacityError
 
 PATTERN_CAP = 16
 PLAN_CACHE = 256
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective map pattern-vertex i -> host-vertex mapping[i], induced."""
-
-    mapping: tuple[int, ...]
 
 
 def _search_order(pattern: Graph) -> list[int]:
@@ -225,24 +219,26 @@ def _search(
     limit: int | None,
     initial: Sequence[int] | None = None,
     generators: Sequence[Mapping[int, int]] = (),
-) -> list[Embedding]:
-    """Induced embeddings in search order, stopping after ``limit``.
+) -> list[tuple[int, ...]]:
+    """Induced embeddings in search order, stopping after ``limit``; entry q
+    of each is the host vertex pattern vertex q maps to.
 
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
-    ``generators`` are host automorphisms, each given by its moves; with
-    them and no ``initial`` the search is orbit-rooted (see the module
-    docstring), which keeps the first embedding but not the ones after it.
-    A first-hit search with neither is rooted by the host's block rotation,
-    if it has one, once its lowest root fails.
+    A first-hit search without ``initial`` is rooted (see the module
+    docstring): it is orbit-rooted by the host automorphism ``generators``,
+    each given by its moves, or without them by the host's block rotation,
+    if it has one, once its lowest root fails.  Any other search ignores
+    ``generators``.
     """
     k, n = pattern.n, host.n
     if k == 0:
-        return [Embedding(())]
+        return [()]
     if k > n:
         return []
+    rooted = limit == 1 and initial is None
     plan = _plan(pattern)
     order, steps, kids = plan.order, plan.steps, plan.kids
-    cuts = plan.cuts() if limit == 1 and initial is None else [()] * k
+    cuts = plan.cuts() if rooted else [()] * k
     hrow = host._rows
     full = (1 << n) - 1
     # degree base: one mask of the host vertices of degree >= d per distinct
@@ -257,11 +253,11 @@ def _search(
     # vertices at distance 2 from h
     checks: dict[int, tuple[int, int, int]] = {}
     mapping = [-1] * k
-    found: list[Embedding] = []
+    found: list[tuple[int, ...]] = []
     # orbit rooting: generator i moves something, and fixing[h] has bit i iff
     # it fixes h; least[sub] masks the least vertex of each orbit of the
     # group the generators in ``sub`` generate, built once per distinct sub
-    gens = [moves for moves in generators if moves] if initial is None else []
+    gens = [moves for moves in generators if moves] if rooted else []
     every = (1 << len(gens)) - 1
     fixing = [every] * n if gens else []
     for i, moves in enumerate(gens):
@@ -285,7 +281,7 @@ def _search(
             h = low.bit_length() - 1
             if idx + 1 == k:
                 mapping[q] = h
-                found.append(Embedding(tuple(mapping)))
+                found.append(tuple(mapping))
                 mapping[q] = -1
                 if limit is not None and len(found) >= limit:
                     return True
@@ -306,7 +302,7 @@ def _search(
                     break
                 nxt[r] = c
             if ok and kids[idx]:
-                # (d): the later neighbours of q need distinct images
+                # (c): the later neighbours of q need distinct images
                 union = 0
                 for r in kids[idx]:
                     union |= nxt[r]
@@ -320,30 +316,31 @@ def _search(
                 mapping[q] = -1
         return False
 
-    roots = base[order[0]] & least_of(every) if gens else base[order[0]]
-    if gens or initial is not None or limit != 1:
-        place(0, base, every, roots)
-        return found
-    # (c): the lowest root, then the rest, rooted by a block rotation if the
-    # host has one; see the module docstring
-    lowest = roots & -roots
-    if lowest and not place(0, base, 0, lowest):
-        rest = roots ^ lowest
-        rotated = core.rotation_roots(host)
-        place(0, base, 0, rest if rotated is None else rest & rotated)
+    roots = base[order[0]]
+    if rooted and roots:
+        # (b): the lowest root, then the rest cut to the least of each orbit
+        lowest = roots & -roots
+        if place(0, base, every, lowest):
+            return found
+        least_roots = least_of(every) if gens else core.rotation_roots(host)
+        roots ^= lowest
+        if least_roots is not None:
+            roots &= least_roots
+    place(0, base, every, roots)
     return found
 
 
 def find_induced(
     pattern: Graph, host: Graph, generators: Sequence[Mapping[int, int]] = ()
-) -> Embedding | None:
-    """First induced embedding of ``pattern`` in ``host``, or None.
+) -> tuple[int, ...] | None:
+    """First induced embedding of ``pattern`` in ``host``, or None; entry q is
+    the host vertex pattern vertex q maps to.
 
-    ``generators`` (host automorphisms, each a dict from every vertex it
-    moves to its image, such as ``FamilyGraph.generators``) make the search
-    try one host vertex per orbit; without them the search roots itself by
-    the host's block rotation, if it has one, once its lowest root fails.
-    Neither changes the result.
+    Once its lowest root fails, the search tries one host vertex per orbit
+    of the host automorphism ``generators`` that fix the vertices placed so
+    far (each a dict from every vertex it moves to its image, such as
+    ``FamilyGraph.generators``), or without them one root per orbit of the
+    host's block rotation, if it has one.  Neither changes the result.
     """
     out = _search(capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None
@@ -356,7 +353,7 @@ def capped(pattern: Graph) -> Graph:
     return pattern
 
 
-def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[Embedding]:
+def find_all_induced(pattern: Graph, host: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
     """Every induced embedding (up to ``limit``), in deterministic order."""
     return _search(capped(pattern), host, limit=limit)
 
@@ -365,20 +362,6 @@ def is_free(host: Graph, pattern: Graph, generators: Sequence[Mapping[int, int]]
     """True iff ``host`` contains no induced copy of ``pattern``; ``generators``
     as in ``find_induced``."""
     return find_induced(pattern, host, generators) is None
-
-
-def verify_embedding(pattern: Graph, host: Graph, mapping: Embedding | Sequence[int]) -> bool:
-    """Check injectivity plus the induced condition, edge for edge."""
-    img = list(mapping.mapping if isinstance(mapping, Embedding) else mapping)
-    if len(img) != pattern.n or len(set(img)) != len(img):
-        return False
-    if any(not 0 <= h < host.n for h in img):
-        return False
-    for a in range(pattern.n):
-        for b in range(a + 1, pattern.n):
-            if pattern.has_edge(a, b) != host.has_edge(img[a], img[b]):
-                return False
-    return True
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -11,9 +11,10 @@ path table per (w, k) (``vw_paths``) and one ``RootTable`` per w for the
 closure sets, which ``closure_masks`` reads for each base X; L(X) is
 computed there alone, from the table's ring N(N(w)) - w.  The path-pair
 clauses test M_4 membership on three rows, so a path-pair check reads at
-most one table, of its own order.  The sampled lemma checks evaluate every
-base and path pair on bitmasks and build a ``Report`` (``derived_sets``,
-``check_path_pair``) only for a failing one.
+most one table, of its own order.  Lemma 4.1 checks every path pair of a
+host and k on bitmasks inside one ``scan_path_pairs`` report, one report per
+host and k.  Lemmas 5.1 and 5.3 check every base on masks, and 5.1 builds a
+``derived_sets`` report only for a failing base.
 """
 
 from __future__ import annotations

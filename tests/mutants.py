@@ -42,6 +42,8 @@ EMBED = "treefree/embed.py"
 CORE = "treefree/core.py"
 STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
+ROOTED = "rooted = limit == 1 and initial is None"
+LOWEST_ROOT = "if place(0, base, every, lowest):"
 
 MUTANTS = (
     # clause (v)'s M_4 test: b must miss N(v), and the vertex tested is q1[1]
@@ -69,9 +71,19 @@ MUTANTS = (
     Mutant("step-tag-0-is-2", EMBED, STEP_TAG, "(r, 1 if rows[q] >> r & 1 else 2)",
            ("tests/test_embed.py::test_step_tags_agree_with_pattern_distances",
             "tests/test_embed.py::test_engine_agrees_with_oracle_on_200_random_pairs")),
-    # pruning (c) must search the lowest root before it cuts the rest by the rotation
-    Mutant("lowest-root-skipped", EMBED, "if lowest and not place(0, base, 0, lowest):", "if lowest:",
+    # a rooted search is a first-hit search without initial masks, and
+    # neither half of that test alone will do
+    Mutant("rooted-enumerations", EMBED, ROOTED, "rooted = initial is None",
+           ("tests/test_embed.py::test_find_all_enumerates_soundly",
+            "tests/test_embed.py::test_periodic_hosts_keep_witnesses_and_enumerations")),
+    Mutant("rooted-under-initial-masks", EMBED, ROOTED, "rooted = limit == 1",
+           ("tests/test_embed.py::test_rooted_searches_and_enumerations_detect_no_rotation",)),
+    # pruning (b) searches the lowest root, under every generator, before it
+    # cuts the other roots
+    Mutant("lowest-root-skipped", EMBED, LOWEST_ROOT, "if False:",
            ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    Mutant("lowest-root-without-generators", EMBED, LOWEST_ROOT, "if place(0, base, 0, lowest):",
+           ("tests/test_embed.py::test_generator_rooted_freeness_searches_are_pinned",)),
     Mutant("iso-uncapped", EMBED, "        if x.n > PATTERN_CAP:\n", "        if False:\n",
            ("tests/test_embed.py::test_iso_cap",)),
     Mutant("iso-second-input-uncapped", EMBED, 'for which, x in (("first", g), ("second", h)):',

@@ -12,7 +12,6 @@ from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from treefree.core import Graph, build, is_connected
-from treefree.embed import Embedding
 from treefree.errors import CapacityError
 
 INF = float("inf")
@@ -463,7 +462,18 @@ def random_girth5_necklace(rng: Random, copies: int, n: int, alike: bool = False
     return build(copies * n, edges)
 
 
-def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[Embedding]:
+def verify_embedding(pattern: Graph, host: Graph, mapping: Sequence[int]) -> bool:
+    """Check injectivity plus the induced condition, edge for edge."""
+    img = list(mapping)
+    if len(img) != pattern.n or len(set(img)) != len(img):
+        return False
+    if any(not 0 <= h < host.n for h in img):
+        return False
+    return all(pattern.has_edge(a, b) == host.has_edge(img[a], img[b])
+               for a, b in combinations(range(pattern.n), 2))
+
+
+def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
     """Every induced embedding, by exhaustive assignment in natural vertex order.
 
     No degree filter, no reordering, no look-ahead; prefixes are abandoned
@@ -477,10 +487,10 @@ def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[Embedding]:
         raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
     chosen: list[int] = []
 
-    def extend() -> Iterator[Embedding]:
+    def extend() -> Iterator[tuple[int, ...]]:
         i = len(chosen)
         if i == k:
-            yield Embedding(tuple(chosen))
+            yield tuple(chosen)
             return
         for h in range(n):
             if h in chosen:
@@ -493,7 +503,7 @@ def oracle_induced_maps(pattern: Graph, host: Graph) -> Iterator[Embedding]:
     return extend()
 
 
-def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
+def oracle_find_induced(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
     """The first of ``oracle_induced_maps``, on hosts of at most ORACLE_HOST_CAP vertices."""
     if pattern.n > ORACLE_PATTERN_CAP:
         raise CapacityError(f"oracle pattern cap is {ORACLE_PATTERN_CAP}")
@@ -502,7 +512,7 @@ def oracle_find_induced(pattern: Graph, host: Graph) -> Embedding | None:
     return next(oracle_induced_maps(pattern, host), None)
 
 
-def oracle_maps_along(pattern: Graph, host: Graph, order: list[int]) -> Iterator[Embedding]:
+def oracle_maps_along(pattern: Graph, host: Graph, order: list[int]) -> Iterator[tuple[int, ...]]:
     """Every induced map, in lexicographic order of the images of ``order``.
 
     Plain backtracking: pattern vertices are placed in ``order``, candidates
@@ -515,9 +525,9 @@ def oracle_maps_along(pattern: Graph, host: Graph, order: list[int]) -> Iterator
     k = pattern.n
     img = [-1] * k
 
-    def extend(i: int) -> Iterator[Embedding]:
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
         if i == k:
-            yield Embedding(tuple(img))
+            yield tuple(img)
             return
         q = order[i]
         placed = order[:i]
@@ -538,7 +548,7 @@ def oracle_stabiliser_orbits(pattern: Graph, order: list[int]) -> list[set[int]]
     """Entry idx: the orbit of order[idx] under the automorphisms of
     ``pattern`` that fix order[:idx] pointwise, from the full group listed
     by ``oracle_maps_along``."""
-    auts = [e.mapping for e in oracle_maps_along(pattern, pattern, order)]
+    auts = list(oracle_maps_along(pattern, pattern, order))
     return [{a[q] for a in auts if all(a[p] == p for p in order[:idx])}
             for idx, q in enumerate(order)]
 

@@ -25,7 +25,6 @@ from treefree.cli import (
     verify_lemma,
 )
 from treefree.core import build
-from treefree.embed import verify_embedding
 from treefree.errors import UsageError
 from treefree.families import gp, h1, h3
 from treefree.graphio import emit_graph6, parse_graph6
@@ -38,7 +37,7 @@ from treefree.witness import (
     verify_ramsey_small,
 )
 
-from .oracles import random_girth5_cubic, random_girth5_necklace
+from .oracles import random_girth5_cubic, random_girth5_necklace, verify_embedding
 
 
 def _named_graph_corpus():
@@ -52,6 +51,12 @@ def _two_petersens():
     """Disconnected, though each component has min degree 3 and girth 5."""
     pet = petersen().graph
     return build(20, [(a + 10 * c, b + 10 * c) for c in (0, 1) for a, b in pet.edges()])
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from treefree import *", namespace)
+    assert set(treefree.__all__) <= namespace.keys()
 
 
 def test_verify_lemma_quick_slices():
@@ -190,7 +195,7 @@ def test_diam_reports_from_the_sweep_levels_equal_per_clause_searches(monkeypatc
                 continue
             emb = embed.find_induced(make(name).graph, g)
             assert rep["witness"][name] == {"checked": True, "found": emb is not None,
-                                            "embedding": list(emb.mapping) if emb else None}
+                                            "embedding": None if emb is None else list(emb)}
     # every clause is searched somewhere, and some hosts are vacuous
     assert {rep["status"] for rep in reports} == {"checked", "vacuous"}
     assert all(any(rep["witness"] and rep["witness"][name]["checked"] for rep in reports)

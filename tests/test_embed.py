@@ -11,14 +11,12 @@ from treefree import core, embed
 from treefree.cli import _freeness_sweep
 from treefree.core import bfs_levels, build, induced
 from treefree.embed import (
-    Embedding,
     _search,
     _search_order,
     find_all_induced,
     find_induced,
     is_free,
     is_isomorphic,
-    verify_embedding,
 )
 from treefree.errors import CapacityError
 from treefree.families import gp, h1, h2, h3, h4, vertex
@@ -36,6 +34,7 @@ from .oracles import (
     random_girth5_necklace,
     random_graph,
     random_tree,
+    verify_embedding,
 )
 from .test_patterns import _CATALOG_IDS
 
@@ -72,8 +71,8 @@ def test_verify_embedding_rejects_bad_maps():
 
 def test_empty_pattern_embeds():
     empty = build(0, [])
-    assert find_induced(empty, K3) == Embedding(())
-    assert oracle_find_induced(empty, K3) == Embedding(())
+    assert find_induced(empty, K3) == ()
+    assert oracle_find_induced(empty, K3) == ()
 
 
 def test_pattern_cap():
@@ -145,7 +144,7 @@ def test_find_all_enumerates_soundly():
     embs = find_all_induced(p4, c6)
     assert len(embs) == 12  # 6 starting points x 2 directions
     assert all(verify_embedding(p4, c6, e) for e in embs)
-    assert len({e.mapping for e in embs}) == len(embs)
+    assert len(set(embs)) == len(embs)
     assert find_all_induced(p4, c6, limit=3) == embs[:3]
 
 
@@ -194,7 +193,7 @@ def test_pattern_components_may_land_beyond_every_pattern_distance():
     k2_k1 = build(3, [(0, 1)])
     two_k2 = build(4, [(0, 1), (2, 3)])
     p4, p5 = path(4).graph, path(5).graph
-    assert find_induced(k2_k1, p4) == oracle_find_induced(k2_k1, p4) == Embedding((0, 1, 3))
+    assert find_induced(k2_k1, p4) == oracle_find_induced(k2_k1, p4) == (0, 1, 3)
     embs = find_all_induced(two_k2, p5)
     assert len(embs) == 8  # edges {0,1} and {3,4}, in either order and orientation
     assert all(verify_embedding(two_k2, p5, e) for e in embs)
@@ -379,6 +378,20 @@ def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
         assert embed._orbit_least(sub, n) == expected
 
 
+@pytest.mark.parametrize("fg, tree, nodes", [
+    (h2(3), "S8:0001", 116), (h2(3), "Tstar8", 119), (h1(6), "P10", 119),
+    (h4(3), "S8_2", 201), (h3(6), "S7:101", 81),
+], ids=lambda x: getattr(x, "family", x))
+def test_generator_rooted_freeness_searches_are_pinned(fg, tree, nodes):
+    # the lemma sweeps' searches, counted with the plan built: the lowest
+    # root under every generator, then the other roots cut to one per orbit;
+    # searching the lowest root with no generator cut below it takes P10 to
+    # 911 nodes
+    pattern = make(tree).graph
+    assert is_free(fg.graph, pattern, fg.generators)
+    assert _nodes(lambda: find_induced(pattern, fg.graph, fg.generators)) == nodes
+
+
 def test_rooting_is_ignored_when_candidates_are_given():
     # the iso search seeds every candidate mask, so generators must not cut it
     fg = h1(3)
@@ -393,7 +406,7 @@ def test_a_failing_sweep_reports_the_unrooted_witness():
     emb = find_induced(path(9).graph, fg.graph)
     assert emb is not None
     expected = checked("lemma.test", fg.graph, False, {"failed_on": {"host": "h1:5", "pattern": "P9"}},
-                       {"embedding": list(emb.mapping)})
+                       {"embedding": list(emb)})
     assert rep.to_dict() == expected.to_dict()
 
 
@@ -403,7 +416,7 @@ def _in_search_order(pattern, embeddings):
     """Embeddings sorted as the search meets them: by the image of each
     pattern vertex, taken in placement order."""
     order = _search_order(pattern)
-    return sorted(embeddings, key=lambda e: [e.mapping[q] for q in order])
+    return sorted(embeddings, key=lambda e: [e[q] for q in order])
 
 
 def _periodic(blocks, width, inner, link, flips=()):
@@ -488,8 +501,8 @@ def test_initial_masks_keep_shifted_roots_apart():
     allowed = ((1 << 10) - 1) & ~0b1010
     masks = [allowed, (1 << 10) - 1, allowed]
     expected = _in_search_order(p3, [e for e in oracle_induced_maps(p3, host)
-                                     if all(masks[q] >> x & 1 for q, x in enumerate(e.mapping))])
-    assert Embedding((2, 3, 4)) in expected
+                                     if all(masks[q] >> x & 1 for q, x in enumerate(e))])
+    assert (2, 3, 4) in expected
     assert _search(p3, host, None, initial=masks) == expected
 
 
@@ -530,7 +543,7 @@ def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
             calls.clear()
             assert find_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
             assert is_free(host, pattern) == (expected is None)
-            detected = lowest is not None and (expected is None or expected.mapping[order[0]] != lowest)
+            detected = lowest is not None and (expected is None or expected[order[0]] != lowest)
             assert len(calls) == 2 * detected
             seen.add((detected, bool(calls and calls[0]), expected is None))
     # labelled and relabelled hosts both reach detection, with and without a hit
@@ -560,10 +573,10 @@ def test_rooted_searches_and_enumerations_detect_no_rotation(monkeypatch):
 def test_p5_enumeration_in_gp9_is_pinned():
     embs = find_all_induced(path(5).graph, gp(9).graph)
     assert len(embs) == 342
-    assert [e.mapping for e in embs[:10]] == [
+    assert embs[:10] == [
         (8, 0, 1, 2, 3), (8, 0, 1, 2, 11), (9, 0, 1, 2, 3), (8, 0, 1, 10, 12), (9, 0, 1, 10, 12),
         (9, 0, 1, 10, 17), (1, 0, 8, 7, 6), (1, 0, 8, 7, 16), (9, 0, 8, 7, 6), (1, 0, 8, 17, 15)]
-    digest = sha256(repr([e.mapping for e in embs]).encode()).hexdigest()
+    digest = sha256(repr(embs).encode()).hexdigest()
     assert digest == "8e25f50f5496f60edd5f43e28aebab6e77bc7223cfd0c5b6f246eecc6363e0b1"
 
 
@@ -602,7 +615,7 @@ def test_first_hits_are_the_least_map_in_search_order():
             expected = next(oracle_maps_along(pattern, host, _search_order(pattern)), None)
             where = (host.n, list(pattern.edges()))
             assert find_induced(pattern, host) == expected, where
-            assert find_all_induced(pattern, host, limit=1) == ([expected] if expected else []), where
+            assert find_all_induced(pattern, host, limit=1) == ([] if expected is None else [expected]), where
             assert is_free(host, pattern) == (expected is None), where
             if gens:
                 assert find_induced(pattern, host, gens) == expected, where
@@ -645,7 +658,7 @@ def test_initial_masks_turn_the_symmetry_cuts_off():
     # invariant under the pattern's automorphisms
     p3 = path(3).graph
     assert embed._plan(p3).cuts() == [(), (2,), ()]
-    assert _search(p3, path(10).graph, 1, initial=[1 << 5, 1 << 4, 1 << 3]) == [Embedding((5, 4, 3))]
+    assert _search(p3, path(10).graph, 1, initial=[1 << 5, 1 << 4, 1 << 3]) == [(5, 4, 3)]
 
 
 def test_plan_cache_stays_bounded_and_isomorphism_builds_no_cuts(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from treefree.chromatic import chi_exact, peel
 from treefree.core import Graph, build
-from treefree.embed import find_induced, is_free, is_isomorphic, verify_embedding
+from treefree.embed import find_induced, is_free, is_isomorphic
 from treefree.families import gp, h1, h2, h3, h4
 from treefree.witness import vw_paths
 
@@ -21,6 +21,7 @@ from .oracles import (
     lowest_id_peel,
     oracle_find_induced,
     perm_isomorphic,
+    verify_embedding,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
