@@ -4,11 +4,14 @@ graph6 records: N(n) is one byte n+63 for n < 63, else '~' followed by three
 bytes carrying n in 18 bits (6 bits each, value+63).  The upper triangle is
 listed in column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
 groups (MSB first), zero-padded, each group stored as value+63.
+
+The codec works per edge: the parser jumps from one body byte other than '?'
+to the next with ``bytes.find`` and turns each set bit into an edge, and the
+emitter adds each edge's bit to an all-'?' body, with one step per column.
 """
 
 from __future__ import annotations
 
-import binascii
 import functools
 import json
 import re
@@ -25,11 +28,8 @@ _N_CAP = 258048  # largest n for the 4-byte N(n) form
 
 
 _VALID = re.compile("[?-~]*")
-# graph6 byte (value + 63) <-> the base64 letter of the same 6-bit value
-_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
-_FROM_B64 = bytes.maketrans(_B64, bytes(range(63, 127)))
-_CHUNK = 1 << 16  # body bytes per decode/encode step (a multiple of 4), bounds the bit string
+_NONZERO = bytes(int(b != 63) for b in range(256))  # '?' -> 0, any other byte -> 1
+_CHUNK = 1 << 16  # body bytes per parse step, bounds the working copies of the body
 
 
 def parse_graph6(text: str) -> Graph:
@@ -56,36 +56,38 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         pos = 1
-    body = s[pos:]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) < nbytes:
+    if len(s) - pos < nbytes:
         raise FormatError(
-            f"bit vector truncated: need {nbytes} bytes, got {len(body)}",
-            offset=pos + len(body),
+            f"bit vector truncated: need {nbytes} bytes, got {len(s) - pos}",
+            offset=len(s),
         )
-    if len(body) > nbytes:
+    if len(s) - pos > nbytes:
         raise FormatError("trailing garbage after bit vector", offset=pos + nbytes)
     pad = 6 * nbytes - nbits
-    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+    if pad and (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits", offset=pos + nbytes - 1)
     rows = [0] * n
-    bits, at, end, lo = "", 0, 0, 0
-    for j in range(1, n):  # column j is x(0,j) .. x(j-1,j), bits[at:at + j]
-        while at + j > end:  # decode the next chunk of the body
-            b64 = body[lo:lo + _CHUNK].encode("ascii").translate(_TO_B64)
-            data = binascii.a2b_base64(b64 + b"A" * (-len(b64) % 4))
-            bits, at = bits[at:] + f"{int.from_bytes(data, 'big'):0{8 * len(data)}b}", 0
-            end, lo = len(bits), lo + _CHUNK
-        col = int(bits[at:at + j][::-1], 2)
-        at += j
-        if col:
-            rows[j] |= col
-            bit = 1 << j
-            while col:
-                low = col & -col
-                col ^= low
-                rows[low.bit_length() - 1] |= bit
+    j, start = 1, 0  # column j holds bits start .. start + j - 1 of the body
+    for lo in range(0, nbytes, _CHUNK):
+        raw = s[pos + lo:pos + lo + _CHUNK].encode("ascii")
+        nonzero = raw.translate(_NONZERO)
+        k = nonzero.find(1)
+        while k >= 0:
+            v = raw[k] - 63
+            last = 6 * (lo + k) + 5  # the bit number of the byte's LSB
+            while v:  # MSB first, so that the bit numbers p ascend
+                b = v.bit_length() - 1
+                v ^= 1 << b
+                p = last - b
+                while p >= start + j:
+                    start += j
+                    j += 1
+                i = p - start
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k = nonzero.find(1, k + 1)
     return Graph(n, rows)
 
 
@@ -98,25 +100,19 @@ def emit_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    out, parts, size = [head], [], 0
-    for j in range(1, n):  # column j, bit i first
-        parts.append(f"{g.row(j) & ((1 << j) - 1):0{j}b}"[::-1])
-        size += j
-        if size >= 6 * _CHUNK:  # encode whole 6-bit groups, carry the rest
-            bits = "".join(parts)
-            cut = size - size % 6
-            out.append(_encode_bits(bits[:cut]))
-            parts, size = [bits[cut:]], size - cut
-    out.append(_encode_bits("".join(parts)))
-    return "".join(out)
-
-
-def _encode_bits(bits: str) -> str:
-    """graph6 body text of a '0'/'1' string, zero-padded to whole 6-bit groups."""
-    nbytes = (len(bits) + 5) // 6
-    bits += "0" * (-len(bits) % 24)
-    data = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
-    return binascii.b2a_base64(data, newline=False)[:nbytes].translate(_FROM_B64).decode()
+    # one buffer for head and body, so that the record is copied once, by decode
+    out = bytearray(b"?") * (len(head) + (n * (n - 1) // 2 + 5) // 6)
+    out[:len(head)] = head.encode("ascii")
+    start = 6 * len(head)  # bit numbers count from the head's first byte
+    for j in range(1, n):  # column j holds x(i, j) at bit start + i
+        col = g.row(j) & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            col ^= low
+            p = start + low.bit_length() - 1
+            out[p // 6] += 32 >> p % 6
+        start += j
+    return out.decode("ascii")
 
 
 def emit_dot(g: Graph, labels: dict[int, str] | None = None) -> str:

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 WITNESS = "treefree/witness.py"
 EMBED = "treefree/embed.py"
 CORE = "treefree/core.py"
+GRAPHIO = "treefree/graphio.py"
 STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 ROOTED = "rooted = limit == 1 and initial is None"
@@ -127,6 +128,17 @@ MUTANTS = (
            '    violations += [{"clause": "ii", "a": a} for a in bits(masks.clause_ii)]\n', "",
            ("tests/test_witness.py::test_closure_sets_match_the_oracle_on_hosts_with_short_cycles",
             "tests/test_witness.py::test_derived_sets_reports_are_pinned")),
+    # the graph6 codec: bit p is x(p - start, j) while p < start + j, each
+    # byte's bits are read MSB first, and bit p sets 32 >> p % 6 of byte p // 6
+    Mutant("g6-parse-column-step-late", GRAPHIO, "while p >= start + j:", "while p > start + j:",
+           ("tests/test_graphio.py::test_k3_round_trip_literals",
+            "tests/test_graphio.py::test_chunked_codec_matches_networkx")),
+    Mutant("g6-parse-bits-lsb-first", GRAPHIO, "b = v.bit_length() - 1", "b = (v & -v).bit_length() - 1",
+           ("tests/test_graphio.py::test_k3_round_trip_literals",
+            "tests/test_graphio.py::test_chunked_codec_matches_networkx")),
+    Mutant("g6-emit-bits-lsb-first", GRAPHIO, "out[p // 6] += 32 >> p % 6", "out[p // 6] += 1 << p % 6",
+           ("tests/test_graphio.py::test_more_hand_encoded_records",
+            "tests/test_graphio.py::test_chunked_codec_matches_networkx")),
 )
 
 
@@ -174,6 +186,7 @@ def main() -> int:
             verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
             survivors += code != 1
             print(f"{mutant.name}: {verdict}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 

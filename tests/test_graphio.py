@@ -135,21 +135,30 @@ def test_round_trip_is_identity(g):
     assert parse_graph6(emit_graph6(g)) == g
 
 
-@pytest.mark.parametrize("chunk", [4, 8, 12])
+@pytest.mark.parametrize("chunk", [4, 8, 12, graphio._CHUNK])
 def test_chunked_codec_matches_networkx(monkeypatch, chunk):
-    # a body of a few bytes per chunk puts columns across every chunk boundary
+    # a body of a few bytes per chunk puts columns across every chunk boundary;
+    # the fixed sizes take both N(n) forms and every padding length, at the
+    # densities of the all-'?' and the all-'~' body
     nx = pytest.importorskip("networkx")
     monkeypatch.setattr(graphio, "_CHUNK", chunk)
     rng = Random(chunk)
-    for _ in range(40):
-        n = rng.randint(0, 90)
-        g = random_graph(rng, n, rng.random())
+    fixed = [(n, p) for n in (0, 1, 2, 62, 63, 64, 65) for p in (0, 1)]
+    for n, p in fixed + [(rng.randint(0, 90), rng.random()) for _ in range(40)]:
+        g = random_graph(rng, n, p)
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(g.edges())
         text = nx.to_graph6_bytes(G, header=False).decode().strip()
         assert emit_graph6(g) == text
         assert parse_graph6(text) == g
+        nbits = n * (n - 1) // 2
+        full, rest = divmod(nbits, 6)
+        body = text[len(text) - (nbits + 5) // 6:]
+        if p == 0:
+            assert body == "?" * len(body)
+        elif p == 1:  # every bit set but the padding
+            assert body == "~" * full + (chr(63 + ((1 << rest) - 1 << 6 - rest)) if rest else "")
 
 
 def test_dot_output():
