@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from functools import cache
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, NoReturn
@@ -76,7 +76,7 @@ def _lemma_22_witnesses(s: int) -> Report:
 
 
 def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
-    pet = patterns.petersen().graph
+    pet = patterns.make("petersen").graph
     blocks = []
     for s in s_values:
         host = families.h4(s).graph
@@ -185,15 +185,15 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
                   witness={"bases_checked": bases})
 
 
-# Lemma id -> (host family, default size range A..B).  None: the lemma runs
-# on fixed hosts (no --s) and samples them, so only these ids take a seed
-# (default 0).
-_LEMMAS: dict[str, tuple[str, int, int] | None] = {
-    "2.2i": ("h1", 5, 8), "2.3": ("h2", 3, 5), "2.4": ("h3", 4, 6), "2.5": ("h4", 3, 5),
-    "2.5p": ("h4", 3, 5), "2.2w": ("h1", 5, 5), "4.1": None, "5.1": None, "5.3": None,
+# Lemma id -> (host family, default size range A..B, the catalog ids of the
+# trees its hosts avoid, () unless it is a freeness lemma).  None: the lemma
+# runs on fixed hosts (no --s) and samples them, so only these ids take a
+# seed (default 0).
+_LEMMAS: dict[str, tuple[str, int, int, tuple[str, ...]] | None] = {
+    "2.2i": ("h1", 5, 8, ("P10",)), "2.3": ("h2", 3, 5, ("S8:0001", "Tstar8")),
+    "2.4": ("h3", 4, 6, ("S7:101",)), "2.5": ("h4", 3, 5, ("S8_2",)),
+    "2.5p": ("h4", 3, 5, ()), "2.2w": ("h1", 5, 5, ()), "4.1": None, "5.1": None, "5.3": None,
 }
-# Freeness lemmas: the catalog ids of the trees their hosts avoid.
-_FREENESS = {"2.2i": ("P10",), "2.3": ("S8:0001", "Tstar8"), "2.4": ("S7:101",), "2.5": ("S8_2",)}
 
 
 @timed
@@ -217,14 +217,14 @@ def verify_lemma(
         return _lemma_5x_suite(lemma_id, seed or 0)
     if seed is not None:
         raise UsageError(f"lemma {lemma_id} does not sample and takes no seed")
-    family, lo, hi = spec
+    family, lo, hi, trees = spec
     lo, hi = s_range or (lo, hi)
     if not 1 <= lo <= hi:
         raise UsageError(f"size range {lo}..{hi} needs 1 <= A <= B")
     families.order(family, hi)  # a range ending above the vertex cap is refused before any build
-    if lemma_id in _FREENESS:
+    if trees:
         hosts = map(families.FAMILIES[family], range(lo, hi + 1))
-        return _freeness_sweep(f"lemma{lemma_id}", hosts, [patterns.make(t) for t in _FREENESS[lemma_id]])
+        return _freeness_sweep(f"lemma{lemma_id}", hosts, [patterns.make(t) for t in trees])
     if lemma_id == "2.5p":
         return _lemma_25_petersen(range(lo, hi + 1))
     if lo != hi:
@@ -255,13 +255,6 @@ def _gate(g: Graph, rooted: bool = False) -> str | None:
     return None
 
 
-@cache
-def _clause_tree(name: str) -> Graph:
-    """The catalog tree of a theorem clause, built once per process; only the
-    six names of ``DIAM_CLAUSES`` and ``MAXDEG_CLAUSES`` reach it."""
-    return patterns.make(name).graph
-
-
 def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str,
                         value: int, clauses: tuple[tuple[str, int], ...]) -> Report:
     """Search each clause whose threshold ``value`` reaches; vacuous when the
@@ -281,7 +274,7 @@ def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str
     for name, thr in clauses:
         if value >= thr:
             any_checked = True
-            emb = find_induced(_clause_tree(name), g)
+            emb = find_induced(patterns.make(name).graph, g)
             outcomes[name] = {"checked": True, "found": emb is not None,
                               "embedding": None if emb is None else list(emb)}
             all_found = all_found and emb is not None
@@ -297,8 +290,8 @@ def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str
 def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
 
-    Each clause tree is built once per process, when a host first reaches
-    its threshold (``_clause_tree``).  The gate's C3/C4 test, then
+    A clause tree is built when a host first reaches its threshold, and
+    ``patterns.make`` keeps it for later hosts.  The gate's C3/C4 test, then
     ``core.diameter`` and the clause searches all use the host's block
     rotation, if it has one (``core.rotation_roots``, computed once per
     graph, by the gate).  The rotation is an automorphism, so it carries
@@ -358,19 +351,15 @@ def scan_corpus(source: Any, tree_id: str) -> Report:
 
 def _parse_range(text: str) -> tuple[int, int]:
     """``A..B`` or ``A`` as a size range (A, B); ``verify_lemma`` checks 1 <= A <= B."""
-    lo, sep, hi = text.partition("..")
-    try:
-        return int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid size range {text!r}, expected A..B") from None
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"invalid size range {text!r}, expected A..B")
+    return int(m[1]), int(m[2] or m[1])
 
 
 def _parse_cap(text: str) -> int:
-    """A vertex cap: an integer >= 1."""
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
+    """A vertex cap: an integer >= 1, in ASCII digits."""
+    cap = int(text) if re.fullmatch("[0-9]+", text) else 0
     if cap < 1:
         raise argparse.ArgumentTypeError(f"cap {text!r} needs to be an integer >= 1")
     return cap

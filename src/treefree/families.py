@@ -301,8 +301,6 @@ def make_family(family_id: str) -> FamilyGraph:
         raise ConstructionError(f"unknown family id {family_id!r}")
     if not sep:
         raise ConstructionError(f"family id {family_id!r} needs a size, as in {head}:5")
-    try:
-        size = int(tail)
-    except ValueError:
-        raise ConstructionError(f"bad size in family id {family_id!r}") from None
-    return FAMILIES[head](size)
+    if not re.fullmatch("[0-9]+", tail):
+        raise ConstructionError(f"bad size in family id {family_id!r}")
+    return FAMILIES[head](int(tail))

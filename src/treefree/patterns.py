@@ -6,12 +6,15 @@ is the root and ids follow the order the names are listed in.  All but
 T8star are a spine: the main path u1..un, then legs hung from it in a fixed
 order (the length-2 branch at u3 is v3, v3', pendants are w_i at u_i).
 Embeddings and witness sets therefore replay deterministically.  Fixed
-names (T8_1, petersen, ...) resolve from one table, ``_NAMED``.
+names (T8_1, petersen, ...) resolve from one table, ``_NAMED``, and sized
+ids (T9, S8:0110, ...) from another, ``_FORMS``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .core import VERTEX_CAP, Graph, build, contract_edge, is_connected
 from .errors import ConstructionError, NotATreeError, UsageError
@@ -163,30 +166,33 @@ def contracted_heawood() -> PatternSpec:
 
 # Every fixed catalog name, keyed by its lower-case id.
 _NAMED = {f.__name__: f for f in (t8_1, t8_2, s8_1, s8_2, petersen, heawood, contracted_heawood)}
+# Every sized id form, full-matched against the lower-case id; sizes and
+# flags are ASCII digits, and ``s_tree`` words its own flag errors.
+_FORMS = (
+    (re.compile(r"t8star:([0-9]+),([0-9]+)"), lambda p1, p2: t8star(int(p1), int(p2))),
+    (re.compile(r"tstar([0-9]+)"), lambda n: tstar_tree(int(n))),
+    (re.compile(r"s([0-9]+):([0-9]*)"), lambda n, flags: s_tree(int(n), tuple(map(int, flags)))),
+    (re.compile(r"p([0-9]+)"), lambda n: path(int(n))),
+    (re.compile(r"c([0-9]+)"), lambda n: cycle(int(n))),
+    (re.compile(r"t([0-9]+)"), lambda n: t_tree(int(n))),
+)
 
 
+@lru_cache(maxsize=embed.PLAN_CACHE)
 def make(pattern_id: str) -> PatternSpec:
-    """Resolve a CLI pattern id: T9, T8_1, S8:0110, Tstar8, T8star:2,1, P10, ..."""
+    """Resolve a CLI pattern id: T9, T8_1, S8:0110, Tstar8, T8star:2,1, P10, ...
+
+    The spec is built once while it stays among the last PLAN_CACHE ids
+    asked for, as the search plan of its graph is (``embed._plan``), and is
+    shared: callers must not mutate it.
+    """
     s = pattern_id.strip().lower()
     if s in _NAMED:
         return _NAMED[s]()
-    try:
-        if s.startswith("t8star:"):
-            p1, p2 = (int(x) for x in s[7:].split(","))
-            return t8star(p1, p2)
-        if s.startswith("tstar"):
-            return tstar_tree(int(s[5:]))
-        if s.startswith("s") and ":" in s:
-            head, _, tail = s.partition(":")
-            return s_tree(int(head[1:]), tuple(int(c) for c in tail))
-        if s.startswith("p"):
-            return path(int(s[1:]))
-        if s.startswith("c"):
-            return cycle(int(s[1:]))
-        if s.startswith("t"):
-            return t_tree(int(s[1:]))
-    except ValueError as exc:
-        raise UsageError(f"bad pattern id {pattern_id!r}: {exc}") from exc
+    for form, builder in _FORMS:
+        m = form.fullmatch(s)
+        if m:
+            return builder(*m.groups())
     raise UsageError(f"unknown pattern id {pattern_id!r}")
 
 

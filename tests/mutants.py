@@ -41,6 +41,7 @@ WITNESS = "treefree/witness.py"
 EMBED = "treefree/embed.py"
 CORE = "treefree/core.py"
 GRAPHIO = "treefree/graphio.py"
+PATTERNS = "treefree/patterns.py"
 STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 ROOTED = "rooted = limit == 1 and initial is None"
@@ -112,10 +113,19 @@ MUTANTS = (
     Mutant("min-degree-reads-max", "treefree/cli.py", "return min(degree_classes(g), default=0)",
            "return max(degree_classes(g), default=0)",
            ("tests/test_cli.py::test_the_gate_reads_the_minimum_degree",)),
-    Mutant("cycle-uncapped", "treefree/patterns.py",
+    Mutant("cycle-uncapped", PATTERNS,
            "    _capped(n)\n    edges = [(i, (i + 1) % n) for i in range(n)]",
            "    edges = [(i, (i + 1) % n) for i in range(n)]",
            ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
+    # a pattern id matches one form in full, with ASCII digits, and each
+    # spec is built once while it stays in make's cache
+    Mutant("pattern-id-prefix-match", PATTERNS, "m = form.fullmatch(s)", "m = form.match(s)",
+           ("tests/test_patterns.py::test_make_grammar",)),
+    Mutant("pattern-id-unicode-digits", PATTERNS, 'r"t([0-9]+)"', r'r"t(\d+)"',
+           ("tests/test_patterns.py::test_make_grammar",)),
+    Mutant("pattern-specs-uncached", PATTERNS, "@lru_cache(maxsize=embed.PLAN_CACHE)\n", "",
+           ("tests/test_cli.py::test_diam_theorem_builds_each_clause_tree_once",
+            "tests/test_patterns.py::test_make_grammar")),
     Mutant("components-ignore-within", "treefree/core.py",
            "left = (1 << g.n) - 1 if within is None else within", "left = (1 << g.n) - 1",
            ("tests/test_core.py::test_traversals_agree_with_networkx",

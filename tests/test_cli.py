@@ -165,20 +165,18 @@ def test_diam_theorem_reaches_the_t8_clauses():
     assert rep.witness["T8_1"]["checked"]  # gp(129) reaches diam >= 20
 
 
-def test_diam_theorem_builds_each_clause_tree_once(monkeypatch):
-    # clause trees are kept for the process: two hosts that reach every
+def test_diam_theorem_builds_each_clause_tree_once():
+    # patterns.make keeps the clause trees: two hosts that reach every
     # clause build each tree once between them
-    cli._clause_tree.cache_clear()
-    built = []
-    monkeypatch.setattr(cli.patterns, "make", lambda name: built.append(name) or make(name))
+    make.cache_clear()
     for _ in range(2):
         rep = check_diam_theorem(gp(129).graph)  # every clause searched
         assert all(rep.witness[name]["found"] for name, _ in DIAM_CLAUSES)
-    assert sorted(built) == sorted(name for name, _ in DIAM_CLAUSES)
-    cli._clause_tree.cache_clear()
-    built.clear()
+    info = make.cache_info()
+    assert (info.misses, info.hits) == (len(DIAM_CLAUSES), len(DIAM_CLAUSES))
+    make.cache_clear()
     check_diam_theorem(cycle(9).graph)  # the gate fails before any tree is needed
-    assert built == []
+    assert make.cache_info().misses == 0
 
 
 def test_diam_theorem_witnesses_are_pinned():
@@ -585,8 +583,12 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
     for family_id, needle in (("h3:2", "h3 needs s >= 4"), ("gp:6", "gp needs odd n >= 5"),
                               ("gp:32769", "above the cap"), ("h1:11000", "above the cap"),
                               ("h1:x", "bad size"), ("h1", "needs a size, as in h1:5"),
-                              ("gp", "needs a size, as in gp:5")):
+                              ("gp", "needs a size, as in gp:5"), ("h1:1_0", "bad size"),
+                              ("gp:\uff12\uff15", "bad size"), ("T8_3", "unknown pattern id"),
+                              ("T9_1", "unknown pattern id"), ("P1_0", "unknown pattern id")):
         _exit_two_with_one_line(capsys, ["gen", "--family", family_id], needle)
+    _exit_two_with_one_line(capsys, ["scan", "--corpus", str(good), "--tree", "T8_3"],
+                            "unknown pattern id")
 
 
 def _exit_two_with_one_line(capsys, argv, needle):
@@ -596,7 +598,10 @@ def _exit_two_with_one_line(capsys, argv, needle):
 
 
 def test_cli_bad_size_range_exits_two(capsys):
-    _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", "a..b"], "'a..b'")
+    # sizes are ASCII digits: int() would read 4_0 and a full-width 4
+    for s in ("a..b", "4_0..4_0", "\uff14..\uff14", " 5"):
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "--s", s],
+                                f"invalid size range {s!r}")
     for lemma_id, s in (("4.1", "3..5"), ("5.1", "2..2"), ("5.3", "5")):
         _exit_two_with_one_line(capsys, ["verify", "--lemma", lemma_id, "--s", s],
                                 "takes no size range")
@@ -654,7 +659,7 @@ def test_cli_seed_on_a_lemma_that_does_not_sample_exits_two(capsys):
 def test_cli_chi_cap_below_one_exits_two(capsys, tmp_path):
     k2 = tmp_path / "k2.g6"
     k2.write_text(emit_graph6(build(2, [(0, 1)])) + "\n")
-    for cap in ("-5", "0"):
+    for cap in ("-5", "0", "1_0", "\uff13"):
         _exit_two_with_one_line(capsys, ["chi", "--input", str(k2), "--cap", cap], f"cap '{cap}'")
     assert main(["chi", "--input", str(k2), "--cap", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2"

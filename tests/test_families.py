@@ -130,7 +130,7 @@ def test_gp_diameter_grows():
 def test_make_family_grammar():
     assert make_family("h1:5").graph.n == 33
     assert make_family("gp:25").graph.n == 50
-    for bad in ("h5:2", "h1", "gp:x"):
+    for bad in ("h5:2", "h1", "gp:x", "h1:1_0", "gp:\uff12\uff15", "h1:+5", "h1: 5"):
         with pytest.raises(ConstructionError):
             make_family(bad)
 

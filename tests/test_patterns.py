@@ -184,6 +184,11 @@ def test_make_grammar():
         make("S8:01a0")
     with pytest.raises(ConstructionError):
         make("T3")
+    # an id matches one form in full, with ASCII digits, or nothing
+    for bad in ("T8_3", "T9_1", "P1_0", "P+10", "p 10", "T\uff19", "tstar", "t8star:1,2,3"):
+        with pytest.raises(UsageError, match="unknown pattern id"):
+            make(bad)
+    assert make("T9") is make("T9")  # one shared spec
 
 
 def test_canonical_labels():
@@ -253,11 +258,21 @@ def test_invalid_catalog_ids_keep_their_messages(pid, message):
     assert str(info.value) == message
 
 
+@pytest.fixture
+def uncached_make():
+    """Clear make's cache around a test that patches a builder, so that no
+    patched result is read from it or left in it."""
+    make.cache_clear()
+    yield
+    make.cache_clear()
+
+
 @pytest.mark.parametrize("pid, n", [
     ("P1000000", 1000000), ("C1000000", 1000000), ("T1000000", 1000002),
     ("Tstar1000000", 1000004), ("T8star:1000000,1", 2000008), ("P65536", 65536),
 ])
-def test_over_cap_catalog_ids_are_refused_before_anything_is_built(monkeypatch, pid, n):
+def test_over_cap_catalog_ids_are_refused_before_anything_is_built(
+        monkeypatch, uncached_make, pid, n):
     built = []
     monkeypatch.setattr(patterns, "build", lambda *a: built.append(a))
     monkeypatch.setattr(patterns, "_tree", lambda *a: built.append(a))
