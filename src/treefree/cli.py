@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable, NoReturn
+from typing import Any, Callable, Iterable, NoReturn
 
 from . import chromatic, core, families, patterns, witness
 from .core import (Graph, balls, bits, degree_classes, diameter, induced, is_c3c4_free,
@@ -36,8 +36,8 @@ _W22_S8_1 = "u1.6 u1.1 v1 u4.6 u4.1 u2.1 u2.6 u2.2 u2.3 v2 u3.3 u3.2 u5.2 u5.3".
 
 def _freeness_sweep(
     check_id: str,
-    hosts: Iterable[families.FamilyGraph],
-    forbidden: list[patterns.PatternSpec],
+    hosts: Iterable[families.NamedGraph],
+    forbidden: list[families.NamedGraph],
 ) -> Report:
     """Assert every host is free of every pattern; stop at the first hit.
     Hosts are taken one at a time, so a lazy ``hosts`` builds the next one
@@ -50,7 +50,7 @@ def _freeness_sweep(
     done = []
     for fg in hosts:
         for pat in forbidden:
-            done.append({"host": f"{fg.family}:{fg.size}", "pattern": pat.pattern_id})
+            done.append({"host": fg.id, "pattern": pat.id})
             emb = find_induced(pat.graph, fg.graph, fg.generators)
             if emb is not None:
                 return checked(check_id, fg.graph, False, {"failed_on": done[-1]},
@@ -341,7 +341,7 @@ def scan_corpus(source: Any, tree_id: str) -> Report:
             tallies[verdict] += 1
     return Report(
         "scan",
-        {"tree": pat.pattern_id, "records": records, "members": members, "rejections": tallies},
+        {"tree": pat.id, "records": records, "members": members, "rejections": tallies},
         passed=True,
         witness={"member_count": len(members)},
     )
@@ -357,12 +357,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(m[1]), int(m[2] or m[1])
 
 
-def _parse_cap(text: str) -> int:
-    """A vertex cap: an integer >= 1, in ASCII digits."""
-    cap = int(text) if re.fullmatch("[0-9]+", text) else 0
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"cap {text!r} needs to be an integer >= 1")
-    return cap
+def _at_least(least: int, name: str) -> Callable[[str], int]:
+    """An argparse type that reads an integer >= ``least`` in ASCII digits."""
+
+    def parse(text: str) -> int:
+        value = int(text) if re.fullmatch("[0-9]+", text) else -1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} {text!r} needs to be an integer >= {least}")
+        return value
+
+    return parse
 
 
 def _write_json(payload: Any, path: str | None) -> None:
@@ -379,16 +383,11 @@ def _emit_report(rep: Report, path: str | None) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    # a family id's own errors (size too small, over the cap) are reported, not retried as a pattern
-    if families.is_family_id(args.family):
-        built = families.make_family(args.family)
-    else:
-        built = patterns.make(args.family)
-    g, labels = built.graph, built.labels
+    built = patterns.make(args.family)
     if args.format == "g6":
-        print(emit_graph6(g))
+        print(emit_graph6(built.graph))
     else:
-        sys.stdout.write(emit_dot(g, labels))
+        sys.stdout.write(emit_dot(built.graph, built.labels))
     return 0
 
 
@@ -400,7 +399,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if emb is None:
             print(f"record {index}: free")
         else:
-            print(f"record {index}: contains {pat.pattern_id} at {list(emb)}")
+            print(f"record {index}: contains {pat.id} at {list(emb)}")
     return 0
 
 
@@ -460,13 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="chromatic number of each record")
     p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=_parse_cap, default=chromatic.DEFAULT_CAP)
+    p.add_argument("--cap", type=_at_least(1, "cap"), default=chromatic.DEFAULT_CAP)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("verify", help="run a named lemma check")
     p.add_argument("--lemma", required=True, help=", ".join(_LEMMAS))
     p.add_argument("--s", type=_parse_range, default=None, help="size range A..B")
-    p.add_argument("--seed", type=int, default=None, help="lemmas 4.1, 5.1, 5.3 only")
+    p.add_argument("--seed", type=_at_least(0, "seed"), default=None, help="lemmas 4.1, 5.1, 5.3 only")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 

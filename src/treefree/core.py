@@ -106,19 +106,16 @@ def nbhd(g: Graph, mask: int) -> int:
     return out
 
 
-def balls(g: Graph, sources: int, radius: int | None = None) -> list[int]:
-    """Masks of the vertices within 0, 1, 2, ... steps of the ``sources`` mask.
+def balls(g: Graph, sources: int) -> list[int]:
+    """Masks of the vertices within 0, 1, 2, ... steps of the ``sources`` mask,
+    ending at their component.
 
-    Each step is the ``nbhd`` of the last ring.  With ``radius`` the list has
-    radius + 1 entries, the last repeated once the component is exhausted;
-    without, it ends at the component.  Every single-source BFS reads these.
+    Each step is the ``nbhd`` of the last ring.  Every single-source BFS
+    reads these.
     """
     seen = ring = sources
     out = [seen]
-    for _ in range(g.n if radius is None else radius):
-        ring = nbhd(g, ring) & ~seen
-        if not ring and radius is None:
-            break
+    while ring := nbhd(g, ring) & ~seen:
         seen |= ring
         out.append(seen)
     return out

@@ -339,7 +339,7 @@ def find_induced(
     Once its lowest root fails, the search tries one host vertex per orbit
     of the host automorphism ``generators`` that fix the vertices placed so
     far (each a dict from every vertex it moves to its image, such as
-    ``FamilyGraph.generators``), or without them one root per orbit of the
+    ``NamedGraph.generators``), or without them one root per orbit of the
     host's block rotation, if it has one.  Neither changes the result.
     """
     out = _search(capped(pattern), host, limit=1, generators=generators)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable
 
@@ -44,11 +44,12 @@ from .errors import ConstructionError
 
 
 @dataclass(frozen=True)
-class FamilyGraph:
-    family: str
-    size: int
+class NamedGraph:
+    """A graph under its id ("h1:5", "T9", ...), with its labels and any generators."""
+
+    id: str
     graph: Graph
-    labels: dict[int, str] = field(default_factory=dict)
+    labels: dict[int, str]
     generators: tuple[dict[int, int], ...] = ()
 
 
@@ -147,6 +148,16 @@ def order(family: str, size: int) -> int:
     return n
 
 
+def read_size(digits: str) -> int:
+    """An id's size from its ASCII digits.  Every sized id's order is at least
+    its size, so a run of over 20 significant digits is refused as over the
+    cap before ``int()`` (which reads at most 4300) sees it."""
+    run = digits.lstrip("0")
+    if len(run) > 20:
+        raise ConstructionError(f"a size of {len(run)} digits is above the vertex cap of {VERTEX_CAP}")
+    return int(run or "0")
+
+
 _LABEL = re.compile(r"([a-z])([1-9][0-9]*)\.(.+)")
 
 
@@ -178,25 +189,26 @@ def _is_automorphism(g: Graph, moves: dict[int, int]) -> bool:
     return all(sum(1 << moves.get(u, u) for u in bits(g.row(v))) == g.row(y) for v, y in moves.items())
 
 
-def _validate(fg: FamilyGraph, min_degree: int, regular: int | None = None) -> FamilyGraph:
+def _validate(fg: NamedGraph, min_degree: int, regular: int | None = None) -> NamedGraph:
     g = fg.graph
+    name = fg.id.replace(":", "(") + ")"
     for k, moves in enumerate(fg.generators):
         if not _is_automorphism(g, moves):
-            raise ConstructionError(f"{fg.family}({fg.size}): generator {k} is not an automorphism")
+            raise ConstructionError(f"{name}: generator {k} is not an automorphism")
     if not is_connected(g):
-        raise ConstructionError(f"{fg.family}({fg.size}): disconnected")
+        raise ConstructionError(f"{name}: disconnected")
     if not is_c3c4_free(g):
-        raise ConstructionError(f"{fg.family}({fg.size}): contains a C3 or C4")
+        raise ConstructionError(f"{name}: contains a C3 or C4")
     degrees = degree_classes(g)
     low, high = min(degrees), max(degrees)
     if low < min_degree:
-        raise ConstructionError(f"{fg.family}({fg.size}): min degree {low} < {min_degree}")
+        raise ConstructionError(f"{name}: min degree {low} < {min_degree}")
     if regular is not None and (low != regular or high != regular):
-        raise ConstructionError(f"{fg.family}({fg.size}): not {regular}-regular")
+        raise ConstructionError(f"{name}: not {regular}-regular")
     return fg
 
 
-def _build(family: str, s: int) -> FamilyGraph:
+def _build(family: str, s: int) -> NamedGraph:
     """family(s) from its template: graph, labels, generators, then ``_validate``."""
     t = _TEMPLATES[family]
     if s < t.min_size:
@@ -223,11 +235,11 @@ def _build(family: str, s: int) -> FamilyGraph:
     gens += [dict(moves) for moves in t.copy1]
     gens += [{**{base + x: base + y for base in bases for x, y in block},
               **{hub0 + h: hub0 + k for h, k in hubs}} for block, hubs in t.every]
-    fg = FamilyGraph(family, s, build(n, edges), labels, tuple(gens))
+    fg = NamedGraph(f"{family}:{s}", build(n, edges), labels, tuple(gens))
     return _validate(fg, min(3, s * t.share), t.regular)
 
 
-def h1(s: int) -> FamilyGraph:
+def h1(s: int) -> NamedGraph:
     """s disjoint 6-cycles plus hubs v1,v2,v3; u^(i)_j ~ v_h iff j = h (mod 3).
 
     Order 6s+3.  Minimum degree 3 needs s >= 2 (the hubs have degree 2s).
@@ -235,7 +247,7 @@ def h1(s: int) -> FamilyGraph:
     return _build("h1", s)
 
 
-def h2(s: int) -> FamilyGraph:
+def h2(s: int) -> NamedGraph:
     """s copies of the double-5-cycle gadget joined through the hub z.
 
     Each copy has 5-cycles u1..u5 and v1..v5 plus w_j adjacent to u_j, v_j;
@@ -244,7 +256,7 @@ def h2(s: int) -> FamilyGraph:
     return _build("h2", s)
 
 
-def h3(s: int) -> FamilyGraph:
+def h3(s: int) -> NamedGraph:
     """Ring of s 14-vertex gadget copies joined by edges u^(i)_2 u^(i+1)_1 (mod s).
 
     Order 14s, 3-regular.  s >= 4 keeps the ring from closing short cycles.
@@ -252,7 +264,7 @@ def h3(s: int) -> FamilyGraph:
     return _build("h3", s)
 
 
-def h4(s: int) -> FamilyGraph:
+def h4(s: int) -> NamedGraph:
     """s copies of the 9-vertex h1 block plus a hub z on all v vertices.
 
     Each block B_i is a 6-cycle with v_1,v_2,v_3 attached by the mod-3 rule;
@@ -263,7 +275,7 @@ def h4(s: int) -> FamilyGraph:
 
 # ---------------------------------------------------------------- gp
 
-def gp(n: int) -> FamilyGraph:
+def gp(n: int) -> NamedGraph:
     """Generalized Petersen graph GP(n,2) for odd n >= 5.
 
     Outer n-cycle u_i, spokes u_i v_i, inner edges v_i v_{i+2}.  Even n
@@ -282,20 +294,15 @@ def gp(n: int) -> FamilyGraph:
         labels[i] = f"u{i}"
         labels[n + i] = f"v{i}"
     gens = tuple(_perm(range(vertices), lambda x: x - x % n + (step * x + 1) % n) for step in (1, -1))
-    fg = FamilyGraph("gp", n, build(vertices, edges), labels, gens)
+    fg = NamedGraph(f"gp:{n}", build(vertices, edges), labels, gens)
     return _validate(fg, 3, regular=3)
 
 
-FAMILIES: dict[str, Callable[[int], FamilyGraph]] = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
+FAMILIES: dict[str, Callable[[int], NamedGraph]] = {"h1": h1, "h2": h2, "h3": h3, "h4": h4, "gp": gp}
 
 
-def is_family_id(family_id: str) -> bool:
-    """True iff the id's head names a family, whatever follows it ("h1", "h3:2", "gp:x")."""
-    return family_id.strip().lower().partition(":")[0] in FAMILIES
-
-
-def make_family(family_id: str) -> FamilyGraph:
-    """Resolve a CLI family id like "h1:5" or "gp:25"."""
+def make_family(family_id: str) -> NamedGraph:
+    """Build a family id like "h1:5" or "gp:25", as ``patterns.make`` does."""
     head, sep, tail = family_id.strip().lower().partition(":")
     if head not in FAMILIES:
         raise ConstructionError(f"unknown family id {family_id!r}")
@@ -303,4 +310,4 @@ def make_family(family_id: str) -> FamilyGraph:
         raise ConstructionError(f"family id {family_id!r} needs a size, as in {head}:5")
     if not re.fullmatch("[0-9]+", tail):
         raise ConstructionError(f"bad size in family id {family_id!r}")
-    return FAMILIES[head](int(tail))
+    return FAMILIES[head](read_size(tail))

@@ -23,7 +23,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Graph, balls, bits, diameter, distance, mask_of, nbhd
+from .core import Graph, bits, diameter, distance, mask_of, nbhd
 from .embed import is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
@@ -219,11 +219,14 @@ class RootTable:
 
     def __init__(self, g: Graph, w: int):
         _check_vertices(g, (w,))
-        _, closed, within2 = balls(g, 1 << w, 2)
         self.host, self.nw = g, g.row(w)
-        self.closed, self.n2 = closed, within2 & ~closed
+        self.closed = self.nw | 1 << w
         self.ring = nbhd(g, self.nw) & ~(1 << w)
-        self.spokes = [(a, *balls(g, 1 << a, 2)[1:]) for a in bits(self.nw)]
+        self.n2 = self.ring & ~self.closed
+        self.spokes = []
+        for a in bits(self.nw):
+            closed = g.row(a) | 1 << a
+            self.spokes.append((a, closed, closed | nbhd(g, g.row(a))))
 
 
 class ClosureMasks(NamedTuple):

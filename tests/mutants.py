@@ -42,6 +42,8 @@ EMBED = "treefree/embed.py"
 CORE = "treefree/core.py"
 GRAPHIO = "treefree/graphio.py"
 PATTERNS = "treefree/patterns.py"
+FAMILIES = "treefree/families.py"
+CLI = "treefree/cli.py"
 STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 ROOTED = "rooted = limit == 1 and initial is None"
@@ -108,9 +110,9 @@ MUTANTS = (
            "                    return False\n", "",
            ("tests/test_core.py::test_rotation_roots_decide_c3c4_freeness",
             "tests/test_cli.py::test_the_diam_gate_sees_short_cycles_off_vertex_0_orbit")),
-    Mutant("diam-gate-unrooted", "treefree/cli.py", "gate = _gate(g, rooted=True)", "gate = _gate(g)",
+    Mutant("diam-gate-unrooted", CLI, "gate = _gate(g, rooted=True)", "gate = _gate(g)",
            ("tests/test_cli.py::test_the_diam_gate_tests_c3c4_once_per_rotation_orbit",)),
-    Mutant("min-degree-reads-max", "treefree/cli.py", "return min(degree_classes(g), default=0)",
+    Mutant("min-degree-reads-max", CLI, "return min(degree_classes(g), default=0)",
            "return max(degree_classes(g), default=0)",
            ("tests/test_cli.py::test_the_gate_reads_the_minimum_degree",)),
     Mutant("cycle-uncapped", PATTERNS,
@@ -126,11 +128,11 @@ MUTANTS = (
     Mutant("pattern-specs-uncached", PATTERNS, "@lru_cache(maxsize=embed.PLAN_CACHE)\n", "",
            ("tests/test_cli.py::test_diam_theorem_builds_each_clause_tree_once",
             "tests/test_patterns.py::test_make_grammar")),
-    Mutant("components-ignore-within", "treefree/core.py",
+    Mutant("components-ignore-within", CORE,
            "left = (1 << g.n) - 1 if within is None else within", "left = (1 << g.n) - 1",
            ("tests/test_core.py::test_traversals_agree_with_networkx",
             "tests/test_chromatic.py::test_peel_core_components_match_networkx")),
-    Mutant("h1-every-copy-maps-swapped", "treefree/families.py",
+    Mutant("h1-every-copy-maps-swapped", FAMILIES,
            'every=("(u1 u2 u3 u4 u5 u6)(v1 v2 v3)", "(u1 u2)(u3 u6)(u4 u5)(v1 v2)")',
            'every=("(u1 u2)(u3 u6)(u4 u5)(v1 v2)", "(u1 u2 u3 u4 u5 u6)(v1 v2 v3)")',
            ("tests/test_families.py::test_template_outputs_are_pinned",)),
@@ -149,6 +151,84 @@ MUTANTS = (
     Mutant("g6-emit-bits-lsb-first", GRAPHIO, "out[p // 6] += 32 >> p % 6", "out[p // 6] += 1 << p % 6",
            ("tests/test_graphio.py::test_more_hand_encoded_records",
             "tests/test_graphio.py::test_chunked_codec_matches_networkx")),
+    # lazy rotation rooting: the rotation is read only once the lowest root
+    # fails, and it cuts the other roots to the least of each orbit
+    Mutant("rotation-detected-eagerly", EMBED, "        lowest = roots & -roots\n",
+           "        lowest = roots & -roots\n        core.rotation_roots(host)\n",
+           ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    Mutant("orbit-cut-inverted", EMBED, "roots &= least_roots", "roots &= ~least_roots",
+           ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    # rotation_roots: kept on the graph, the closed-form root mask, the whole
+    # check after the vertex-0 prefilter, and diameter's connectivity check
+    Mutant("rotation-roots-unkept", CORE,
+           "    if g._roots == -1:\n        g._roots = _rotation_roots(g)\n    return g._roots\n",
+           "    return _rotation_roots(g)\n",
+           ("tests/test_core.py::test_rotation_roots_are_found_once_per_graph",)),
+    Mutant("rotation-roots-mask-one-wide", CORE, "return ((1 << t) - 1) * starts",
+           "return ((1 << t + 1) - 1) * starts",
+           ("tests/test_core.py::test_rotation_roots_on_constructor_labelled_rings",)),
+    Mutant("rotation-prefilter-only", CORE, "if all((r & up) << t | (r & down) >> b - t",
+           "if True or all((r & up) << t | (r & down) >> b - t",
+           ("tests/test_core.py::test_rotation_roots_is_none_without_one",)),
+    Mutant("rotation-diameter-skips-disconnection", CORE,
+           '            if reach[-1] != full:\n                raise DisconnectedError("graph is disconnected")\n',
+           "",
+           ("tests/test_core.py::test_rotation_diameter_equals_the_lock_step_sweep_and_networkx",)),
+    # the copy template: label ids, labels, orders and copy-1 symmetries
+    Mutant("vertex-copy-offset", FAMILIES, "return (int(m[2]) - 1) * t.b", "return int(m[2]) * t.b",
+           ("tests/test_families.py::test_labels_round_trip_through_vertex_and_orders_are_derived",)),
+    Mutant("labels-without-the-dot", FAMILIES, 'f"{c}{i}.{rest}"', 'f"{c}{i}{rest}"',
+           ("tests/test_families.py::test_template_outputs_are_pinned",)),
+    Mutant("order-without-hubs", FAMILIES, "n = t.b * size + len(t.hubs)", "n = t.b * size",
+           ("tests/test_families.py::test_labels_round_trip_through_vertex_and_orders_are_derived",)),
+    Mutant("copy1-symmetries-on-copy-s", FAMILIES, "gens += [dict(moves) for moves in t.copy1]",
+           "gens += [{x + hub0 - b: y + hub0 - b for x, y in moves.items()} for moves in t.copy1]",
+           ("tests/test_families.py::test_template_outputs_are_pinned",)),
+    # the catalog builder and its cap checks
+    Mutant("leg-hung-one-late", PATTERNS, "        at = i - 1\n", "        at = i\n",
+           ("tests/test_patterns.py::test_catalog_outputs_are_pinned",)),
+    Mutant("t8star-a-legs-on-w", PATTERNS, 'for hub, legs in ((0, [f"a{i} x{i}"',
+           'for hub, legs in ((3, [f"a{i} x{i}"', ("tests/test_patterns.py::test_catalog_outputs_are_pinned",)),
+    Mutant("spine-uncapped", PATTERNS, "    _capped(n + sum(len(leg.split()) for _, leg in legs))\n", "",
+           ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
+    Mutant("t8star-uncapped", PATTERNS, "    _capped(2 * p1 + 2 * p2 + 6)\n", "",
+           ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
+    # the CLI's failure branches and report fields
+    Mutant("disconnected-gate-says-min-degree", CLI, 'return "disconnected"', 'return "min_degree"',
+           ("tests/test_cli.py::test_scan_corpus_returns_the_three_named_graphs",
+            "tests/test_cli.py::test_diam_theorem_reports")),
+    Mutant("lemma-25p-failure-ignored", CLI,
+           '                return checked("lemma2.5p", host, False, {"failed_on": blocks[-1]}, blocks)\n',
+           "                pass\n",
+           ("tests/test_cli.py::test_a_rejected_lemma_host_is_the_counterexample_and_exits_one",)),
+    Mutant("check-line-without-embedding", CLI, 'contains {pat.id} at {list(emb)}"', 'contains {pat.id}"',
+           ("tests/test_cli.py::test_cli_check_names_where_the_pattern_is",)),
+    Mutant("geodesic-clause-ii-as-i", WITNESS, '{"clause": "ii", "edge"', '{"clause": "i", "edge"',
+           ("tests/test_witness.py::test_geodesic_check_names_each_violated_clause",)),
+    # neighbourhood walks: a component stays inside its mask, and a row
+    # union reads every vertex of the mask
+    Mutant("component-walk-leaves-the-mask", CORE, "ring = nbhd(g, ring) & left & ~comp",
+           "ring = nbhd(g, ring) & ~comp",
+           ("tests/test_core.py::test_traversals_agree_with_networkx",
+            "tests/test_chromatic.py::test_peel_core_components_match_networkx")),
+    Mutant("nbhd-drops-the-lowest-vertex", CORE, "    while mask:\n        top = mask.bit_length() - 1\n",
+           "    while mask & mask - 1:\n        top = mask.bit_length() - 1\n",
+           ("tests/test_core.py::test_traversals_agree_with_networkx",)),
+    # one resolver of graph ids: family ids are a row of make's forms,
+    # petersen is gp(5) under its own id, and sizes and seeds are read as
+    # ASCII digits before int() sees them
+    Mutant("family-row-dropped", PATTERNS,
+           '    (re.compile(r"((?:h[1-4]|gp)(?::.*)?)", re.S), make_family),\n', "",
+           ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
+    Mutant("petersen-keeps-the-gp5-id", PATTERNS, 'replace(families.gp(5), id="petersen")', "families.gp(5)",
+           ("tests/test_cli.py::test_cli_check_resolves_family_ids_as_it_does_petersen",)),
+    Mutant("over-long-size-reaches-int", FAMILIES, "    if len(run) > 20:\n", "    if False:\n",
+           ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
+    Mutant("seed-read-by-int", CLI, 'type=_at_least(0, "seed")', "type=int",
+           ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
+    # the root table: N2(w) misses N[w]
+    Mutant("n2-keeps-n-w", WITNESS, "self.n2 = self.ring & ~self.closed", "self.n2 = self.ring",
+           ("tests/test_witness.py::test_closure_sets_match_the_oracle_on_hosts_with_short_cycles",)),
 )
 
 

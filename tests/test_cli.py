@@ -504,6 +504,18 @@ def test_cli_check_names_where_the_pattern_is(capsys, tmp_path):
     assert verify_embedding(make("T8_2").graph, g, json.loads(at))
 
 
+def test_cli_check_resolves_family_ids_as_it_does_petersen(capsys, tmp_path):
+    # one resolver: petersen is the gp:5 record under its own id
+    host = tmp_path / "h4_1.g6"
+    host.write_text(emit_graph6(families.h4(1).graph) + "\n")  # one block plus z: a Petersen graph
+    outs = []
+    for pid in ("petersen", "gp:5", "GP:5"):
+        assert main(["check", "--host", str(host), "--pattern", pid]) == 0
+        outs.append(capsys.readouterr().out)
+    at = list(embed.find_induced(gp(5).graph, families.h4(1).graph))
+    assert outs == [f"record 1: contains {pid} at {at}\n" for pid in ("petersen", "gp:5", "gp:5")]
+
+
 def _h4_with_a_block_edge_cut():
     g = families.h4(3).graph
     cut = (families.vertex("h4", 3, "u1.1"), families.vertex("h4", 3, "u1.2"))
@@ -585,8 +597,14 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
                               ("h1:x", "bad size"), ("h1", "needs a size, as in h1:5"),
                               ("gp", "needs a size, as in gp:5"), ("h1:1_0", "bad size"),
                               ("gp:\uff12\uff15", "bad size"), ("T8_3", "unknown pattern id"),
-                              ("T9_1", "unknown pattern id"), ("P1_0", "unknown pattern id")):
+                              ("T9_1", "unknown pattern id"), ("P1_0", "unknown pattern id"),
+                              # a size too long for int() to read is over the cap
+                              ("P" + "9" * 5000, "above the vertex cap"),
+                              ("h1:" + "9" * 5000, "above the vertex cap")):
         _exit_two_with_one_line(capsys, ["gen", "--family", family_id], needle)
+    # seeds are ASCII digits: int() would read 1_0 and a full-width 1
+    for seed in ("\uff11_0", "1_0"):
+        _exit_two_with_one_line(capsys, ["verify", "--lemma", "4.1", "--seed", seed], f"seed {seed!r}")
     _exit_two_with_one_line(capsys, ["scan", "--corpus", str(good), "--tree", "T8_3"],
                             "unknown pattern id")
 

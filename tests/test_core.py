@@ -244,6 +244,16 @@ def test_rotation_roots_is_none_without_one():
         assert rotation_roots(host) is None and oracle_block_rotation(host) is None
 
 
+def test_rotation_roots_are_found_once_per_graph(monkeypatch):
+    # the mask, or None, is kept on the graph after the first ask
+    calls = []
+    find = core._rotation_roots
+    monkeypatch.setattr(core, "_rotation_roots", lambda g: calls.append(g.n) or find(g))
+    ring, line = parse_graph6(emit_graph6(gp(41).graph)), parse_graph6(emit_graph6(path(7).graph))
+    assert [rotation_roots(g) for g in (ring, ring, line, line)] == [1 | 1 << 41] * 2 + [None] * 2
+    assert calls == [82, 7]
+
+
 def _two_c5s():
     """Two 5-cycles on ids 0..4 and 5..9: turning the ids by 5 swaps them,
     the least block rotation, so the roots are 0..4."""

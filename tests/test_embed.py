@@ -366,7 +366,7 @@ def test_rooted_and_unrooted_freeness_agree_on_every_family():
         assert True in verdicts and False in verdicts, fg
 
 
-@pytest.mark.parametrize("fg", [h1(3), h2(2), h3(4), h4(2), gp(7)], ids=lambda fg: f"{fg.family}({fg.size})")
+@pytest.mark.parametrize("fg", [h1(3), h2(2), h3(4), h4(2), gp(7)], ids=lambda fg: fg.id.replace(":", "(") + ")")
 def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
     # the full generator set and every subset of at most two generators, as
     # the orbit tables meet them below a placed prefix
@@ -381,7 +381,7 @@ def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
 @pytest.mark.parametrize("fg, tree, nodes", [
     (h2(3), "S8:0001", 116), (h2(3), "Tstar8", 119), (h1(6), "P10", 119),
     (h4(3), "S8_2", 201), (h3(6), "S7:101", 81),
-], ids=lambda x: getattr(x, "family", x))
+], ids=lambda x: x.id.partition(":")[0] if hasattr(x, "id") else x)
 def test_generator_rooted_freeness_searches_are_pinned(fg, tree, nodes):
     # the lemma sweeps' searches, counted with the plan built: the lowest
     # root under every generator, then the other roots cut to one per orbit;
@@ -567,7 +567,7 @@ def test_rooted_searches_and_enumerations_detect_no_rotation(monkeypatch):
             assert find_all_induced(pattern, g) == find_all_induced(pattern, g, limit=2) == []
             assert not calls
         if g.n <= embed.PATTERN_CAP:
-            assert is_isomorphic(g, _relabel(Random(fg.size), g)) and not calls
+            assert is_isomorphic(g, _relabel(Random(int(fg.id.split(":")[1])), g)) and not calls
 
 
 def test_p5_enumeration_in_gp9_is_pinned():
@@ -684,7 +684,7 @@ def _pigeonhole_hosts():
     """(host, generators) cases, each a host where the cut fires for S8:0001:
     small family hosts and two seeded girth-5 cubic graphs."""
     fams = [h1(2), h1(3), h2(1), h2(2), gp(7)]
-    cases = [pytest.param(fg.graph, fg.generators, id=f"{fg.family}:{fg.size}") for fg in fams]
+    cases = [pytest.param(fg.graph, fg.generators, id=fg.id) for fg in fams]
     return cases + [pytest.param(random_girth5_cubic(Random(67 + n), n), (), id=f"cubic{n}")
                     for n in (20, 24)]
 

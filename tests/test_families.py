@@ -130,7 +130,7 @@ def test_gp_diameter_grows():
 def test_make_family_grammar():
     assert make_family("h1:5").graph.n == 33
     assert make_family("gp:25").graph.n == 50
-    for bad in ("h5:2", "h1", "gp:x", "h1:1_0", "gp:\uff12\uff15", "h1:+5", "h1: 5"):
+    for bad in ("h5:2", "h1", "gp:x", "h1:1_0", "gp:\uff12\uff15", "h1:+5", "h1: 5", "h1:" + "9" * 5000):
         with pytest.raises(ConstructionError):
             make_family(bad)
 
@@ -175,8 +175,8 @@ def test_template_outputs_are_pinned():
 def test_labels_round_trip_through_vertex_and_orders_are_derived():
     for make, s in _TEMPLATE_SIZES:
         fg = make(s)
-        assert order(fg.family, s) == fg.graph.n == len(fg.labels)
-        assert all(vertex(fg.family, s, fg.labels[v]) == v for v in range(fg.graph.n))
+        assert order(make.__name__, s) == fg.graph.n == len(fg.labels)
+        assert all(vertex(make.__name__, s, fg.labels[v]) == v for v in range(fg.graph.n))
     for label in ("u6.1", "u0.1", "u01.1", "u1.7", "v4", "x1.1", "u1", "z"):
         with pytest.raises(ConstructionError, match="has no vertex"):
             vertex("h1", 5, label)

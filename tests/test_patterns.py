@@ -10,6 +10,7 @@ from treefree import patterns
 from treefree.core import VERTEX_CAP, build, contract_edge, diameter, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError, NotATreeError, UsageError
+from treefree.families import gp
 from treefree.graphio import emit_dot, emit_graph6
 from treefree.patterns import (
     cycle,
@@ -50,7 +51,7 @@ def test_orders_match_formulas():
 def test_all_catalog_trees_are_trees():
     for spec in (t_tree(9), tstar_tree(9), s_tree(8, (1, 1, 0, 1)), t8_1(), t8_2(),
                  s8_1(), s8_2(), t8star(3, 2)):
-        assert is_tree(spec.graph), spec.pattern_id
+        assert is_tree(spec.graph), spec.id
 
 
 def test_bounded_degree_patterns():
@@ -164,14 +165,18 @@ def test_contracting_any_heawood_edge_is_the_same_graph():
 
 
 def test_gp5_matches_petersen_by_permutation_oracle():
-    from treefree.families import gp
-
     assert perm_isomorphic(gp(5).graph, petersen().graph)
+
+
+def test_petersen_is_gp5_under_its_own_id(monkeypatch):
+    monkeypatch.setattr(patterns, "build", None)  # it builds no graph of its own
+    pet, gp5 = petersen(), gp(5)
+    assert (pet.id, pet.graph, pet.labels) == ("petersen", gp5.graph, gp5.labels)
 
 
 def test_make_grammar():
     assert make("T9").graph.n == 11
-    assert make("T8_1").pattern_id == "T8_1"
+    assert make("T8_1").id == "T8_1"
     assert make("S8:0110").graph.n == 12
     assert make("Tstar8").graph.n == 12
     assert make("T8star:2,1").graph.n == 12
@@ -189,6 +194,8 @@ def test_make_grammar():
         with pytest.raises(UsageError, match="unknown pattern id"):
             make(bad)
     assert make("T9") is make("T9")  # one shared spec
+    # family ids resolve here too, built by families.make_family
+    assert make("h1:5").id == "h1:5" and make(" GP:25 ").graph == gp(25).graph
 
 
 def test_canonical_labels():
@@ -229,13 +236,13 @@ _CATALOG_IDS = (
 
 
 def test_catalog_outputs_are_pinned():
-    """pattern_id, graph6, dot and the sorted labels of every catalog id, as
+    """id, graph6, dot and the sorted labels of every catalog id, as
     one digest: the builders keep every id, edge and name."""
     assert len(_CATALOG_IDS) == 197
     digest = hashlib.sha256()
     for pid in _CATALOG_IDS:
         spec = make(pid)
-        digest.update(spec.pattern_id.encode())
+        digest.update(spec.id.encode())
         digest.update(emit_graph6(spec.graph).encode())
         digest.update(emit_dot(spec.graph, spec.labels).encode())
         digest.update(repr(sorted(spec.labels.items())).encode())
