@@ -297,7 +297,8 @@ def check_diam_theorem(g: Graph) -> Report:
     graph, by the gate).  The rotation is an automorphism, so it carries
     every short cycle onto one through an orbit root and every distance
     onto one from a root; rooting keeps the first embedding.  So the
-    report does not depend on it.
+    report does not depend on it.  A clause search on a host without a
+    rotation roots by its block swaps (``core.block_swaps``), if it has any.
     """
     gate = _gate(g, rooted=True)
     value = diameter(g) if gate is None else -1
@@ -349,19 +350,28 @@ def scan_corpus(source: Any, tree_id: str) -> Report:
 
 # ------------------------------------------------------------------ CLI
 
+def _read_digits(digits: str, name: str) -> int:
+    """A run of ASCII digits as an int.  Over 20 significant digits is refused
+    in one short line before ``int()`` (which reads at most 4300) sees it."""
+    run = digits.lstrip("0")
+    if len(run) > 20:
+        raise argparse.ArgumentTypeError(f"{name} of {len(run)} digits is too large")
+    return int(run or "0")
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """``A..B`` or ``A`` as a size range (A, B); ``verify_lemma`` checks 1 <= A <= B."""
     m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
     if not m:
         raise argparse.ArgumentTypeError(f"invalid size range {text!r}, expected A..B")
-    return int(m[1]), int(m[2] or m[1])
+    return _read_digits(m[1], "a size"), _read_digits(m[2] or m[1], "a size")
 
 
 def _at_least(least: int, name: str) -> Callable[[str], int]:
     """An argparse type that reads an integer >= ``least`` in ASCII digits."""
 
     def parse(text: str) -> int:
-        value = int(text) if re.fullmatch("[0-9]+", text) else -1
+        value = _read_digits(text, name) if re.fullmatch("[0-9]+", text) else -1
         if value < least:
             raise argparse.ArgumentTypeError(f"{name} {text!r} needs to be an integer >= {least}")
         return value

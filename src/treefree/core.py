@@ -7,7 +7,7 @@ bitmask over 0..n-1, which gives O(n/word) adjacency tests and set algebra.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConstructionError, DisconnectedError, MissingEdgeError
 
@@ -37,12 +37,13 @@ class Graph:
     No loops, no parallel edges; rows are always symmetric.
     """
 
-    __slots__ = ("n", "_rows", "_roots", "_classes")
+    __slots__ = ("n", "_rows", "_roots", "_swaps", "_classes")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self._rows = tuple(rows)
         self._roots: int | None = -1  # ``rotation_roots``, filled on first ask
+        self._swaps: tuple[dict[int, int], ...] | None = None  # ``block_swaps``, likewise
         self._classes: dict[int, int] | None = None  # ``degree_classes``, likewise
 
     def row(self, v: int) -> int:
@@ -190,6 +191,70 @@ def _rotation_roots(g: Graph) -> int | None:
                    for x, r in enumerate(rows)):
                 return ((1 << t) - 1) * starts
     return None
+
+
+def is_automorphism(g: Graph, moves: Mapping[int, int]) -> bool:
+    """True iff ``moves``, with every vertex it leaves out fixed, is a
+    permutation of range(n) that maps every edge to an edge.
+
+    Only the rows of the keys are read.  The keys must lie in range(n) and
+    the values must be the keys again, which makes the map a permutation,
+    and each key v must carry N(v) onto N(moves[v]).  A fixed vertex x needs
+    nothing more: a moved neighbour u of x lands in N(x), since x is in N(u)
+    and stays put, so the permutation carries N(x) into N(x), hence onto it.
+    """
+    moved = sorted(moves)
+    if sorted(moves.values()) != moved or moved and (moved[0] < 0 or moved[-1] >= g.n):
+        return False
+    rows = g._rows
+    return all(sum(1 << moves.get(u, u) for u in bits(rows[v])) == rows[y] for v, y in moves.items())
+
+
+def block_swaps(g: Graph) -> tuple[dict[int, int], ...]:
+    """Transpositions of adjacent id blocks that are automorphisms of ``g``,
+    each as its moves (see ``is_automorphism``); () when none is found.
+
+    The family templates lay s copies of a block at ids (i - 1) * b onward,
+    hubs last, so swapping copies i and i + 1 (x -> x + b on one, x - b on
+    the other) is an automorphism.  Block sizes b ascend from 1.  At each,
+    the swaps of blocks 0 and 1, 1 and 2, ... are tried in turn until one
+    fails or the next block passes n: each is tested at the first vertex of
+    its lower block (one row, moved by two shifts and three masks), then by
+    ``is_automorphism``.  A run of two or more swaps is kept and ends the
+    scan; a lone swap is kept while the kept swaps move at most 2n ids, and
+    the scan goes on, since a copy can hold a smaller swap of its own (h1's
+    halves u1 u2 u3 and u4 u5 u6).  Each id lies in at most two swaps of a
+    run, so all the swaps hold fewer than 4n moves.  Rows never change, so
+    the swaps are found on the first ask and kept on the graph; callers
+    read them and never change them.
+    """
+    if g._swaps is None:
+        g._swaps = _block_swaps(g)
+    return g._swaps
+
+
+def _block_swaps(g: Graph) -> tuple[dict[int, int], ...]:
+    n, rows = g.n, g._rows
+    kept: list[dict[int, int]] = []
+    moved = 0
+    for b in range(1, n // 2 + 1):
+        run = []
+        for x in range(0, n - 2 * b + 1, b):  # x: the first id of the lower block
+            low = (1 << b) - 1 << x
+            high = low << b
+            r = rows[x]
+            if r & ~(low | high) | (r & low) << b | (r & high) >> b != rows[x + b]:
+                break
+            moves = {y: y + b for y in range(x, x + b)} | {y + b: y for y in range(x, x + b)}
+            if not is_automorphism(g, moves):
+                break
+            run.append(moves)
+        if len(run) > 1:
+            return (*kept, *run)
+        if run and moved + 2 * b <= 2 * n:
+            kept += run
+            moved += 2 * b
+    return tuple(kept)
 
 
 def diameter(g: Graph) -> int:

@@ -59,18 +59,24 @@ generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
 full.  Without generators, H_0 is generated by the host's block rotation
 sigma, which ``core.rotation_roots`` detects if the host has one; sigma
 moves every vertex, so it roots only the first placement and every branch
-below a root is searched in full.  A host without a rotation, such as a
-relabelled gp(n) or h3(s), has every root tried.
+below a root is searched in full.  A host without a rotation takes the
+transpositions of adjacent id blocks that ``core.block_swaps`` detects as
+its generators: the copy swaps of h1, h2 and h4 read back from graph6,
+which then root at every depth as the family generators do.  A host with
+neither, such as a relabelled gp(n) or h2(s), has every root tried.
 
 Every rooted search places its lowest root (the least candidate for q0 =
 order[0]) first.  The candidates for q0 are every host vertex of degree at
 least deg(q0), a set each automorphism keeps, so the lowest root is the
 least of its orbit under any group and survives any cut.  Only when it has
-no embedding are the other roots cut, to ``least[every]`` with generators
-and to the mask ``core.rotation_roots`` returns without.  That spares
-rotation detection on hosts that embed the pattern at the lowest root, as
-most ``scan`` records do, and costs a generator-rooted search one more call
-of ``place`` at level 0.
+no embedding are the other roots cut: to ``least[every]`` with generators,
+to the mask ``core.rotation_roots`` returns without, and, with no rotation
+either, to ``least[every]`` over the detected swaps, which then cut every
+later placement as passed generators do.  The lowest root itself was
+searched with no generator below it, which keeps f* too.  That spares
+detection on hosts that embed the pattern at the lowest root, as most
+``scan`` records do, never detects when generators are passed, and costs a
+generator-rooted search one more call of ``place`` at level 0.
 
 (c) Sibling pigeonhole, in every search.  The search keeps a pattern
 vertex's image off the images of other vertices only through the forward
@@ -91,8 +97,8 @@ masks after (a)'s cuts and the ``initial`` masks are applied, so it drops
 nothing those keep; (b) cuts only the candidates of the next vertex to
 place, so the union there is over supersets and the cut stays sound.  The
 search for S8:0001 in h2(3) without generators (which finds none, its plan
-built) visits 4420 nodes (calls of ``place``) with the cut against
-17090 without it.
+built) visits 688 nodes (calls of ``place``) with the cut against 2908
+without it, and with the block swaps hidden as well, 4420 against 17090.
 """
 
 from __future__ import annotations
@@ -226,9 +232,9 @@ def _search(
     ``initial[q]``, when given, is a mask of the host vertices q may map to.
     A first-hit search without ``initial`` is rooted (see the module
     docstring): it is orbit-rooted by the host automorphism ``generators``,
-    each given by its moves, or without them by the host's block rotation,
-    if it has one, once its lowest root fails.  Any other search ignores
-    ``generators``.
+    each given by its moves, or without them, once its lowest root fails,
+    by the host's block rotation, or failing that by its block swaps, if it
+    has either.  Any other search ignores ``generators``.
     """
     k, n = pattern.n, host.n
     if k == 0:
@@ -257,13 +263,20 @@ def _search(
     # orbit rooting: generator i moves something, and fixing[h] has bit i iff
     # it fixes h; least[sub] masks the least vertex of each orbit of the
     # group the generators in ``sub`` generate, built once per distinct sub
-    gens = [moves for moves in generators if moves] if rooted else []
-    every = (1 << len(gens)) - 1
-    fixing = [every] * n if gens else []
-    for i, moves in enumerate(gens):
-        for x in moves:
-            fixing[x] &= ~(1 << i)
+    gens: list[Mapping[int, int]] = []
+    fixing: list[int] = []
     least: dict[int, int] = {}
+
+    def number(generators: Sequence[Mapping[int, int]]) -> int:
+        """Number the ``generators`` that move something; the mask of them all."""
+        gens[:] = [moves for moves in generators if moves]
+        least.clear()
+        every = (1 << len(gens)) - 1
+        fixing[:] = [every] * n if gens else []
+        for i, moves in enumerate(gens):
+            for x in moves:
+                fixing[x] &= ~(1 << i)
+        return every
 
     def least_of(sub: int) -> int:
         m = least.get(sub)
@@ -316,16 +329,22 @@ def _search(
                 mapping[q] = -1
         return False
 
+    every = number(generators) if rooted else 0
     roots = base[order[0]]
     if rooted and roots:
         # (b): the lowest root, then the rest cut to the least of each orbit
         lowest = roots & -roots
         if place(0, base, every, lowest):
             return found
-        least_roots = least_of(every) if gens else core.rotation_roots(host)
         roots ^= lowest
-        if least_roots is not None:
-            roots &= least_roots
+        if not gens:
+            rotation = core.rotation_roots(host)
+            if rotation is not None:
+                roots &= rotation
+            else:
+                every = number(core.block_swaps(host))
+        if gens:
+            roots &= least_of(every)
     place(0, base, every, roots)
     return found
 
@@ -339,8 +358,10 @@ def find_induced(
     Once its lowest root fails, the search tries one host vertex per orbit
     of the host automorphism ``generators`` that fix the vertices placed so
     far (each a dict from every vertex it moves to its image, such as
-    ``NamedGraph.generators``), or without them one root per orbit of the
-    host's block rotation, if it has one.  Neither changes the result.
+    ``NamedGraph.generators``).  Without them it tries one root per orbit of
+    the host's block rotation, if it has one, or else takes the host's block
+    swaps (``core.block_swaps``) as its generators.  None of these changes
+    the result.
     """
     out = _search(capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None

@@ -24,7 +24,9 @@ so the generators of every family total O(n) entries.  They need not
 generate the whole automorphism group; ``embed.find_induced`` and
 ``embed.is_free`` use them only to skip host vertices that some
 automorphism maps onto one already tried.  ``_validate`` checks every
-generator at construction, reading only the rows of the vertices it moves.
+generator at construction with ``core.is_automorphism``, which reads only
+the rows of the vertices it moves.  A graph read back from graph6 has lost
+them; ``core.block_swaps`` finds its copy swaps again from this layout.
 
 ``order`` derives each family's order from its size (b·s + hubs for a
 template), so the constructors and callers that sweep sizes refuse a size
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable
 
-from .core import VERTEX_CAP, Graph, bits, build, degree_classes, is_c3c4_free, is_connected
+from .core import (VERTEX_CAP, Graph, build, degree_classes, is_automorphism, is_c3c4_free,
+                   is_connected)
 from .errors import ConstructionError
 
 
@@ -173,27 +176,11 @@ def vertex(family: str, s: int, label: str) -> int:
     raise ConstructionError(f"{family}({s}) has no vertex {label!r}")
 
 
-def _is_automorphism(g: Graph, moves: dict[int, int]) -> bool:
-    """True iff ``moves``, with every vertex it leaves out fixed, is a
-    permutation of range(n) that maps every edge to an edge.
-
-    Only the rows of the keys are read.  The keys must lie in range(n) and
-    the values must be the keys again, which makes the map a permutation,
-    and each key v must carry N(v) onto N(moves[v]).  A fixed vertex x needs
-    nothing more: a moved neighbour u of x lands in N(x), since x is in N(u)
-    and stays put, so the permutation carries N(x) into N(x), hence onto it.
-    """
-    moved = sorted(moves)
-    if sorted(moves.values()) != moved or moved and (moved[0] < 0 or moved[-1] >= g.n):
-        return False
-    return all(sum(1 << moves.get(u, u) for u in bits(g.row(v))) == g.row(y) for v, y in moves.items())
-
-
 def _validate(fg: NamedGraph, min_degree: int, regular: int | None = None) -> NamedGraph:
     g = fg.graph
     name = fg.id.replace(":", "(") + ")"
     for k, moves in enumerate(fg.generators):
-        if not _is_automorphism(g, moves):
+        if not is_automorphism(g, moves):
             raise ConstructionError(f"{name}: generator {k} is not an automorphism")
     if not is_connected(g):
         raise ConstructionError(f"{name}: disconnected")

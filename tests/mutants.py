@@ -48,6 +48,7 @@ STEP_TAG = "(r, 1 if rows[q] >> r & 1 else 2 if rows[q] & rows[r] else 0)"
 M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 ROOTED = "rooted = limit == 1 and initial is None"
 LOWEST_ROOT = "if place(0, base, every, lowest):"
+LOWEST = "        lowest = roots & -roots\n"
 
 MUTANTS = (
     # clause (v)'s M_4 test: b must miss N(v), and the vertex tested is q1[1]
@@ -153,11 +154,24 @@ MUTANTS = (
             "tests/test_graphio.py::test_chunked_codec_matches_networkx")),
     # lazy rotation rooting: the rotation is read only once the lowest root
     # fails, and it cuts the other roots to the least of each orbit
-    Mutant("rotation-detected-eagerly", EMBED, "        lowest = roots & -roots\n",
-           "        lowest = roots & -roots\n        core.rotation_roots(host)\n",
+    Mutant("rotation-detected-eagerly", EMBED, LOWEST, LOWEST + "        core.rotation_roots(host)\n",
            ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
-    Mutant("orbit-cut-inverted", EMBED, "roots &= least_roots", "roots &= ~least_roots",
+    Mutant("orbit-cut-inverted", EMBED, "roots &= rotation", "roots &= ~rotation",
            ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    # lazy swap rooting: a host without a rotation has its block swaps read
+    # only once the lowest root fails, and only when no generators are passed
+    Mutant("swaps-detected-eagerly", EMBED, LOWEST, LOWEST + "        core.block_swaps(host)\n",
+           ("tests/test_embed.py::test_lazy_rotation_rooting_keeps_the_first_hit",)),
+    Mutant("swaps-replace-passed-generators", EMBED, "        if not gens:\n            rotation",
+           "        if True:\n            rotation",
+           ("tests/test_embed.py::test_rooted_searches_and_enumerations_detect_no_rotation",)),
+    # block_swaps: each swap checked whole after the first-vertex prefilter,
+    # and the scan ended by the first run of two or more swaps
+    Mutant("swap-prefilter-only", CORE, "            if not is_automorphism(g, moves):\n",
+           "            if False:\n",
+           ("tests/test_core.py::test_block_swaps_of_graph6_copy_hosts_are_automorphisms",)),
+    Mutant("swap-scan-never-stopped", CORE, "            return (*kept, *run)\n", "            kept += run\n",
+           ("tests/test_core.py::test_block_swaps_hold_at_most_2n_moves_and_are_found_once_per_graph",)),
     # rotation_roots: kept on the graph, the closed-form root mask, the whole
     # check after the vertex-0 prefilter, and diameter's connectivity check
     Mutant("rotation-roots-unkept", CORE,
@@ -225,6 +239,9 @@ MUTANTS = (
     Mutant("over-long-size-reaches-int", FAMILIES, "    if len(run) > 20:\n", "    if False:\n",
            ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
     Mutant("seed-read-by-int", CLI, 'type=_at_least(0, "seed")', "type=int",
+           ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
+    Mutant("over-long-option-reaches-int", CLI, "    if len(run) > 20:\n        raise argparse",
+           "    if False:\n        raise argparse",
            ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
     # the root table: N2(w) misses N[w]
     Mutant("n2-keeps-n-w", WITNESS, "self.n2 = self.ring & ~self.closed", "self.n2 = self.ring",

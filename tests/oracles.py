@@ -672,6 +672,14 @@ def generator_orbits(n: int, generators: Sequence[Mapping[int, int]]) -> list[li
     return orbits
 
 
+def oracle_is_automorphism(g: Graph, moves: Mapping[int, int]) -> bool:
+    """The definition, edge by edge: ``moves``, with every vertex it leaves
+    out fixed, is a permutation of range(n) that keeps every edge."""
+    perm = [moves.get(x, x) for x in range(g.n)]
+    return (all(0 <= x < g.n for x in moves) and sorted(perm) == list(range(g.n))
+            and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges()))
+
+
 def oracle_block_rotation(g: Graph) -> dict[int, int] | None:
     """The least (c, t) block rotation of ``g`` as a dict over every vertex,
     or None: the ids cut into c consecutive blocks of b = n / c >= 3 ids,

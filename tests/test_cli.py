@@ -607,12 +607,21 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
         _exit_two_with_one_line(capsys, ["verify", "--lemma", "4.1", "--seed", seed], f"seed {seed!r}")
     _exit_two_with_one_line(capsys, ["scan", "--corpus", str(good), "--tree", "T8_3"],
                             "unknown pattern id")
+    # an option's digit run too long for int() to read is refused in one
+    # short line that does not echo it
+    nines = "9" * 5000
+    for argv, needle in ((["chi", "--input", str(good), "--cap", nines], "cap of 5000 digits"),
+                         (["verify", "--lemma", "2.3", "--s", "3.." + nines], "a size of 5000 digits"),
+                         (["verify", "--lemma", "4.1", "--seed", "0" + nines], "seed of 5000 digits")):
+        assert len(_exit_two_with_one_line(capsys, argv, needle)) < 80
 
 
 def _exit_two_with_one_line(capsys, argv, needle):
+    """Run ``argv``; it must exit 2 with one stderr line holding ``needle``, returned."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and needle in err and "Traceback" not in err
+    return err
 
 
 def test_cli_bad_size_range_exits_two(capsys):

@@ -12,6 +12,7 @@ from treefree import core
 from treefree.core import (
     bfs_levels,
     bits,
+    block_swaps,
     build,
     components,
     contract_edge,
@@ -39,6 +40,7 @@ from .oracles import (
     girth_at_least_5,
     has_c3_or_c4,
     oracle_block_rotation,
+    oracle_is_automorphism,
     random_girth5_cubic,
     random_girth5_necklace,
     random_graph,
@@ -252,6 +254,67 @@ def test_rotation_roots_are_found_once_per_graph(monkeypatch):
     ring, line = parse_graph6(emit_graph6(gp(41).graph)), parse_graph6(emit_graph6(path(7).graph))
     assert [rotation_roots(g) for g in (ring, ring, line, line)] == [1 | 1 << 41] * 2 + [None] * 2
     assert calls == [82, 7]
+
+
+def _copy_swap(base: int, b: int) -> dict[int, int]:
+    """The moves of the swap of ids base .. base + b - 1 with the next b ids."""
+    return {**{x: x + b for x in range(base, base + b)}, **{x + b: x for x in range(base, base + b)}}
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def test_block_swaps_of_graph6_copy_hosts_are_automorphisms():
+    # h1, h2 and h4 read back from graph6: every swap of adjacent copies,
+    # after one swap inside copy 1 (h1 and h4: its halves u1 u2 u3 and u4 u5
+    # u6; h2: its u and v 5-cycles)
+    hosts = [(h1(s).graph, 3, 6, s) for s in range(2, 7)]
+    hosts += [(h2(s).graph, 5, 15, s) for s in range(1, 6)]
+    hosts += [(h4(s).graph, 3, 9, s) for s in range(1, 6)]
+    for g, half, b, s in hosts:
+        copy = parse_graph6(emit_graph6(g))
+        swaps = block_swaps(copy)
+        assert all(oracle_is_automorphism(copy, moves) for moves in swaps), g
+        assert list(swaps) == [_copy_swap(0, half)] + [_copy_swap(i * b, b) for i in range(s - 1)], g
+    # h2(3) with edge u3-u4 of copy 2 dropped: the swap of copies 1 and 2
+    # keeps vertex 0's row, so only the whole automorphism check refuses it
+    g = h2(3).graph
+    damaged = build(g.n, [e for e in g.edges() if e != (17, 18)])
+    assert sum(1 << _copy_swap(0, 15)[u] for u in bits(damaged.row(0))) == damaged.row(15)
+    swaps = block_swaps(damaged)
+    assert all(oracle_is_automorphism(damaged, moves) for moves in swaps)
+    assert list(swaps) == [_copy_swap(0, 5)]
+
+
+def test_block_swaps_are_empty_without_copies_in_id_order():
+    rng = Random(34)
+    hosts = [parse_graph6(emit_graph6(gp(n).graph)) for n in range(5, 32, 2)]
+    hosts += [parse_graph6(emit_graph6(h3(s).graph)) for s in (5, 7)]
+    hosts += [_relabelled(rng, fg.graph) for fg in (h1(3), h2(2), h4(3), gp(11))]
+    hosts += [random_girth5_cubic(rng, 2 * rng.randint(10, 30)) for _ in range(4)]
+    for g in hosts:
+        assert block_swaps(g) == (), g
+    # an even ring's half turn swaps its two halves, a block of 7s ids each
+    for s in (4, 6):
+        assert block_swaps(h3(s).graph) == (_copy_swap(0, 7 * s),)
+
+
+def test_block_swaps_hold_at_most_2n_moves_and_are_found_once_per_graph(monkeypatch):
+    # the scan stops at the first block size that swaps three or more blocks
+    calls = []
+    find = core._block_swaps
+    monkeypatch.setattr(core, "_block_swaps", lambda g: calls.append(g.n) or find(g))
+    for fg, b in ((h1(500), 6), (h2(200), 15), (h4(300), 9)):
+        g = parse_graph6(emit_graph6(fg.graph))
+        swaps = block_swaps(g)
+        assert block_swaps(g) is swaps
+        s = int(fg.id.partition(":")[2])
+        assert list(swaps[1:]) == [_copy_swap(i * b, b) for i in range(s - 1)]
+        assert sum(map(len, swaps)) <= 2 * g.n
+    assert calls == [3003, 3001, 2701]
 
 
 def _two_c5s():

@@ -20,7 +20,7 @@ from treefree.embed import (
 )
 from treefree.errors import CapacityError
 from treefree.families import gp, h1, h2, h3, h4, vertex
-from treefree.graphio import checked
+from treefree.graphio import checked, emit_graph6, parse_graph6
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
 from .oracles import (
@@ -392,6 +392,21 @@ def test_generator_rooted_freeness_searches_are_pinned(fg, tree, nodes):
     assert _nodes(lambda: find_induced(pattern, fg.graph, fg.generators)) == nodes
 
 
+@pytest.mark.parametrize("fg, tree, nodes, unrooted", [
+    (h2(3), "S8:0001", 688, 4420), (h1(6), "P10", 1145, 34421), (h4(3), "S8_2", 354, 3306),
+], ids=lambda x: x.id.partition(":")[0] if hasattr(x, "id") else x)
+def test_swap_rooted_freeness_searches_are_pinned(monkeypatch, fg, tree, nodes, unrooted):
+    # the same hosts read back from graph6, which lost their generators,
+    # counted with the plan built: the lowest root searched in full, then
+    # the other roots cut to one per orbit of the detected block swaps, at
+    # every depth; without the swaps every root is tried
+    pattern, host = make(tree).graph, parse_graph6(emit_graph6(fg.graph))
+    assert is_free(host, pattern)
+    assert _nodes(lambda: find_induced(pattern, host)) == nodes
+    monkeypatch.setattr(core, "block_swaps", lambda g: ())
+    assert _nodes(lambda: find_induced(pattern, host)) == unrooted
+
+
 def test_rooting_is_ignored_when_candidates_are_given():
     # the iso search seeds every candidate mask, so generators must not cut it
     fg = h1(3)
@@ -517,19 +532,21 @@ def _rotation_hosts():
     return [g for host in hosts for g in (host, _relabel(rng, host))]
 
 
-def _counted_detection(monkeypatch):
-    """Rebind ``core.rotation_roots``; each call appends its result."""
+def _counted_detection(monkeypatch, detector="rotation_roots"):
+    """Rebind ``core.rotation_roots`` (or ``detector``); each call appends its result."""
     calls = []
-    detect = core.rotation_roots
-    monkeypatch.setattr(core, "rotation_roots", lambda g: calls.append(detect(g)) or calls[-1])
+    detect = getattr(core, detector)
+    monkeypatch.setattr(core, detector, lambda g: calls.append(detect(g)) or calls[-1])
     return calls
 
 
 def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
     # an unrooted first-hit search detects the host's rotation once, and only
     # when its lowest root (the least host vertex whose degree reaches
-    # order[0]'s) has no embedding; the witness is the oracle's first hit
+    # order[0]'s) has no embedding, then its block swaps if it has no
+    # rotation; the witness is the oracle's first hit
     calls = _counted_detection(monkeypatch)
+    swaps = _counted_detection(monkeypatch, "block_swaps")
     pats = _small_patterns() + [path(8).graph, make("S7:101").graph, make("T8_1").graph]
     seen = set()
     for host in _rotation_hosts():
@@ -541,10 +558,12 @@ def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
             if pattern.n > host.n:
                 lowest = None  # the search returns before it roots anything
             calls.clear()
+            swaps.clear()
             assert find_induced(pattern, host) == expected, (host.n, list(pattern.edges()))
             assert is_free(host, pattern) == (expected is None)
             detected = lowest is not None and (expected is None or expected[order[0]] != lowest)
             assert len(calls) == 2 * detected
+            assert len(swaps) == 2 * (detected and calls[0] is None)
             seen.add((detected, bool(calls and calls[0]), expected is None))
     # labelled and relabelled hosts both reach detection, with and without a hit
     assert {(True, True, False), (True, True, True), (True, False, False), (True, False, True)} <= seen
@@ -553,19 +572,25 @@ def test_lazy_rotation_rooting_keeps_the_first_hit(monkeypatch):
 
 def test_rooted_searches_and_enumerations_detect_no_rotation(monkeypatch):
     # K3 and C4 have no embedding in these C3/C4-free hosts, so an unrooted
-    # first-hit search detects; with generators, with initial masks and in
-    # an enumeration the search must not
+    # first-hit search detects the rotation of gp and h3, and the block
+    # swaps of h1, h2 and h4, which have none; with generators, with initial
+    # masks and in an enumeration the search must detect neither
     calls = _counted_detection(monkeypatch)
-    for fg in (gp(7), gp(11), h3(4)):
+    swaps = _counted_detection(monkeypatch, "block_swaps")
+    for fg in (gp(7), gp(11), h3(4), h1(3), h2(2), h4(2)):
         g, every = fg.graph, (1 << fg.graph.n) - 1
+        ring = fg.id[:2] in ("gp", "h3")
         for pattern in (K3, cycle(4).graph):
             calls.clear()
-            assert find_induced(pattern, g) is None and len(calls) == 1 and calls[0]
+            swaps.clear()
+            assert find_induced(pattern, g) is None and len(calls) == 1
+            assert bool(calls[0]) == ring and len(swaps) == (not ring) and all(swaps)
             calls.clear()
+            swaps.clear()
             assert find_induced(pattern, g, fg.generators) is None and is_free(g, pattern, fg.generators)
             assert _search(pattern, g, 1, initial=[every] * pattern.n) == []
             assert find_all_induced(pattern, g) == find_all_induced(pattern, g, limit=2) == []
-            assert not calls
+            assert not calls and not swaps
         if g.n <= embed.PATTERN_CAP:
             assert is_isomorphic(g, _relabel(Random(int(fg.id.split(":")[1])), g)) and not calls
 
