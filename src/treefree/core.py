@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConstructionError, DisconnectedError, MissingEdgeError
+from .errors import ConstructionError, DisconnectedError, DomainError, MissingEdgeError
 
 VERTEX_CAP = 65535
 
@@ -122,21 +122,17 @@ def balls(g: Graph, sources: int) -> list[int]:
     return out
 
 
-def bfs_levels(g: Graph, src: int) -> list[int]:
-    """BFS distance from ``src`` to every vertex; -1 for unreachable."""
-    dist = [-1] * g.n
-    inner = 0
-    for d, ball in enumerate(balls(g, 1 << src)):
-        for v in bits(ball & ~inner):
-            dist[v] = d
-        inner = ball
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
-    """Shortest-path distance, or None when u and v are in different components."""
-    d = bfs_levels(g, u)[v]
-    return None if d < 0 else d
+    """Shortest-path distance, or None when u and v are in different components:
+    the index of the first of u's ``balls`` that holds v.  Ids outside
+    0..n-1 raise DomainError."""
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise DomainError(f"vertex {x} is outside 0..{g.n - 1}")
+    for d, ball in enumerate(balls(g, 1 << u)):
+        if ball >> v & 1:
+            return d
+    return None
 
 
 def degree_classes(g: Graph) -> dict[int, int]:
@@ -410,18 +406,11 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise MissingEdgeError(f"({u},{v}) is not an edge")
     lo, hi = min(u, v), max(u, v)
-    old = [w for w in range(g.n) if w != hi]
-    index = {w: i for i, w in enumerate(old)}
-    rows = [0] * (g.n - 1)
-    for w in old:
-        merged = g.row(w) | (g.row(hi) if w == lo else 0)
-        r = 0
-        for x in bits(merged):
-            x = lo if x == hi else x
-            if x != w:
-                r |= 1 << index[x]
-        rows[index[w]] = r
-    return Graph(g.n - 1, rows)
+
+    def new(x: int) -> int:  # hi merges into lo; every id above hi drops by one
+        return lo if x == hi else x - (x > hi)
+
+    return build(g.n - 1, [(new(a), new(b)) for a, b in g.edges() if (a, b) != (lo, hi)])
 
 
 def components(g: Graph, within: int | None = None) -> list[list[int]]:

@@ -135,10 +135,13 @@ def stream_corpus(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tupl
 
     Record numbers are 1-based.  A malformed record raises a positioned
     FormatError.
-    A path is read line by line, so memory does not grow with the file.
+    A path is read line by line, so memory does not grow with the file.  It
+    is decoded as latin-1, one character per byte of the same value, so a
+    byte outside graph6's ASCII range reaches ``parse_graph6``'s byte check
+    in its own record, after the earlier records are yielded.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as lines:
+        with open(source, encoding="latin-1") as lines:
             yield from stream_corpus(lines)
         return
     record = 0

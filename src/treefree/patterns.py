@@ -17,7 +17,7 @@ import re
 from dataclasses import replace
 from functools import lru_cache
 
-from .core import VERTEX_CAP, Graph, build, contract_edge, is_connected
+from .core import VERTEX_CAP, Graph, bits, build, contract_edge, degree_classes, is_connected
 from .errors import ConstructionError, NotATreeError, UsageError
 from .families import NamedGraph, make_family, read_size
 from . import embed, families
@@ -193,16 +193,14 @@ def is_caterpillar(t: Graph) -> bool:
     """True iff deleting the vertices of some path leaves no edges.
 
     Decided by leaf stripping: a tree is a caterpillar exactly when removing
-    all its leaves yields a (possibly empty) path.
+    all its leaves yields a (possibly empty) path.  The inner vertices (degree
+    >= 2) induce a subtree, which is a path iff each inner vertex has at most
+    two inner neighbours: one row AND each.
     """
     if not is_tree(t):
         raise NotATreeError("is_caterpillar needs a tree")
-    inner = [v for v in range(t.n) if t.degree(v) >= 2]
-    if not inner:
-        return True
-    keep = set(inner)
-    degs = [sum(1 for u in t.neighbors(v) if u in keep) for v in inner]
-    return max(degs) <= 2
+    inner = sum(m for d, m in degree_classes(t).items() if d >= 2)
+    return all((t.row(v) & inner).bit_count() <= 2 for v in bits(inner))
 
 
 def is_subtree(t: Graph, host: Graph) -> bool:

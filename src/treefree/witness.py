@@ -425,6 +425,7 @@ def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
     adjacent off-path vertices attach at indices i < i' with 2 <= i'-i <= 3.
     """
     p = tuple(path)
+    _check_vertices(g, p)
     if len(p) < 2 or len(set(p)) != len(p):
         raise InvalidWitnessError("not a path")
     for a, b in zip(p, p[1:]):

@@ -246,6 +246,26 @@ MUTANTS = (
     # the root table: N2(w) misses N[w]
     Mutant("n2-keeps-n-w", WITNESS, "self.n2 = self.ring & ~self.closed", "self.n2 = self.ring",
            ("tests/test_witness.py::test_closure_sets_match_the_oracle_on_hosts_with_short_cycles",)),
+    # contract_edge relabels through build: ids above hi drop by one
+    Mutant("contract-without-id-shift", CORE, "return lo if x == hi else x - (x > hi)",
+           "return lo if x == hi else x",
+           ("tests/test_patterns.py::test_catalog_outputs_are_pinned",
+            "tests/test_core.py::test_contract_edge_examples")),
+    # a caterpillar's inner vertices induce a path: at most two inner neighbours each
+    Mutant("caterpillar-three-inner-neighbours", PATTERNS, "(t.row(v) & inner).bit_count() <= 2",
+           "(t.row(v) & inner).bit_count() <= 3",
+           ("tests/test_patterns.py::test_caterpillar_examples",
+            "tests/test_patterns.py::test_caterpillar_matches_spine_oracle")),
+    # distance: the index of the first ball holding v, and ids in range only
+    Mutant("distance-off-by-one", CORE, "        if ball >> v & 1:\n            return d\n",
+           "        if ball >> v & 1:\n            return d + 1\n",
+           ("tests/test_core.py::test_distance_examples",)),
+    Mutant("distance-without-range-check", CORE, "        if not 0 <= x < g.n:\n            raise DomainError",
+           "        if False:\n            raise DomainError",
+           ("tests/test_core.py::test_distance_examples",)),
+    # a corpus byte above 127 reaches parse_graph6's byte check in its own record
+    Mutant("corpus-read-as-utf-8", GRAPHIO, 'open(source, encoding="latin-1")', 'open(source, encoding="utf-8")',
+           ("tests/test_cli.py::test_theorem_prints_each_report_before_a_bad_record",)),
 )
 
 

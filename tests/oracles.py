@@ -2,7 +2,7 @@
 
 Everything here is deliberately implemented without the package's pruned
 search machinery: plain enumeration, Floyd-Warshall, breadth-first search
-over neighbour sets, permutations.
+over ``has_edge`` or neighbour sets, permutations.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from treefree.core import Graph, build, is_connected
+from treefree.core import Graph, build
 from treefree.errors import CapacityError
 
 INF = float("inf")
@@ -70,6 +70,20 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
 def brute_diameter(g: Graph) -> float:
     dist = floyd_warshall(g)
     return max(dist[i][j] for i in range(g.n) for j in range(g.n))
+
+
+def bfs_distances(g: Graph, src: int) -> list[int]:
+    """Distance from ``src`` to every vertex, -1 where unreachable: a queue
+    BFS that reads only ``has_edge``, so no traversal of the package is in it."""
+    dist = [-1] * g.n
+    dist[src] = 0
+    queue = [src]
+    for x in queue:
+        for y in range(g.n):
+            if dist[y] < 0 and g.has_edge(x, y):
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def shortest_cycle(g: Graph) -> int | None:
@@ -278,9 +292,7 @@ def mk_oracle(g: Graph, v: int, w: int, k: int) -> set[int]:
 
 def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
     """Order-4 w-reaching vertices by full enumeration of the walks v, q2, q3, w."""
-    from treefree.core import bfs_levels
-
-    dist = bfs_levels(g, w)
+    dist = bfs_distances(g, w)
     out = set()
     if w in avoid:
         return out
@@ -301,10 +313,8 @@ def l_oracle(g: Graph, w: int, avoid: set[int]) -> set[int]:
 def closure_oracle(g: Graph, w: int, X: Iterable[int]) -> dict:
     """The Y/Z closure sets of base X under root w, and the a in N(w) breaking
     each edge-emptiness clause, straight from the set definitions."""
-    from treefree.core import bfs_levels
-
     X = set(X)
-    dist = bfs_levels(g, w)
+    dist = bfs_distances(g, w)
     nw = {v for v in range(g.n) if dist[v] == 1}
     n2 = {v for v in range(g.n) if dist[v] == 2}
 
@@ -322,7 +332,7 @@ def closure_oracle(g: Graph, w: int, X: Iterable[int]) -> dict:
 
     clause_i, clause_ii = [], []
     for a in sorted(nw):
-        dist_a = bfs_levels(g, a)
+        dist_a = bfs_distances(g, a)
         if a not in y2 and edge_from_x({u for u in range(g.n) if 0 <= dist_a[u] <= 1}):
             clause_i.append(a)
         if a not in z3 and edge_from_x({u for u in range(g.n) if 0 <= dist_a[u] <= 2} - z3):
@@ -436,7 +446,7 @@ def random_girth5_cubic(rng: Random, n: int) -> Graph:
         edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
         if len(edges) == 3 * n // 2 and girth_at_least_5(n, edges):
             g = build(n, edges)
-            if is_connected(g):
+            if -1 not in bfs_distances(g, 0):
                 return g
 
 
@@ -562,15 +572,9 @@ def oracle_stabiliser_orbits(pattern: Graph, order: list[int]) -> list[set[int]]
 
 def _distance_profile(g: Graph, v: int) -> tuple[int, ...]:
     """How many vertices lie at distance 0, 1, 2, ... from v: an automorphism invariant."""
-    dist = {v: 0}
-    queue = [v]
-    for x in queue:
-        for y in g.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    counts = [0] * (max(dist.values()) + 1)
-    for d in dist.values():
+    dist = [d for d in bfs_distances(g, v) if d >= 0]
+    counts = [0] * (max(dist) + 1)
+    for d in dist:
         counts[d] += 1
     return tuple(counts)
 

@@ -278,11 +278,15 @@ def test_diam_reports_are_the_same_with_the_rotation_hidden(monkeypatch):
 
 def test_theorem_prints_each_report_before_a_bad_record(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text(emit_graph6(gp(53).graph) + "\nBw!\n")
-    assert main(["theorem", "--input", str(corpus), "--which", "diam"]) == 2
-    out, err = capsys.readouterr()
-    assert out.count("\n") == 1 and json.loads(out)["params"]["diameter"] == core.diameter(gp(53).graph)
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # a byte above 127 is named as the file holds it, in its own record: 0xff
+    # is no UTF-8 at all, and UTF-8 "é" is the two bytes 195 169
+    for bad, byte in ((b"Bw!", 33), (b"B\xff", 255), ("Bé".encode(), 195)):
+        corpus.write_bytes(emit_graph6(gp(53).graph).encode() + b"\n" + bad + b"\n")
+        assert main(["theorem", "--input", str(corpus), "--which", "diam"]) == 2
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 and json.loads(out)["params"]["diameter"] == core.diameter(gp(53).graph)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"byte {byte} outside" in err and err.endswith("in record 2\n")
     # with --report the reports are also kept and written as one list
     corpus.write_text(emit_graph6(gp(53).graph) + "\n" + emit_graph6(petersen().graph) + "\n")
     report = tmp_path / "reports.json"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from treefree import core
 from treefree.core import (
-    bfs_levels,
     bits,
     block_swaps,
     build,
@@ -28,7 +27,7 @@ from treefree.core import (
     rotation_roots,
     stats,
 )
-from treefree.errors import ConstructionError, DisconnectedError, MissingEdgeError
+from treefree.errors import ConstructionError, DisconnectedError, DomainError, MissingEdgeError
 from treefree.families import gp, h1, h2, h3, h4
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, heawood, path, petersen
@@ -186,6 +185,10 @@ def test_distance_examples():
     assert distance(c6, 2, 2) == 0
     two = build(4, [(0, 1), (2, 3)])
     assert distance(two, 0, 3) is None
+    p5 = path(5).graph
+    for u, v in ((0, -1), (0, 9), (9, 0)):
+        with pytest.raises(DomainError):
+            distance(p5, u, v)
 
 
 def test_distance_is_a_metric_on_samples():
@@ -474,7 +477,7 @@ def test_traversals_agree_with_networkx():
     for g, G in _nx_samples():
         for v in range(g.n):
             lengths = nx.single_source_shortest_path_length(G, v)
-            assert bfs_levels(g, v) == [lengths.get(u, -1) for u in range(g.n)]
+            assert [distance(g, v, u) for u in range(g.n)] == [lengths.get(u) for u in range(g.n)]
         assert components(g) == sorted(sorted(c) for c in nx.connected_components(G))
         # seeded vertex masks: none, one vertex, every vertex, two random subsets
         masks = [0, (1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)]

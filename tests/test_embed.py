@@ -9,7 +9,7 @@ import pytest
 
 from treefree import core, embed
 from treefree.cli import _freeness_sweep
-from treefree.core import bfs_levels, build, induced
+from treefree.core import build, induced
 from treefree.embed import (
     _search,
     _search_order,
@@ -24,6 +24,7 @@ from treefree.graphio import checked, emit_graph6, parse_graph6
 from treefree.patterns import cycle, make, path, petersen, tstar_tree
 
 from .oracles import (
+    bfs_distances,
     generator_orbits,
     oracle_find_induced,
     oracle_induced_maps,
@@ -776,7 +777,7 @@ def test_step_tags_agree_with_pattern_distances():
     for pattern in (p for p in pats if p.n <= embed.PATTERN_CAP):
         plan = embed._Plan(pattern)
         for idx, q in enumerate(plan.order):
-            dist = bfs_levels(pattern, q)
+            dist = bfs_distances(pattern, q)
             later = plan.order[idx + 1:]
             assert plan.steps[idx] == [(r, dist[r] if dist[r] in (1, 2) else 0) for r in later]
 

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from treefree.core import bfs_levels, bits, build, diameter, mask_of
+from treefree.core import bits, build, diameter, mask_of
 from treefree.errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -36,6 +36,7 @@ from treefree.witness import (
 
 from .oracles import (
     all_vw_paths,
+    bfs_distances,
     canonical_classes,
     closure_oracle,
     independence_at_most,
@@ -276,7 +277,7 @@ def test_closure_sets_match_the_oracle_on_every_small_base_of_the_hub_hosts():
         degs = [g.degree(v) for v in range(g.n)]
         w = degs.index(max(degs))
         root = RootTable(g, w)
-        dist = bfs_levels(g, w)
+        dist = bfs_distances(g, w)
         region = {v for v in range(g.n) if dist[v] >= 2}
         bases = _connected_bases(g, region, (2, 3, 4))
         assert len(bases) > 400
@@ -290,7 +291,7 @@ def test_closure_sets_match_the_oracle_on_hosts_with_short_cycles():
     for _ in range(25):
         g = random_graph(rng, rng.randint(7, 11), 0.3)
         w = rng.randrange(g.n)
-        dist = bfs_levels(g, w)
+        dist = bfs_distances(g, w)
         region = [v for v in range(g.n) if dist[v] >= 2]
         if not region:
             continue
@@ -306,7 +307,7 @@ def _derived_sets_cases():
     h1(5) and gp(25), then seeded bases on random hosts with short cycles."""
     for g in (h1(5).graph, gp(25).graph):
         for w in (0, g.n - 1):
-            dist = bfs_levels(g, w)
+            dist = bfs_distances(g, w)
             region = {v for v in range(g.n) if dist[v] >= 2}
             for base in _connected_bases(g, region, (1, 2, 3)):
                 yield g, w, sorted(base)
@@ -314,7 +315,7 @@ def _derived_sets_cases():
     for _ in range(30):
         g = random_graph(rng, rng.randint(7, 11), 0.3)
         w = rng.randrange(g.n)
-        dist = bfs_levels(g, w)
+        dist = bfs_distances(g, w)
         region = [v for v in range(g.n) if dist[v] >= 2]
         for _ in range(4 if region else 0):
             yield g, w, rng.sample(region, rng.randint(1, min(4, len(region))))
@@ -358,7 +359,7 @@ def test_derived_sets_domain_check():
 def test_derived_sets_adjacent_pair_in_h1():
     g = h1(5).graph
     w = vertex("h1", 5, "v1")
-    dist = bfs_levels(g, w)
+    dist = bfs_distances(g, w)
     pair = next(
         (u, v)
         for u, v in g.edges()
@@ -468,6 +469,8 @@ def test_geodesic_check_on_gp():
         check_geodesic(g, _diameter_geodesic(g)[:-1])  # not the full diameter
     with pytest.raises(InvalidWitnessError):
         check_geodesic(g, (0, 2, 4))
+    with pytest.raises(DomainError):
+        check_geodesic(path(5).graph, (0, 1, 2, 3, -1))
 
 
 def test_geodesic_check_names_each_violated_clause():
@@ -486,12 +489,12 @@ def test_geodesic_check_names_each_violated_clause():
 def _diameter_geodesic(g):
     best = None
     for u in range(g.n):
-        dist = bfs_levels(g, u)
+        dist = bfs_distances(g, u)
         far = max(range(g.n), key=lambda v: dist[v])
         if best is None or dist[far] > best[2]:
             best = (u, far, dist[far])
     u, v, _ = best
-    dist = bfs_levels(g, u)
+    dist = bfs_distances(g, u)
     out = [v]
     while out[-1] != u:
         cur = out[-1]
