@@ -198,12 +198,21 @@ def is_automorphism(g: Graph, moves: Mapping[int, int]) -> bool:
     and each key v must carry N(v) onto N(moves[v]).  A fixed vertex x needs
     nothing more: a moved neighbour u of x lands in N(x), since x is in N(u)
     and stays put, so the permutation carries N(x) into N(x), hence onto it.
+    The image of N(v) is built top bit first, as in ``nbhd``.
     """
     moved = sorted(moves)
     if sorted(moves.values()) != moved or moved and (moved[0] < 0 or moved[-1] >= g.n):
         return False
-    rows = g._rows
-    return all(sum(1 << moves.get(u, u) for u in bits(rows[v])) == rows[y] for v, y in moves.items())
+    rows, get = g._rows, moves.get
+    for v, y in moves.items():
+        row, image = rows[v], 0
+        while row:
+            top = row.bit_length() - 1
+            image |= 1 << get(top, top)
+            row ^= 1 << top
+        if image != rows[y]:
+            return False
+    return True
 
 
 def block_swaps(g: Graph) -> tuple[dict[int, int], ...]:

@@ -23,7 +23,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Graph, bits, diameter, distance, mask_of, nbhd
+from .core import Graph, bits, degree_classes, diameter, distance, mask_of, nbhd
 from .embed import is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
@@ -352,10 +352,22 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
     """Triangle-free graphs with independence number <= t - 1, up to isomorphism.
 
     Entry n - 1 lists one graph per class on n vertices, for n = 1..R with
-    R = ``_R3[t]``.  Both properties pass to induced subgraphs, so every
-    class on n + 1 vertices is a class on n vertices plus one vertex; the
-    growth tries each class with every new neighbourhood that keeps it
-    triangle-free and keeps the first graph of each new class.
+    R = ``_R3[t]``.  The growth tries each class g on n vertices with every
+    new neighbourhood that keeps it triangle-free, keeps a candidate only
+    when its new vertex has maximum degree in it, and keeps the first graph
+    of each new class.  In the candidate the new vertex has degree |nb|, a
+    neighbour v of it deg_g(v) + 1 and any other v deg_g(v), so the new
+    vertex has maximum degree iff |nb| >= Delta(g), and |nb| > Delta(g)
+    when nb holds a vertex of degree Delta(g).
+
+    Every class is still reached (canonical deletion; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  A class C on n + 1
+    vertices has a vertex x of maximum degree, and C - x is triangle-free
+    with independence number <= t - 1, as both properties pass to induced
+    subgraphs, so it is isomorphic to a kept class g on n vertices.  The
+    isomorphism carries N(x) to an independent set of g that the growth
+    tries, and that candidate is C with its new vertex in x's role, which
+    has maximum degree.
 
     A candidate is compared with the kept graphs of its degree bucket with
     the kept graph as the pattern: ``is_isomorphic`` compiles its pattern
@@ -368,11 +380,15 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
         nxt: list[Graph] = []
         seen: dict[tuple, list[Graph]] = {}
         for g in levels[-1]:
+            classes = degree_classes(g)
+            delta = max(classes)
             # the new vertex keeps the graph triangle-free iff its
-            # neighborhood is independent, so only those are tried; g has no
-            # independent t-set, so a new one holds the new vertex and t - 1
-            # of its non-neighbours
+            # neighborhood is independent, so only those are tried
             for nb in _independent_sets(g):
+                if nb.bit_count() < delta + bool(nb & classes[delta]):
+                    continue  # the new vertex would not have maximum degree
+                # g has no independent t-set, so a new one holds the new
+                # vertex and t - 1 of its non-neighbours
                 if _has_independent_set(g._rows, (1 << n) - 1 & ~nb, t - 1):
                     continue
                 rows = list(g._rows) + [nb]

@@ -49,6 +49,10 @@ M4_ROW_TEST = "if not rows[a1] & rows[q1[-1]] & ~rows[q1[0]]:"
 ROOTED = "rooted = limit == 1 and initial is None"
 LOWEST_ROOT = "if place(0, base, every, lowest):"
 LOWEST = "        lowest = roots & -roots\n"
+MAX_DEGREE_RULE = """\
+                if nb.bit_count() < delta + bool(nb & classes[delta]):
+                    continue  # the new vertex would not have maximum degree
+"""
 
 MUTANTS = (
     # clause (v)'s M_4 test: b must miss N(v), and the vertex tested is q1[1]
@@ -263,6 +267,18 @@ MUTANTS = (
     Mutant("distance-without-range-check", CORE, "        if not 0 <= x < g.n:\n            raise DomainError",
            "        if False:\n            raise DomainError",
            ("tests/test_core.py::test_distance_examples",)),
+    # the R(3,t) growth keeps an extension only when its new vertex has
+    # maximum degree: a strict test loses every class with a tied maximum,
+    # and no test at all is sound but proves 199 isomorphisms, not 55
+    Mutant("max-degree-rule-strict", WITNESS, MAX_DEGREE_RULE, MAX_DEGREE_RULE.replace(" < ", " <= "),
+           ("tests/test_witness.py::test_ramsey34_level_classes",
+            "tests/test_witness.py::test_ramsey_levels_match_the_unpruned_growth")),
+    Mutant("max-degree-rule-deleted", WITNESS, MAX_DEGREE_RULE, "",
+           ("tests/test_witness.py::test_ramsey34_proves_few_isomorphisms",)),
+    # is_automorphism maps each neighbour through the moves
+    Mutant("automorphism-image-unmapped", CORE, "image |= 1 << get(top, top)", "image |= 1 << top",
+           ("tests/test_families.py::test_generators_are_edge_preserving_permutations",
+            "tests/test_families.py::test_automorphism_check_matches_the_edge_by_edge_oracle")),
     # a corpus byte above 127 reaches parse_graph6's byte check in its own record
     Mutant("corpus-read-as-utf-8", GRAPHIO, 'open(source, encoding="latin-1")', 'open(source, encoding="utf-8")',
            ("tests/test_cli.py::test_theorem_prints_each_report_before_a_bad_record",)),

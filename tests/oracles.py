@@ -414,6 +414,42 @@ def canonical_classes(n: int, masks: Iterable[int]) -> set[int]:
     }
 
 
+def networkx_graph(g: Graph):
+    """``g`` as a networkx graph on the nodes 0..n-1."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def ramsey_growth(t: int, order: int) -> list[list[Graph]]:
+    """Triangle-free graphs with no independent t-set on 1..order vertices,
+    one per isomorphism class, with no pruning: each kept graph on n
+    vertices is joined by a new vertex to every independent subset of it in
+    turn, and a candidate is kept unless it has an independent t-set or
+    networkx ``is_isomorphic`` matches it to a graph already kept."""
+    import networkx as nx
+
+    levels = [[build(1, [])]]
+    for n in range(1, order):
+        kept: list[tuple[Graph, nx.Graph]] = []
+        for g in levels[-1]:
+            for size in range(n + 1):
+                for group in combinations(range(n), size):
+                    if any(g.has_edge(a, b) for a, b in combinations(group, 2)):
+                        continue
+                    cand = build(n + 1, [*g.edges(), *((v, n) for v in group)])
+                    if not independence_at_most(cand, t - 1):
+                        continue
+                    h = networkx_graph(cand)
+                    if not any(nx.is_isomorphic(h, other) for _, other in kept):
+                        kept.append((cand, h))
+        levels.append([cand for cand, _ in kept])
+    return levels
+
+
 def random_tree(rng: Random, n: int) -> Graph:
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
     return build(n, edges)

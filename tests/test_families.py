@@ -4,19 +4,21 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
+from random import Random
 
 import pytest
 
 from treefree import families
-from treefree.core import VERTEX_CAP, diameter, induced, is_automorphism, is_c3c4_free, stats
+from treefree.core import VERTEX_CAP, build, diameter, induced, is_automorphism, is_c3c4_free, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError
 from treefree.families import gp, h1, h2, h3, h4, make_family, order, vertex
 from treefree.graphio import emit_dot, emit_graph6
 from treefree.patterns import cycle, path, petersen, s_tree, t_tree
 
-from .oracles import (automorphism_orbits, generator_orbits, oracle_is_automorphism, shortest_cycle,
-                      verify_embedding)
+from .oracles import (automorphism_orbits, generator_orbits, networkx_graph, oracle_is_automorphism,
+                      random_girth5_cubic, shortest_cycle, verify_embedding)
 
 
 def _ids(family: str, s: int, labels: str) -> list[int]:
@@ -298,3 +300,46 @@ def test_a_map_that_keeps_the_moved_rows_must_still_be_a_permutation():
     # an id outside 0..n-1, even one a permutation of the keys would allow
     assert not is_automorphism(c4, {0: 4, 4: 0})
     assert not is_automorphism(c4, {-1: 0, 0: -1})
+
+
+def test_automorphism_check_matches_the_edge_by_edge_oracle():
+    """Seeded relabellings of small gp, h1-h4 and random girth-5 hosts, with
+    true automorphisms (the family generators carried along, or the first
+    few networkx finds), each with the images of two moved vertices swapped,
+    seeded permutations of a few vertices, and maps that are not
+    permutations: a key sent outside the keys, two keys sent to one image,
+    and an image outside 0..n-1."""
+    nx = pytest.importorskip("networkx")
+    rng = Random(36)
+    hosts = [(fg.graph, fg.generators) for fg in (gp(7), gp(9), h1(2), h2(1), h2(2), h3(4), h4(2))]
+    for n in (10, 12, 14, 16):
+        g = random_girth5_cubic(rng, n)
+        h = networkx_graph(g)
+        isos = islice(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter(), 6)
+        hosts.append((g, [{x: y for x, y in iso.items() if x != y} for iso in isos]))
+    agreed = Counter()
+    for g, gens in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        host = build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        true = [{perm[x]: perm[y] for x, y in moves.items()} for moves in gens]
+        maps = list(true)
+        for moves in true:
+            if len(moves) > 2:
+                a, b = rng.sample(sorted(moves), 2)
+                bad = dict(moves)
+                bad[a], bad[b] = moves[b], moves[a]
+                maps.append(bad)
+        for _ in range(20):
+            part = rng.sample(range(g.n), rng.randint(2, g.n))
+            images = rng.sample(part, len(part))
+            maps.append(dict(zip(part, images)))
+            maps.append(dict(zip(part[1:], images)))
+            maps.append({**dict(zip(part, images)), part[0]: images[1]})
+            maps.append({**dict(zip(part, images)), part[0]: g.n + rng.randrange(3)})
+        assert all(is_automorphism(host, moves) for moves in true)
+        for moves in maps:
+            verdict = is_automorphism(host, moves)
+            assert verdict == oracle_is_automorphism(host, moves), (emit_graph6(host), moves)
+            agreed[verdict] += 1
+    assert agreed[False] > agreed[True] > 30

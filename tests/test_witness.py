@@ -14,13 +14,14 @@ from treefree.errors import (
     UnsupportedRamseyError,
 )
 from treefree.families import gp, h1, vertex
-from treefree.graphio import parse_graph6
+from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
     _R3,
     RootTable,
     _has_independent_set,
     _path_pair_clauses,
+    _ramsey_levels,
     check_geodesic,
     check_path_pair,
     closure_masks,
@@ -41,7 +42,9 @@ from .oracles import (
     closure_oracle,
     independence_at_most,
     mk_oracle,
+    networkx_graph,
     path_pair_oracle,
+    ramsey_growth,
     ramsey_labelled,
     random_graph,
 )
@@ -456,6 +459,40 @@ def test_ramsey34_level_classes():
     assert rep.passed and rep.params["value"] == _R3[4] == 9
     # triangle-free graphs with independence number <= 3, up to isomorphism, on 1..9 vertices
     assert rep.witness["level_classes"] == [1, 2, 3, 6, 9, 15, 9, 3, 0]
+
+
+@pytest.mark.parametrize("t, first", [(2, "A_"), (3, "DUW"), (4, "GCrb`o")])
+def test_ramsey_levels_match_the_unpruned_growth(t, first):
+    # level by level, the maximum-degree growth keeps one graph of each class
+    # that the unpruned growth, deduplicated by networkx, keeps
+    nx = pytest.importorskip("networkx")
+    levels = _ramsey_levels(t)
+    oracle = ramsey_growth(t, _R3[t])
+    assert [len(level) for level in levels] == [len(level) for level in oracle]
+    for level, expected in zip(levels, oracle):
+        expected = [networkx_graph(g) for g in expected]
+        for g in level:
+            h = networkx_graph(g)
+            assert sum(nx.is_isomorphic(h, other) for other in expected) == 1, emit_graph6(g)
+    assert verify_ramsey_small(t).witness["lower_bound_witness"] == first
+
+
+def test_ramsey34_proves_few_isomorphisms(monkeypatch):
+    # only extensions whose new vertex has maximum degree reach the buckets:
+    # 55 isomorphism searches, where every independent-set extension makes 199
+    from treefree import witness
+
+    calls = 0
+    real = witness.is_isomorphic
+
+    def counted(pattern, host):
+        nonlocal calls
+        calls += 1
+        return real(pattern, host)
+
+    monkeypatch.setattr(witness, "is_isomorphic", counted)
+    assert verify_ramsey_small(4).passed
+    assert calls == 55
 
 
 def test_geodesic_check_on_gp():
