@@ -92,17 +92,20 @@ def _lemma_25_petersen(s_values: Iterable[int]) -> Report:
 
 def _lemma_41_suite(seed: int) -> Report:
     """Path-pair properties at k = 4, 5: every non-adjacent (v, w) pair on
-    the small hosts, 40 seeded ones on gp(25)."""
+    the small hosts, orbit-reduced by their generators, 40 seeded ones on
+    gp(25)."""
     hosts = [
-        ("C6", patterns.cycle(6).graph, None),
-        ("C8", patterns.cycle(8).graph, None),
-        ("h1:3", families.h1(3).graph, None),
-        ("gp:25", families.gp(25).graph, 40),
+        (patterns.cycle(6), None),
+        (patterns.cycle(8), None),
+        (families.h1(3), None),
+        (families.gp(25), 40),
     ]
     total = 0
-    for name, host, samples in hosts:
+    for fg, samples in hosts:
+        name, host = fg.id, fg.graph
         for k in (4, 5):
-            rep = witness.scan_path_pairs(host, k, seed=seed, vw_samples=samples, host_name=name)
+            rep = witness.scan_path_pairs(host, k, seed=seed, vw_samples=samples, host_name=name,
+                                          generators=fg.generators)
             total += rep.witness["path_pairs"]
             if rep.is_failure:
                 return checked("lemma4.1", host, False, {"failed_on": {"host": name, "k": k}},

@@ -52,7 +52,7 @@ The search numbers the generators that move some vertex, and ``fixing[h]``
 masks those that fix host vertex h.  Each node carries ``sub``, its
 parent's ``sub & fixing[h]``: the generators that fix every host vertex
 placed so far, which generate H_d.  ``least[sub]`` masks the orbit leasts,
-built by ``_orbit_least`` once per distinct ``sub`` and search; its array
+built by ``_orbits`` once per distinct ``sub`` and search; its array
 union-find keeps that table O(n) for a rotation, which moves every vertex
 and so roots only the first placement (gp(n): 2 roots of 2n).  Once no
 generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
@@ -192,13 +192,15 @@ def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]
     return cuts
 
 
-def _orbit_least(gens: Sequence[Mapping[int, int]], n: int) -> int:
-    """The mask of the host vertices 0..n-1 that are the least of their orbit
-    under the group generated by ``gens``, each given by its moves.  One
-    array union-find with path halving over the moved vertices, with the
-    lowest id as each root; a vertex no generator moves is its own orbit, so
-    the mask drops only the moved vertices that are not roots, each as one
-    digit of the mask's binary text rather than one big-int update."""
+def _orbits(gens: Sequence[Mapping[int, int]], n: int) -> tuple[int, dict[int, int]]:
+    """The orbits of the host vertices 0..n-1 under the group generated by
+    ``gens``, each given by its moves: the mask of the vertices that are the
+    least of their orbit, and the size of each orbit of two or more vertices
+    under its least vertex.  One array union-find with path halving over the
+    moved vertices, with the lowest id as each root; a vertex no generator
+    moves is its own orbit, so the mask drops only the moved vertices that
+    are not roots, each as one digit of the mask's binary text rather than
+    one big-int update, and each counts once toward its root's orbit."""
     parent = list(range(n))
     for moves in gens:
         for a, b in moves.items():
@@ -212,11 +214,16 @@ def _orbit_least(gens: Sequence[Mapping[int, int]], n: int) -> int:
                 parent[a] = b
     # one '1' digit per vertex, highest id first, cleared at each moved non-root
     digits = bytearray(b"1") * n
+    sizes: dict[int, int] = {}
     for moves in gens:
         for x in moves:
-            if parent[x] != x:
+            r = parent[x]
+            if r != x and digits[n - 1 - x] == 49:
                 digits[n - 1 - x] = 48
-    return int(digits, 2) if n else 0
+                while parent[r] != r:
+                    r = parent[r]
+                sizes[r] = sizes.get(r, 1) + 1
+    return (int(digits, 2) if n else 0), sizes
 
 
 def _search(
@@ -281,7 +288,7 @@ def _search(
     def least_of(sub: int) -> int:
         m = least.get(sub)
         if m is None:
-            m = least[sub] = _orbit_least([gens[i] for i in bits(sub)], n)
+            m = least[sub] = _orbits([gens[i] for i in bits(sub)], n)[0]
         return m
 
     def place(idx: int, cand: list[int], sub: int, m: int) -> bool:

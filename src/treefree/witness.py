@@ -13,18 +13,22 @@ computed there alone, from the table's ring N(N(w)) - w.  The path-pair
 clauses test M_4 membership on three rows, so a path-pair check reads at
 most one table, of its own order.  Lemma 4.1 checks every path pair of a
 host and k on bitmasks inside one ``scan_path_pairs`` report, one report per
-host and k.  Lemmas 5.1 and 5.3 check every base on masks, and 5.1 builds a
-``derived_sets`` report only for a failing base.
+host and k.  Given host automorphism generators, an exhaustive scan builds
+one table per w-orbit and weights each root's pair count by its orbit size;
+a sampled scan decodes each drawn pair from its index, so the list of all
+non-adjacent pairs is never built.  Lemmas 5.1 and 5.3 check every base on
+masks, and 5.1 builds a ``derived_sets`` report only for a failing base.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
+from itertools import accumulate, combinations
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import Graph, bits, degree_classes, diameter, distance, mask_of, nbhd
-from .embed import is_isomorphic
+from .embed import _orbits, is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
     DomainError,
@@ -163,6 +167,58 @@ def check_path_pair(g: Graph, q1: Sequence[int], q2: Sequence[int], k: int) -> R
     )
 
 
+def _pair_checks(rows: Sequence[int], paths: Sequence[Path], k: int, violations: list[dict]) -> int:
+    """Check every ordered pair of ``paths`` (one (v, w) pair's) with distinct
+    second vertices; append each failing pair to ``violations``, return the count."""
+    count = 0
+    for q1 in paths:
+        for q2 in paths:
+            if q1[1] == q2[1]:
+                continue
+            count += 1
+            clauses = _path_pair_clauses(rows, q1, q2, k)
+            if not all(clauses.values()):
+                violations.append({"q1": list(q1), "q2": list(q2), "clauses": clauses})
+    return count
+
+
+def _scan_vw(g: Graph, k: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[dict]]:
+    """Check the path pairs of each (v, w) of ``pairs`` in turn, one table per w."""
+    rows = g._rows
+    violations: list[dict] = []
+    count = 0
+    tables: dict[int, dict[int, list[Path]]] = {}
+    for v, w in pairs:
+        if w not in tables:
+            tables[w] = vw_paths(g, w, k)
+        count += _pair_checks(rows, tables[w].get(v, ()), k, violations)
+    return count, violations
+
+
+def _sample_vw(g: Graph, count: int, seed: int) -> list[tuple[int, int]]:
+    """The ``count`` ordered non-adjacent pairs that ``Random(seed).sample``
+    draws from the list of all N of them, v-major and w ascending.
+
+    The list is never built.  CPython's ``sample`` reads a population only
+    through ``len`` and indexing, so drawing from ``range(N)`` yields the
+    indices of the same pairs in the same order.  Index i decodes by the
+    per-v counts of non-neighbours: v is the last v whose first index is at
+    most i, and w the (i - start)-th bit of v's non-neighbour mask.
+    """
+    rows = g._rows
+    full = (1 << g.n) - 1
+    apart = [full & ~(rows[v] | 1 << v) for v in range(g.n)]
+    starts = list(accumulate(map(int.bit_count, apart), initial=0))
+    pairs = []
+    for i in Random(seed).sample(range(starts[-1]), count):
+        v = bisect_right(starts, i) - 1
+        m = apart[v]
+        for _ in range(i - starts[v]):
+            m &= m - 1
+        pairs.append((v, (m & -m).bit_length() - 1))
+    return pairs
+
+
 @timed
 def scan_path_pairs(
     g: Graph,
@@ -170,37 +226,48 @@ def scan_path_pairs(
     seed: int = 0,
     vw_samples: int | None = None,
     host_name: str = "host",
+    generators: Sequence[Mapping[int, int]] = (),
 ) -> Report:
     """Exhaust Lemma-4.1 clauses over all ordered path pairs of sampled (v,w), k in {4, 5}.
 
-    With ``vw_samples`` unset every non-adjacent pair is used.  Returns the
-    number of ordered path pairs inspected in the witness.
+    With ``vw_samples`` below the number N of ordered non-adjacent pairs,
+    those pairs are ``Random(seed).sample``'d (``_sample_vw``); otherwise
+    every pair is used, and ``vw_pairs`` reports N.  The witness counts the
+    ordered path pairs inspected and lists the first five violations.
+
+    An exhaustive scan given host automorphism ``generators`` (each given by
+    its moves, as ``find_induced`` takes them) builds one path table per
+    orbit root w and weights that root's pair count by its orbit size.  An
+    automorphism s maps the induced (v,w;k)-paths bijectively onto the
+    (sv,sw;k)-paths, keeps q1[1] != q2[1], and keeps every clause of
+    ``_path_pair_clauses``, since each is built from vertex ids compared
+    for equality, adjacencies and ``rows[a1] & rows[w] & ~rows[v]``; so
+    every w of an orbit has its root's count, and a violation at some w
+    shows at its root.  A reduced scan that meets a violation reruns in
+    full, so a failing report lists the same violations in the same order.
     """
     _check_pair_order(k)
-    rows = g._rows
-    full = (1 << g.n) - 1
+    n = g.n
+    total = n * (n - 1) - 2 * g.edge_count
     # ordered (v,w): the k=5 clauses are not symmetric under path reversal
-    nonadj = [(v, w) for v in range(g.n) for w in bits(full & ~(rows[v] | 1 << v))]
-    if vw_samples is not None and vw_samples < len(nonadj):
-        nonadj = Random(seed).sample(nonadj, vw_samples)
-    pair_count = 0
-    violations: list[dict] = []
-    tables: dict[int, dict[int, list[Path]]] = {}
-    for v, w in nonadj:
-        if w not in tables:
-            tables[w] = vw_paths(g, w, k)
-        paths = tables[w].get(v, [])
-        for q1 in paths:
-            for q2 in paths:
-                if q1[1] == q2[1]:
-                    continue
-                pair_count += 1
-                clauses = _path_pair_clauses(rows, q1, q2, k)
-                if not all(clauses.values()):
-                    violations.append({"q1": list(q1), "q2": list(q2), "clauses": clauses})
+    every = ((v, w) for v in range(n) for w in bits((1 << n) - 1 & ~(g._rows[v] | 1 << v)))
+    if vw_samples is not None and vw_samples < total:
+        pair_count, violations = _scan_vw(g, k, _sample_vw(g, vw_samples, seed))
+        total = vw_samples
+    elif generators:
+        roots, sizes = _orbits(generators, n)
+        violations = []
+        pair_count = 0
+        for w in bits(roots):
+            for paths in vw_paths(g, w, k).values():
+                pair_count += sizes.get(w, 1) * _pair_checks(g._rows, paths, k, violations)
+        if violations:
+            pair_count, violations = _scan_vw(g, k, every)
+    else:
+        pair_count, violations = _scan_vw(g, k, every)
     return checked(
         "lemma4.1.scan", g, not violations,
-        {"host": host_name, "k": k, "vw_pairs": len(nonadj), "seed": seed},
+        {"host": host_name, "k": k, "vw_pairs": total, "seed": seed},
         {"path_pairs": pair_count, "violations": violations[:5]},
     )
 
@@ -335,17 +402,29 @@ def _has_independent_set(rows: Sequence[int], cand: int, need: int) -> bool:
     return False
 
 
-def _independent_sets(g: Graph) -> Iterator[int]:
-    """All independent sets of g as bitmasks (including the empty set)."""
+def _independent_sets(g: Graph, least: int) -> Iterator[int]:
+    """The independent sets of g with at least ``least`` vertices, as
+    bitmasks, in the order of a DFS that adds vertices by ascending id.
 
-    def grow(start: int, mask: int, forbidden: int) -> Iterator[int]:
-        yield mask
-        for v in range(start, g.n):
-            if forbidden >> v & 1:
-                continue
-            yield from grow(v + 1, mask | (1 << v), forbidden | g.row(v) | (1 << v))
+    A branch holds ``mask`` and may still add the vertices of ``cand``, every
+    id above the last added that misses N[mask].  Once |mask| + |cand| <
+    ``least`` no set of the branch has ``least`` vertices, so it is skipped
+    whole; the sets yielded keep the order of the unpruned DFS.
+    """
+    rows = g._rows
 
-    yield from grow(0, 0, 0)
+    def grow(mask: int, cand: int) -> Iterator[int]:
+        size = mask.bit_count()
+        if size + cand.bit_count() < least:
+            return
+        if size >= least:
+            yield mask
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            yield from grow(mask | low, cand & ~rows[low.bit_length() - 1])
+
+    yield from grow(0, (1 << g.n) - 1)
 
 
 def _ramsey_levels(t: int) -> list[list[Graph]]:
@@ -383,8 +462,9 @@ def _ramsey_levels(t: int) -> list[list[Graph]]:
             classes = degree_classes(g)
             delta = max(classes)
             # the new vertex keeps the graph triangle-free iff its
-            # neighborhood is independent, so only those are tried
-            for nb in _independent_sets(g):
+            # neighborhood is independent, so only those are tried, and of
+            # those only the ones with Delta(g) vertices or more
+            for nb in _independent_sets(g, delta):
                 if nb.bit_count() < delta + bool(nb & classes[delta]):
                     continue  # the new vertex would not have maximum degree
                 # g has no independent t-set, so a new one holds the new

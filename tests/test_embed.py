@@ -362,14 +362,17 @@ def test_rooted_and_unrooted_freeness_agree_on_every_family():
 
 @pytest.mark.parametrize("fg", [h1(3), h2(2), h3(4), h4(2), gp(7)], ids=lambda fg: fg.id.replace(":", "(") + ")")
 def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
-    # the full generator set and every subset of at most two generators, as
-    # the orbit tables meet them below a placed prefix
+    # ``_orbits`` on the full generator set and every subset of at most two
+    # generators, as the orbit tables meet them below a placed prefix
     n = fg.graph.n
     gens = list(fg.generators)
     subsets = [gens] + [list(c) for r in (0, 1, 2) for c in combinations(gens, r)]
     for sub in subsets:
-        expected = sum(1 << orbit[0] for orbit in generator_orbits(n, sub))
-        assert embed._orbit_least(sub, n) == expected
+        orbits = generator_orbits(n, sub)
+        least, sizes = embed._orbits(sub, n)
+        assert least == sum(1 << orbit[0] for orbit in orbits)
+        # the sizes the Lemma-4.1 scan weights each root's pairs by
+        assert sizes == {orbit[0]: len(orbit) for orbit in orbits if len(orbit) > 1}
 
 
 @pytest.mark.parametrize("fg, tree, nodes", [

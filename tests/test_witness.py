@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from hashlib import sha256
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -13,15 +14,17 @@ from treefree.errors import (
     InvalidWitnessError,
     UnsupportedRamseyError,
 )
-from treefree.families import gp, h1, vertex
+from treefree.families import gp, h1, h2, h3, h4, vertex
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
     _R3,
     RootTable,
     _has_independent_set,
+    _independent_sets,
     _path_pair_clauses,
     _ramsey_levels,
+    _sample_vw,
     check_geodesic,
     check_path_pair,
     closure_masks,
@@ -43,6 +46,7 @@ from .oracles import (
     independence_at_most,
     mk_oracle,
     networkx_graph,
+    oracle_is_automorphism,
     path_pair_oracle,
     ramsey_growth,
     ramsey_labelled,
@@ -169,6 +173,73 @@ def test_path_pair_checks_read_one_table_of_their_own_order(monkeypatch):
     rep = scan_path_pairs(g, 5)
     assert sorted(orders) == [(w, 5) for w in range(g.n)]
     assert rep.passed and rep.witness["path_pairs"] > 0
+
+
+def _scan_payload(g, k, **kwargs):
+    payload = scan_path_pairs(g, k, **kwargs).to_dict()
+    del payload["runtime_ms"]
+    return payload
+
+
+@pytest.mark.parametrize("fg", [h1(3), h1(5), h2(2), h3(4), h4(3), gp(11), gp(25)],
+                         ids=lambda fg: fg.id)
+def test_orbit_reduced_scans_equal_the_full_scans(fg):
+    # one path table per orbit root, each root's pairs weighted by its orbit
+    # size: the same report, vw_pairs included, as every (v, w) scanned
+    for k in (4, 5):
+        assert _scan_payload(fg.graph, k, generators=fg.generators) == _scan_payload(fg.graph, k)
+
+
+def test_orbit_reduced_scans_build_one_table_per_root(monkeypatch):
+    from treefree import witness
+
+    orders = []
+
+    def recording(g, w, k):
+        orders.append((w, k))
+        return vw_paths(g, w, k)
+
+    monkeypatch.setattr(witness, "vw_paths", recording)
+    # h1(3): 18 cycle vertices and 3 hubs; gp(25): the outer and inner rings
+    for fg, roots in ((h1(3), [0, 18]), (gp(25), [0, 25])):
+        orders.clear()
+        rep = scan_path_pairs(fg.graph, 5, generators=fg.generators)
+        assert rep.passed and orders == [(w, 5) for w in roots]
+
+
+def test_failing_reduced_scans_rerun_in_full():
+    # seeded hosts with short cycles and a twin transposition among their
+    # automorphisms: a reduced scan meeting a violation gives the full
+    # scan's report, so the first five violations come in (v, w) order
+    rng = Random(89)
+    failing = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(6, 10), 0.35)
+        swaps = [{a: b, b: a} for a, b in combinations(range(g.n), 2)
+                 if oracle_is_automorphism(g, {a: b, b: a})]
+        if not swaps:
+            continue
+        for k in (4, 5):
+            full = _scan_payload(g, k)
+            assert _scan_payload(g, k, generators=swaps) == full
+            failing += not full["pass"]
+    assert failing == 14
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 4242])
+@pytest.mark.parametrize("g", [gp(25).graph, h1(3).graph], ids=["gp(25)", "h1(3)"])
+def test_sampled_pairs_are_decoded_from_their_indices(g, seed):
+    # the pairs Random(seed).sample draws from the materialised list, v-major
+    pairs = [(v, w) for v in range(g.n) for w in range(g.n) if v != w and not g.has_edge(v, w)]
+    total = len(pairs)
+    for m in (1, 40, total - 1, total):
+        assert _sample_vw(g, m, seed) == Random(seed).sample(pairs, m)
+    with pytest.raises(ValueError):
+        _sample_vw(g, total + 1, seed)
+    # from N samples on, the scan takes every pair
+    for m in (total, total + 1):
+        assert _scan_payload(g, 5, seed=seed, vw_samples=m) == _scan_payload(g, 5, seed=seed)
+    assert _scan_payload(g, 5, seed=seed)["params"]["vw_pairs"] == total
 
 
 def _path_pair_reports():
@@ -493,6 +564,39 @@ def test_ramsey34_proves_few_isomorphisms(monkeypatch):
     monkeypatch.setattr(witness, "is_isomorphic", counted)
     assert verify_ramsey_small(4).passed
     assert calls == 55
+
+
+def test_independent_sets_skip_branches_below_the_least_size():
+    # every independent set with at least ``least`` vertices, in the DFS
+    # order (lexicographic order of the sorted vertex tuples)
+    rng = Random(97)
+    graphs = [build(0, [])] + [random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))
+                               for _ in range(80)]
+    for g in graphs:
+        independent = sorted(c for r in range(g.n + 1) for c in combinations(range(g.n), r)
+                             if not any(g.has_edge(a, b) for a, b in combinations(c, 2)))
+        for least in range(5):
+            assert list(_independent_sets(g, least)) == [mask_of(c) for c in independent
+                                                         if len(c) >= least], (g, least)
+
+
+def test_ramsey34_enumerates_only_sets_of_maximum_degree_size(monkeypatch):
+    # the growth asks each class g for its independent sets of at least
+    # Delta(g) vertices: 352 sets, where the unpruned enumeration lists 858
+    from treefree import witness
+
+    sets = 0
+    real = witness._independent_sets
+
+    def counted(g, least):
+        nonlocal sets
+        for nb in real(g, least):
+            sets += 1
+            yield nb
+
+    monkeypatch.setattr(witness, "_independent_sets", counted)
+    assert verify_ramsey_small(4).passed
+    assert sets == 352
 
 
 def test_geodesic_check_on_gp():
