@@ -13,21 +13,20 @@ computed there alone, from the table's ring N(N(w)) - w.  The path-pair
 clauses test M_4 membership on three rows, so a path-pair check reads at
 most one table, of its own order.  Lemma 4.1 checks every path pair of a
 host and k on bitmasks inside one ``scan_path_pairs`` report, one report per
-host and k.  Given host automorphism generators, an exhaustive scan builds
-one table per w-orbit and weights each root's pair count by its orbit size;
-a sampled scan decodes each drawn pair from its index, so the list of all
-non-adjacent pairs is never built.  Lemmas 5.1 and 5.3 check every base on
-masks, and 5.1 builds a ``derived_sets`` report only for a failing base.
+host and k.  The scan is one loop over the orbit roots w of the host's
+automorphism generators (every vertex, given none): one table per root,
+each root's pair count weighted by its orbit size, and the violations
+sorted into (v, w) order.  Lemmas 5.1 and 5.3 check every base on masks,
+and 5.1 builds a ``derived_sets`` report only for a failing base.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, combinations
-from random import Random
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import Graph, bits, degree_classes, diameter, distance, mask_of, nbhd
+from .core import (Graph, bits, degree_classes, diameter, distance, is_automorphism, mask_of,
+                   nbhd)
 from .embed import _orbits, is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
@@ -182,92 +181,48 @@ def _pair_checks(rows: Sequence[int], paths: Sequence[Path], k: int, violations:
     return count
 
 
-def _scan_vw(g: Graph, k: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[dict]]:
-    """Check the path pairs of each (v, w) of ``pairs`` in turn, one table per w."""
-    rows = g._rows
-    violations: list[dict] = []
-    count = 0
-    tables: dict[int, dict[int, list[Path]]] = {}
-    for v, w in pairs:
-        if w not in tables:
-            tables[w] = vw_paths(g, w, k)
-        count += _pair_checks(rows, tables[w].get(v, ()), k, violations)
-    return count, violations
-
-
-def _sample_vw(g: Graph, count: int, seed: int) -> list[tuple[int, int]]:
-    """The ``count`` ordered non-adjacent pairs that ``Random(seed).sample``
-    draws from the list of all N of them, v-major and w ascending.
-
-    The list is never built.  CPython's ``sample`` reads a population only
-    through ``len`` and indexing, so drawing from ``range(N)`` yields the
-    indices of the same pairs in the same order.  Index i decodes by the
-    per-v counts of non-neighbours: v is the last v whose first index is at
-    most i, and w the (i - start)-th bit of v's non-neighbour mask.
-    """
-    rows = g._rows
-    full = (1 << g.n) - 1
-    apart = [full & ~(rows[v] | 1 << v) for v in range(g.n)]
-    starts = list(accumulate(map(int.bit_count, apart), initial=0))
-    pairs = []
-    for i in Random(seed).sample(range(starts[-1]), count):
-        v = bisect_right(starts, i) - 1
-        m = apart[v]
-        for _ in range(i - starts[v]):
-            m &= m - 1
-        pairs.append((v, (m & -m).bit_length() - 1))
-    return pairs
-
-
 @timed
 def scan_path_pairs(
-    g: Graph,
-    k: int,
-    seed: int = 0,
-    vw_samples: int | None = None,
-    host_name: str = "host",
-    generators: Sequence[Mapping[int, int]] = (),
+    g: Graph, k: int, host_name: str = "host", generators: Sequence[Mapping[int, int]] = ()
 ) -> Report:
-    """Exhaust Lemma-4.1 clauses over all ordered path pairs of sampled (v,w), k in {4, 5}.
+    """Exhaust Lemma-4.1 clauses over all ordered path pairs of every (v,w), k in {4, 5}.
 
-    With ``vw_samples`` below the number N of ordered non-adjacent pairs,
-    those pairs are ``Random(seed).sample``'d (``_sample_vw``); otherwise
-    every pair is used, and ``vw_pairs`` reports N.  The witness counts the
-    ordered path pairs inspected and lists the first five violations.
-
-    An exhaustive scan given host automorphism ``generators`` (each given by
-    its moves, as ``find_induced`` takes them) builds one path table per
-    orbit root w and weights that root's pair count by its orbit size.  An
-    automorphism s maps the induced (v,w;k)-paths bijectively onto the
+    One loop: for each orbit root w of the host automorphism ``generators``
+    (each given by its moves, as ``find_induced`` takes them, and checked
+    with ``is_automorphism``), one path table, each (v, w) pair count
+    weighted by w's orbit size.  With no generators every vertex is a root.
+    An automorphism s maps the induced (v,w;k)-paths bijectively onto the
     (sv,sw;k)-paths, keeps q1[1] != q2[1], and keeps every clause of
     ``_path_pair_clauses``, since each is built from vertex ids compared
     for equality, adjacencies and ``rows[a1] & rows[w] & ~rows[v]``; so
     every w of an orbit has its root's count, and a violation at some w
-    shows at its root.  A reduced scan that meets a violation reruns in
-    full, so a failing report lists the same violations in the same order.
+    shows at its root.  A reduced scan that meets a violation reruns with
+    every vertex a root, so that every violation is listed.
+
+    ``vw_pairs`` reports the number of ordered non-adjacent pairs (ordered:
+    the k = 5 clauses are not symmetric under path reversal).  The witness
+    counts the ordered path pairs inspected and lists the first five
+    violations in (v, w, q1, q2) order.  The loop meets them w-major, each
+    table in its walk's order, so they are sorted: which five a failing
+    report lists then depends on the host alone, not on the roots.
     """
     _check_pair_order(k)
+    for i, moves in enumerate(generators):
+        if not is_automorphism(g, moves):
+            raise DomainError(f"generator {i} is not an automorphism of the host")
     n = g.n
-    total = n * (n - 1) - 2 * g.edge_count
-    # ordered (v,w): the k=5 clauses are not symmetric under path reversal
-    every = ((v, w) for v in range(n) for w in bits((1 << n) - 1 & ~(g._rows[v] | 1 << v)))
-    if vw_samples is not None and vw_samples < total:
-        pair_count, violations = _scan_vw(g, k, _sample_vw(g, vw_samples, seed))
-        total = vw_samples
-    elif generators:
-        roots, sizes = _orbits(generators, n)
-        violations = []
-        pair_count = 0
-        for w in bits(roots):
-            for paths in vw_paths(g, w, k).values():
-                pair_count += sizes.get(w, 1) * _pair_checks(g._rows, paths, k, violations)
-        if violations:
-            pair_count, violations = _scan_vw(g, k, every)
-    else:
-        pair_count, violations = _scan_vw(g, k, every)
+    roots, sizes = _orbits(generators, n)
+    violations: list[dict] = []
+    pair_count = 0
+    for w in bits(roots):
+        for paths in vw_paths(g, w, k).values():
+            pair_count += sizes.get(w, 1) * _pair_checks(g._rows, paths, k, violations)
+    if violations and generators:
+        return scan_path_pairs(g, k, host_name)
+    violations.sort(key=lambda bad: (bad["q1"][0], bad["q1"][-1], bad["q1"], bad["q2"]))
     return checked(
         "lemma4.1.scan", g, not violations,
-        {"host": host_name, "k": k, "vw_pairs": total, "seed": seed},
+        {"host": host_name, "k": k, "vw_pairs": n * (n - 1) - 2 * g.edge_count},
         {"path_pairs": pair_count, "violations": violations[:5]},
     )
 

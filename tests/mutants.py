@@ -281,19 +281,24 @@ MUTANTS = (
            "if size + cand.bit_count() <= least:",
            ("tests/test_witness.py::test_independent_sets_skip_branches_below_the_least_size",
             "tests/test_witness.py::test_ramsey34_level_classes")),
-    # the orbit-reduced 4.1 scan weights each root by its orbit size, reruns
-    # in full on a violation, and decodes sampled indices bit by bit
+    # the 4.1 scan checks its generators, weights each orbit root by its
+    # orbit size, reruns with every vertex a root on a violation, and sorts
+    # the violations into (v, w) order
+    Mutant("generator-check-removed", WITNESS,
+           "        if not is_automorphism(g, moves):\n"
+           "            raise DomainError(f\"generator {i} is not an automorphism of the host\")\n",
+           "        pass\n",
+           ("tests/test_witness.py::test_scan_generators_must_be_automorphisms",)),
     Mutant("orbit-weight-dropped", WITNESS, "pair_count += sizes.get(w, 1) * _pair_checks(",
            "pair_count += _pair_checks(",
            ("tests/test_witness.py::test_orbit_reduced_scans_equal_the_full_scans",
             "tests/test_cli.py::test_sampled_lemma_reports_are_pinned")),
     Mutant("violation-fallback-removed", WITNESS,
-           "        if violations:\n            pair_count, violations = _scan_vw(g, k, every)\n", "",
+           "    if violations and generators:\n        return scan_path_pairs(g, k, host_name)\n", "",
            ("tests/test_witness.py::test_failing_reduced_scans_rerun_in_full",)),
-    Mutant("decode-off-by-one-bit", WITNESS, "for _ in range(i - starts[v]):",
-           "for _ in range(i - starts[v] + 1):",
-           ("tests/test_witness.py::test_sampled_pairs_are_decoded_from_their_indices",
-            "tests/test_cli.py::test_sampled_lemma_reports_are_pinned")),
+    Mutant("violations-unsorted", WITNESS,
+           '    violations.sort(key=lambda bad: (bad["q1"][0], bad["q1"][-1], bad["q1"], bad["q2"]))\n', "",
+           ("tests/test_witness.py::test_path_pair_reports_are_pinned",)),
     # is_automorphism maps each neighbour through the moves
     Mutant("automorphism-image-unmapped", CORE, "image |= 1 << get(top, top)", "image |= 1 << top",
            ("tests/test_families.py::test_generators_are_edge_preserving_permutations",

@@ -37,7 +37,8 @@ from treefree.witness import (
     verify_ramsey_small,
 )
 
-from .oracles import generalized_petersen, random_girth5_cubic, random_girth5_necklace, verify_embedding
+from .oracles import (all_vw_paths, generalized_petersen, random_girth5_cubic, random_girth5_necklace,
+                      verify_embedding)
 
 
 def _named_graph_corpus():
@@ -77,12 +78,31 @@ def test_verify_lemma_property_suites():
 
 
 def test_sampled_lemma_reports_are_pinned():
-    # the path-pair totals fix which (v, w) pairs are sampled and how many
-    # paths each has, whatever order the path tables are built in
-    assert verify_lemma("4.1", seed=0).witness == {"path_pairs": 2270}
-    assert verify_lemma("4.1", seed=7).witness == {"path_pairs": 2266}
+    # 4.1 checks every pair whatever the seed; 5.1 and 5.3 sample their bases
+    assert verify_lemma("4.1", seed=0).witness == {"path_pairs": 2860}
+    assert verify_lemma("4.1", seed=7).witness == {"path_pairs": 2860}
     for lemma_id in ("5.1", "5.3"):
         assert verify_lemma(lemma_id, seed=0).witness == {"bases_checked": 200}
+
+
+def test_lemma_41_checks_every_path_pair_of_its_hosts():
+    # the brute-force count: ordered pairs of induced (v,w;k)-paths with
+    # distinct second vertices, over every non-adjacent (v, w) of the hosts
+    total = 0
+    for g in (cycle(6).graph, cycle(8).graph, h1(3).graph, gp(25).graph):
+        for k in (4, 5):
+            for v, w in itertools.permutations(range(g.n), 2):
+                if not g.has_edge(v, w):
+                    paths = all_vw_paths(g, v, w, k)
+                    total += sum(q1[1] != q2[1] for q1 in paths for q2 in paths)
+    assert total == 2860
+    payloads = []
+    for seed in (None, 0, 1, 7, 4242):
+        payload = verify_lemma("4.1", seed=seed).to_dict()
+        del payload["runtime_ms"]
+        payloads.append(payload)
+    assert payloads == [{"check_id": "lemma4.1", "params": {}, "pass": True, "status": "checked",
+                         "witness": {"path_pairs": total}, "counterexample": None}] * 5
 
 
 def test_diam_theorem_reports():
@@ -378,11 +398,12 @@ def test_lemma_and_maxdeg_reports_are_pinned():
     pinned = {
         "2.2i": "f0e70920c07f5129", "2.3": "5d0b67096e84d05d", "2.4": "fe4e35060e14a67c",
         "2.5": "51238cd0e0906a24", "2.5p": "29812d1246d622b6", "2.2w": "c81823b3395143c1",
-        "4.1": "310b2d30ed31d94e", "5.1": "20b2285168dc0423", "5.3": "99acd6d981bb4d95",
+        "4.1": "7fb603d0c573e501", "5.1": "20b2285168dc0423", "5.3": "99acd6d981bb4d95",
     }
     for lemma_id, digest in pinned.items():
         assert _digest(verify_lemma(lemma_id)) == digest, lemma_id
-    seeded = {"4.1": "31c8423332bca0e8", "5.1": "a6f9fdd4ecd46e8d", "5.3": "60a907c8e7a4dfe2"}
+    # 4.1 checks every pair, so its seeded report is its default one
+    seeded = {"4.1": "7fb603d0c573e501", "5.1": "a6f9fdd4ecd46e8d", "5.3": "60a907c8e7a4dfe2"}
     for lemma_id, digest in seeded.items():
         assert _digest(verify_lemma(lemma_id, seed=1)) == digest, lemma_id
     assert _digest(check_maxdeg_theorem(h1(8).graph)) == "a95bd3d1219a8257"

@@ -24,7 +24,6 @@ from treefree.witness import (
     _independent_sets,
     _path_pair_clauses,
     _ramsey_levels,
-    _sample_vw,
     check_geodesic,
     check_path_pair,
     closure_masks,
@@ -186,8 +185,25 @@ def _scan_payload(g, k, **kwargs):
 def test_orbit_reduced_scans_equal_the_full_scans(fg):
     # one path table per orbit root, each root's pairs weighted by its orbit
     # size: the same report, vw_pairs included, as every (v, w) scanned
+    g = fg.graph
+    apart = sum(v != w and not g.has_edge(v, w) for v in range(g.n) for w in range(g.n))
     for k in (4, 5):
-        assert _scan_payload(fg.graph, k, generators=fg.generators) == _scan_payload(fg.graph, k)
+        full = _scan_payload(g, k)
+        assert _scan_payload(g, k, generators=fg.generators) == full
+        assert full["params"]["vw_pairs"] == apart
+
+
+def test_scan_generators_must_be_automorphisms():
+    # ids past the host's vertices, and a cycle vertex of h1(3) swapped with
+    # a hub, which would weight the wrong orbits (given alone, 1678 path
+    # pairs at k = 5 against the true 1656); the error names the generator
+    cube = build(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1])
+    with pytest.raises(DomainError, match="generator 0 is not an automorphism"):
+        scan_path_pairs(cube, 5, generators=gp(25).generators)
+    fg = h1(3)
+    assert scan_path_pairs(fg.graph, 5).witness["path_pairs"] == 1656
+    with pytest.raises(DomainError, match="generator 5 is not an automorphism"):
+        scan_path_pairs(fg.graph, 5, generators=[*fg.generators, {0: 18, 18: 0}])
 
 
 def test_orbit_reduced_scans_build_one_table_per_root(monkeypatch):
@@ -226,22 +242,6 @@ def test_failing_reduced_scans_rerun_in_full():
     assert failing == 14
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 4242])
-@pytest.mark.parametrize("g", [gp(25).graph, h1(3).graph], ids=["gp(25)", "h1(3)"])
-def test_sampled_pairs_are_decoded_from_their_indices(g, seed):
-    # the pairs Random(seed).sample draws from the materialised list, v-major
-    pairs = [(v, w) for v in range(g.n) for w in range(g.n) if v != w and not g.has_edge(v, w)]
-    total = len(pairs)
-    for m in (1, 40, total - 1, total):
-        assert _sample_vw(g, m, seed) == Random(seed).sample(pairs, m)
-    with pytest.raises(ValueError):
-        _sample_vw(g, total + 1, seed)
-    # from N samples on, the scan takes every pair
-    for m in (total, total + 1):
-        assert _scan_payload(g, 5, seed=seed, vw_samples=m) == _scan_payload(g, 5, seed=seed)
-    assert _scan_payload(g, 5, seed=seed)["params"]["vw_pairs"] == total
-
-
 def _path_pair_reports():
     """Every scan and every ordered pair's check of the 4.1 hosts and of
     seeded hosts with short cycles, both k; pairs come from the oracle."""
@@ -263,7 +263,8 @@ def _path_pair_reports():
 
 def test_path_pair_reports_are_pinned():
     # one sha256 over every report (runtime_ms dropped), taken before clause
-    # (v) tested M_4 membership on rows; the failing reports include scans and
+    # (v) tested M_4 membership on rows, less the scans' seed parameter, which
+    # went with the pair sampler; the failing reports include scans and
     # single pairs, and clause (v) both holds and fails among the pairs
     digest = sha256()
     reports = failing = failing_scans = 0
@@ -279,7 +280,7 @@ def test_path_pair_reports_are_pinned():
         elif "v" in rep.witness["clauses"]:
             clause_v[rep.witness["clauses"]["v"]] += 1
     assert (reports, failing, failing_scans, clause_v) == (4276, 1187, 61, {True: 704, False: 26})
-    assert digest.hexdigest() == "8c34d7416067c97f713e5440b08f7fc746fc814b91ea9a492022b78172ad2c65"
+    assert digest.hexdigest() == "d08c3b7b4fe320043e3d174ec7aaac9265f9e667443b0c5fdfdbfdc088b5b170"
 
 
 @pytest.mark.parametrize("k", [2, 3, 6])
