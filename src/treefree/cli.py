@@ -95,12 +95,11 @@ def _lemma_41_suite() -> Report:
     C6, C8, h1(3) and gp(25), orbit-reduced by their generators."""
     total = 0
     for fg in (patterns.cycle(6), patterns.cycle(8), families.h1(3), families.gp(25)):
-        name, host = fg.id, fg.graph
         for k in (4, 5):
-            rep = witness.scan_path_pairs(host, k, host_name=name, generators=fg.generators)
+            rep = witness.scan_path_pairs(fg, k)
             total += rep.witness["path_pairs"]
             if rep.is_failure:
-                return checked("lemma4.1", host, False, {"failed_on": {"host": name, "k": k}},
+                return checked("lemma4.1", fg.graph, False, {"failed_on": {"host": fg.id, "k": k}},
                                rep.witness)
     return Report("lemma4.1", {}, passed=True, witness={"path_pairs": total})
 
@@ -140,11 +139,11 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
     once and every base is checked on masks; only a failing base of 5.1
     goes through ``derived_sets``, for its report.
     """
-    hosts = [("h1:5", families.h1(5).graph), ("gp:25", families.gp(25).graph)]
     rng = Random(seed)
     samples = 100
     bases = 0
-    for name, host in hosts:
+    for fg in (families.h1(5), families.gp(25)):
+        host = fg.graph
         classes = degree_classes(host)
         w = next(bits(classes[max(classes)]))  # the lowest vertex of maximum degree
         root = witness.RootTable(host, w)
@@ -175,7 +174,7 @@ def _lemma_5x_suite(which: str, seed: int) -> Report:
             bases += 1
             if not ok:
                 return checked(f"lemma{which}", host, False,
-                               {"host": name, "w": w, "X": sorted(base)}, detail)
+                               {"host": fg.id, "w": w, "X": sorted(base)}, detail)
     return Report(f"lemma{which}", {"seed": seed, "samples": samples}, passed=True,
                   witness={"bases_checked": bases})
 

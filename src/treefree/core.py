@@ -122,13 +122,18 @@ def balls(g: Graph, sources: int) -> list[int]:
     return out
 
 
+def check_vertices(g: Graph, vertices: Iterable[int]) -> None:
+    """DomainError naming the first of ``vertices`` outside 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise DomainError(f"vertex {v} is outside 0..{g.n - 1}")
+
+
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path distance, or None when u and v are in different components:
     the index of the first of u's ``balls`` that holds v.  Ids outside
     0..n-1 raise DomainError."""
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise DomainError(f"vertex {x} is outside 0..{g.n - 1}")
+    check_vertices(g, (u, v))
     for d, ball in enumerate(balls(g, 1 << u)):
         if ball >> v & 1:
             return d
@@ -213,6 +218,41 @@ def is_automorphism(g: Graph, moves: Mapping[int, int]) -> bool:
         if image != rows[y]:
             return False
     return True
+
+
+def orbits(gens: Sequence[Mapping[int, int]], n: int) -> tuple[int, dict[int, int]]:
+    """The orbits of the vertices 0..n-1 under the group generated by
+    ``gens``, each given by its moves: the mask of the vertices that are the
+    least of their orbit (the search's roots), and the size of each orbit of
+    two or more vertices under its least vertex (the 4.1 scan's weights).
+    One array union-find with path halving over the moved vertices, with the
+    lowest id as each root; a vertex no generator moves is its own orbit, so
+    the mask drops only the moved vertices that are not roots, each as one
+    digit of the mask's binary text rather than one big-int update, and each
+    counts once toward its root's orbit."""
+    parent = list(range(n))
+    for moves in gens:
+        for a, b in moves.items():
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+    # one '1' digit per vertex, highest id first, cleared at each moved non-root
+    digits = bytearray(b"1") * n
+    sizes: dict[int, int] = {}
+    for moves in gens:
+        for x in moves:
+            r = parent[x]
+            if r != x and digits[n - 1 - x] == 49:
+                digits[n - 1 - x] = 48
+                while parent[r] != r:
+                    r = parent[r]
+                sizes[r] = sizes.get(r, 1) + 1
+    return (int(digits, 2) if n else 0), sizes
 
 
 def block_swaps(g: Graph) -> tuple[dict[int, int], ...]:

@@ -52,7 +52,7 @@ The search numbers the generators that move some vertex, and ``fixing[h]``
 masks those that fix host vertex h.  Each node carries ``sub``, its
 parent's ``sub & fixing[h]``: the generators that fix every host vertex
 placed so far, which generate H_d.  ``least[sub]`` masks the orbit leasts,
-built by ``_orbits`` once per distinct ``sub`` and search; its array
+built by ``core.orbits`` once per distinct ``sub`` and search; its array
 union-find keeps that table O(n) for a rotation, which moves every vertex
 and so roots only the first placement (gp(n): 2 roots of 2n).  Once no
 generator fixes a branch's prefix (``sub`` is 0), the branch is searched in
@@ -192,40 +192,6 @@ def _stabiliser_orbits(pattern: Graph, order: list[int]) -> list[tuple[int, ...]
     return cuts
 
 
-def _orbits(gens: Sequence[Mapping[int, int]], n: int) -> tuple[int, dict[int, int]]:
-    """The orbits of the host vertices 0..n-1 under the group generated by
-    ``gens``, each given by its moves: the mask of the vertices that are the
-    least of their orbit, and the size of each orbit of two or more vertices
-    under its least vertex.  One array union-find with path halving over the
-    moved vertices, with the lowest id as each root; a vertex no generator
-    moves is its own orbit, so the mask drops only the moved vertices that
-    are not roots, each as one digit of the mask's binary text rather than
-    one big-int update, and each counts once toward its root's orbit."""
-    parent = list(range(n))
-    for moves in gens:
-        for a, b in moves.items():
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
-    # one '1' digit per vertex, highest id first, cleared at each moved non-root
-    digits = bytearray(b"1") * n
-    sizes: dict[int, int] = {}
-    for moves in gens:
-        for x in moves:
-            r = parent[x]
-            if r != x and digits[n - 1 - x] == 49:
-                digits[n - 1 - x] = 48
-                while parent[r] != r:
-                    r = parent[r]
-                sizes[r] = sizes.get(r, 1) + 1
-    return (int(digits, 2) if n else 0), sizes
-
-
 def _search(
     pattern: Graph,
     host: Graph,
@@ -288,7 +254,7 @@ def _search(
     def least_of(sub: int) -> int:
         m = least.get(sub)
         if m is None:
-            m = least[sub] = _orbits([gens[i] for i in bits(sub)], n)[0]
+            m = least[sub] = core.orbits([gens[i] for i in bits(sub)], n)[0]
         return m
 
     def place(idx: int, cand: list[int], sub: int, m: int) -> bool:
@@ -364,11 +330,11 @@ def find_induced(
 
     Once its lowest root fails, the search tries one host vertex per orbit
     of the host automorphism ``generators`` that fix the vertices placed so
-    far (each a dict from every vertex it moves to its image, such as
-    ``NamedGraph.generators``).  Without them it tries one root per orbit of
-    the host's block rotation, if it has one, or else takes the host's block
-    swaps (``core.block_swaps``) as its generators.  None of these changes
-    the result.
+    far (each a dict from every vertex it moves to its image; a raw list is
+    trusted, ``NamedGraph.generators`` were checked when their record was
+    made).  Without them it tries one root per orbit of the host's block
+    rotation, if it has one, or else its block swaps (``core.block_swaps``)
+    as generators.  None of these changes the result.
     """
     out = _search(capped(pattern), host, limit=1, generators=generators)
     return out[0] if out else None

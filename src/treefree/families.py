@@ -23,10 +23,11 @@ and to the hubs.  A copy swap names only the vertices of its two copies,
 so the generators of every family total O(n) entries.  They need not
 generate the whole automorphism group; ``embed.find_induced`` and
 ``embed.is_free`` use them only to skip host vertices that some
-automorphism maps onto one already tried.  ``_validate`` checks every
-generator at construction with ``core.is_automorphism``, which reads only
-the rows of the vertices it moves.  A graph read back from graph6 has lost
-them; ``core.block_swaps`` finds its copy swaps again from this layout.
+automorphism maps onto one already tried, ``witness.scan_path_pairs`` to
+scan one root w per orbit.  A ``NamedGraph`` checks them when it is made
+(``core.is_automorphism`` reads only the moved rows), and its readers trust
+them.  A graph read back from graph6 has lost them; ``core.block_swaps``
+finds its copy swaps again from this layout.
 
 ``order`` derives each family's order from its size (b·s + hubs for a
 template), so the constructors and callers that sweep sizes refuse a size
@@ -48,12 +49,18 @@ from .errors import ConstructionError
 
 @dataclass(frozen=True)
 class NamedGraph:
-    """A graph under its id ("h1:5", "T9", ...), with its labels and any generators."""
+    """A graph under its id ("h1:5", "T9", ...), with its labels and any generators,
+    each checked with ``is_automorphism`` however the record is made."""
 
     id: str
     graph: Graph
     labels: dict[int, str]
     generators: tuple[dict[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        for k, moves in enumerate(self.generators):
+            if not is_automorphism(self.graph, moves):
+                raise ConstructionError(f"{self.id}: generator {k} is not an automorphism")
 
 
 def _perm(vertices: Iterable[int], image: Callable[[int], int]) -> dict[int, int]:
@@ -177,11 +184,7 @@ def vertex(family: str, s: int, label: str) -> int:
 
 
 def _validate(fg: NamedGraph, min_degree: int, regular: int | None = None) -> NamedGraph:
-    g = fg.graph
-    name = fg.id.replace(":", "(") + ")"
-    for k, moves in enumerate(fg.generators):
-        if not is_automorphism(g, moves):
-            raise ConstructionError(f"{name}: generator {k} is not an automorphism")
+    g, name = fg.graph, fg.id
     if not is_connected(g):
         raise ConstructionError(f"{name}: disconnected")
     if not is_c3c4_free(g):

@@ -13,36 +13,33 @@ computed there alone, from the table's ring N(N(w)) - w.  The path-pair
 clauses test M_4 membership on three rows, so a path-pair check reads at
 most one table, of its own order.  Lemma 4.1 checks every path pair of a
 host and k on bitmasks inside one ``scan_path_pairs`` report, one report per
-host and k.  The scan is one loop over the orbit roots w of the host's
-automorphism generators (every vertex, given none): one table per root,
-each root's pair count weighted by its orbit size, and the violations
-sorted into (v, w) order.  Lemmas 5.1 and 5.3 check every base on masks,
-and 5.1 builds a ``derived_sets`` report only for a failing base.
+host record and k.  The scan is one loop over the orbit roots w
+(``core.orbits``) of the generators the ``families.NamedGraph`` carries,
+which the record checked when it was made (every vertex, given none): one
+table per root, each root's pair count weighted by its orbit size, and the
+violations sorted into (v, w) order.  Lemmas 5.1 and 5.3 check every base
+on masks, and 5.1 builds a ``derived_sets`` report only for a failing base.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (Graph, bits, degree_classes, diameter, distance, is_automorphism, mask_of,
-                   nbhd)
-from .embed import _orbits, is_isomorphic
+from .core import (Graph, bits, check_vertices, degree_classes, diameter, distance, mask_of, nbhd,
+                   orbits)
+from .embed import is_isomorphic
 from .errors import (
     AdjacentEndpointsError,
     DomainError,
     InvalidWitnessError,
     UnsupportedRamseyError,
 )
+from .families import NamedGraph
 from .graphio import Report, checked, emit_graph6, timed
 
 Path = tuple[int, ...]
-
-
-def _check_vertices(g: Graph, vertices: Iterable[int]) -> None:
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise DomainError(f"vertex {v} is outside 0..{g.n - 1}")
 
 
 def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
@@ -54,7 +51,7 @@ def vw_paths(g: Graph, w: int, k: int) -> dict[int, list[Path]]:
     vertex outside that mask.  Every such end is non-adjacent to w, and the
     table is the last frontier grouped by end vertex.
     """
-    _check_vertices(g, (w,))
+    check_vertices(g, (w,))
     if k < 3:
         raise DomainError("an induced path between non-adjacent vertices has k >= 3")
     rows = g._rows
@@ -84,7 +81,7 @@ def iter_vw_paths(g: Graph, v: int, w: int, k: int) -> Iterator[Path]:
     Reads the w-rooted table of ``vw_paths``; a caller with many v for one w
     should build that table once instead.
     """
-    _check_vertices(g, (v, w))
+    check_vertices(g, (v, w))
     if v == w:
         raise DomainError("path endpoints must differ")
     if g.has_edge(v, w):
@@ -102,7 +99,7 @@ def compute_Mk(g: Graph, v: int, w: int, k: int) -> frozenset[int]:
 
 
 def _validate_vw_path(g: Graph, q: Sequence[int], k: int) -> None:
-    _check_vertices(g, q)
+    check_vertices(g, q)
     if len(q) != k or len(set(q)) != k:
         raise InvalidWitnessError(f"expected {k} distinct vertices, got {q!r}")
     for a, b in zip(q, q[1:]):
@@ -182,14 +179,11 @@ def _pair_checks(rows: Sequence[int], paths: Sequence[Path], k: int, violations:
 
 
 @timed
-def scan_path_pairs(
-    g: Graph, k: int, host_name: str = "host", generators: Sequence[Mapping[int, int]] = ()
-) -> Report:
+def scan_path_pairs(host: NamedGraph, k: int) -> Report:
     """Exhaust Lemma-4.1 clauses over all ordered path pairs of every (v,w), k in {4, 5}.
 
-    One loop: for each orbit root w of the host automorphism ``generators``
-    (each given by its moves, as ``find_induced`` takes them, and checked
-    with ``is_automorphism``), one path table, each (v, w) pair count
+    One loop: for each orbit root w of ``host.generators`` (the record
+    checked them when it was made), one path table, each (v, w) pair count
     weighted by w's orbit size.  With no generators every vertex is a root.
     An automorphism s maps the induced (v,w;k)-paths bijectively onto the
     (sv,sw;k)-paths, keeps q1[1] != q2[1], and keeps every clause of
@@ -207,22 +201,19 @@ def scan_path_pairs(
     report lists then depends on the host alone, not on the roots.
     """
     _check_pair_order(k)
-    for i, moves in enumerate(generators):
-        if not is_automorphism(g, moves):
-            raise DomainError(f"generator {i} is not an automorphism of the host")
-    n = g.n
-    roots, sizes = _orbits(generators, n)
+    g, n = host.graph, host.graph.n
+    roots, sizes = orbits(host.generators, n)
     violations: list[dict] = []
     pair_count = 0
     for w in bits(roots):
         for paths in vw_paths(g, w, k).values():
             pair_count += sizes.get(w, 1) * _pair_checks(g._rows, paths, k, violations)
-    if violations and generators:
-        return scan_path_pairs(g, k, host_name)
+    if violations and host.generators:
+        return scan_path_pairs(replace(host, generators=()), k)
     violations.sort(key=lambda bad: (bad["q1"][0], bad["q1"][-1], bad["q1"], bad["q2"]))
     return checked(
         "lemma4.1.scan", g, not violations,
-        {"host": host_name, "k": k, "vw_pairs": n * (n - 1) - 2 * g.edge_count},
+        {"host": host.id, "k": k, "vw_pairs": n * (n - 1) - 2 * g.edge_count},
         {"path_pairs": pair_count, "violations": violations[:5]},
     )
 
@@ -240,7 +231,7 @@ class RootTable:
     __slots__ = ("host", "nw", "closed", "n2", "ring", "spokes")
 
     def __init__(self, g: Graph, w: int):
-        _check_vertices(g, (w,))
+        check_vertices(g, (w,))
         self.host, self.nw = g, g.row(w)
         self.closed = self.nw | 1 << w
         self.ring = nbhd(g, self.nw) & ~(1 << w)
@@ -315,7 +306,7 @@ def derived_sets(g: Graph, w: int, base: Iterable[int]) -> Report:
     """
     X = sorted(set(base))
     root = RootTable(g, w)
-    _check_vertices(g, X)
+    check_vertices(g, X)
     masks = closure_masks(root, mask_of(X))
     witness: dict = {name: list(bits(m)) for name, m in zip(_CLOSURE_SETS, masks)}
     violations = [{"clause": "i", "a": a} for a in bits(masks.clause_i)]
@@ -476,7 +467,7 @@ def check_geodesic(g: Graph, path: Sequence[int]) -> Report:
     adjacent off-path vertices attach at indices i < i' with 2 <= i'-i <= 3.
     """
     p = tuple(path)
-    _check_vertices(g, p)
+    check_vertices(g, p)
     if len(p) < 2 or len(set(p)) != len(p):
         raise InvalidWitnessError("not a path")
     for a, b in zip(p, p[1:]):

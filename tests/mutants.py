@@ -264,9 +264,14 @@ MUTANTS = (
     Mutant("distance-off-by-one", CORE, "        if ball >> v & 1:\n            return d\n",
            "        if ball >> v & 1:\n            return d + 1\n",
            ("tests/test_core.py::test_distance_examples",)),
-    Mutant("distance-without-range-check", CORE, "        if not 0 <= x < g.n:\n            raise DomainError",
+    # one vertex-range check serves distance and the witness checks
+    Mutant("vertex-range-check-removed", CORE, "        if not 0 <= v < g.n:\n            raise DomainError",
            "        if False:\n            raise DomainError",
-           ("tests/test_core.py::test_distance_examples",)),
+           ("tests/test_core.py::test_distance_examples",
+            "tests/test_witness.py::test_geodesic_check_on_gp")),
+    # the union-find joins two classes under the lower root, whichever it is
+    Mutant("orbit-union-one-way", CORE, "            elif b < a:\n                parent[a] = b\n", "",
+           ("tests/test_core.py::test_orbits_join_two_classes_whichever_root_is_lower",)),
     # the R(3,t) growth keeps an extension only when its new vertex has
     # maximum degree: a strict test loses every class with a tied maximum,
     # and no test at all is sound but proves 199 isomorphisms, not 55
@@ -281,20 +286,22 @@ MUTANTS = (
            "if size + cand.bit_count() <= least:",
            ("tests/test_witness.py::test_independent_sets_skip_branches_below_the_least_size",
             "tests/test_witness.py::test_ramsey34_level_classes")),
-    # the 4.1 scan checks its generators, weights each orbit root by its
-    # orbit size, reruns with every vertex a root on a violation, and sorts
-    # the violations into (v, w) order
-    Mutant("generator-check-removed", WITNESS,
-           "        if not is_automorphism(g, moves):\n"
-           "            raise DomainError(f\"generator {i} is not an automorphism of the host\")\n",
-           "        pass\n",
-           ("tests/test_witness.py::test_scan_generators_must_be_automorphisms",)),
+    # a record checks its generators when it is made; the 4.1 scan weights
+    # each orbit root by its orbit size, reruns with every vertex a root on a
+    # violation, and sorts the violations into (v, w) order
+    Mutant("generator-check-removed", FAMILIES,
+           "            if not is_automorphism(self.graph, moves):\n"
+           "                raise ConstructionError(f\"{self.id}: generator {k} is not an automorphism\")\n",
+           "            pass\n",
+           ("tests/test_witness.py::test_scan_generators_must_be_automorphisms",
+            "tests/test_families.py::test_a_corrupted_generator_fails_construction")),
     Mutant("orbit-weight-dropped", WITNESS, "pair_count += sizes.get(w, 1) * _pair_checks(",
            "pair_count += _pair_checks(",
            ("tests/test_witness.py::test_orbit_reduced_scans_equal_the_full_scans",
             "tests/test_cli.py::test_sampled_lemma_reports_are_pinned")),
     Mutant("violation-fallback-removed", WITNESS,
-           "    if violations and generators:\n        return scan_path_pairs(g, k, host_name)\n", "",
+           "    if violations and host.generators:\n"
+           "        return scan_path_pairs(replace(host, generators=()), k)\n", "",
            ("tests/test_witness.py::test_failing_reduced_scans_rerun_in_full",)),
     Mutant("violations-unsorted", WITNESS,
            '    violations.sort(key=lambda bad: (bad["q1"][0], bad["q1"][-1], bad["q1"], bad["q2"]))\n', "",

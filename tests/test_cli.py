@@ -21,6 +21,7 @@ from treefree.cli import (
     check_diam_theorem,
     check_maxdeg_theorem,
     main,
+    sample_connected_bases,
     scan_corpus,
     verify_lemma,
 )
@@ -103,6 +104,18 @@ def test_lemma_41_checks_every_path_pair_of_its_hosts():
         payloads.append(payload)
     assert payloads == [{"check_id": "lemma4.1", "params": {}, "pass": True, "status": "checked",
                          "witness": {"path_pairs": total}, "counterexample": None}] * 5
+
+
+def test_bases_are_drawn_only_where_they_can_grow():
+    # K1,3 at its centre has no vertex at distance 2 or more
+    star = build(4, [(0, 1), (0, 2), (0, 3)])
+    assert sample_connected_bases(star, 0, 10, Random(1)) == []
+    # the path 0-1-2-3-4 with 5 hung from 1, rooted at 0: the region is
+    # 2, 3, 4, 5, and 5 has no neighbour in it, so no base holds it
+    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+    bases = sample_connected_bases(g, 0, 50, Random(3))
+    assert len(bases) == 50
+    assert {tuple(sorted(base)) for base in bases} == {(2, 3), (3, 4), (2, 3, 4)}
 
 
 def test_diam_theorem_reports():
@@ -462,7 +475,7 @@ def test_every_report_is_stamped_by_the_one_clock(monkeypatch):
     assert_stamped(scan_corpus(_named_graph_corpus(), "P8"))
     c6 = cycle(6).graph
     assert_stamped(check_path_pair(c6, (0, 1, 2, 3), (0, 5, 4, 3), 4))
-    assert_stamped(scan_path_pairs(c6, 4))
+    assert_stamped(scan_path_pairs(cycle(6), 4))
     assert_stamped(derived_sets(h1(5).graph, 0, []))
     for t in (2, 3, 4):
         assert_stamped(verify_ramsey_small(t))

@@ -24,6 +24,7 @@ from treefree.core import (
     is_connected,
     mask_of,
     nbhd,
+    orbits,
     rotation_roots,
     stats,
 )
@@ -31,11 +32,12 @@ from treefree.errors import ConstructionError, DisconnectedError, DomainError, M
 from treefree.families import gp, h1, h2, h3, h4
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, heawood, path, petersen
-from treefree.embed import _orbits, is_isomorphic
+from treefree.embed import is_isomorphic
 
 from .oracles import (
     brute_diameter,
     generalized_petersen,
+    generator_orbits,
     girth_at_least_5,
     has_c3_or_c4,
     oracle_block_rotation,
@@ -225,8 +227,31 @@ def test_rotation_roots_on_constructor_labelled_rings():
     rings += [(h3(s).graph, (1 << 14) - 1) for s in range(4, 13)]
     rings.append((cycle(11).graph, 1))
     for g, mask in rings:
-        assert _orbits([oracle_block_rotation(g)], g.n)[0] == mask, g
+        assert orbits([oracle_block_rotation(g)], g.n)[0] == mask, g
         assert [rotation_roots(copy) for copy in _with_round_trip(g)] == [mask, mask], g
+
+
+def test_orbits_join_two_classes_whichever_root_is_lower():
+    # the 4-cycle (0 5 1 4): its moves 5 -> 1 and 4 -> 0 join classes whose
+    # second root is the lower one, which a union one way round leaves
+    # apart (roots 0b1111, sizes {0: 2, 1: 2})
+    cycle4 = {5: 1, 4: 0, 1: 4, 0: 5}
+    assert orbits([cycle4], 6) == (0b1101, {0: 4})
+    cases = [(6, [cycle4])]
+    rng = Random(2027)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(n), rng.randint(2, n))
+            image = moved[:]
+            rng.shuffle(image)
+            gens.append({x: y for x, y in zip(moved, image) if x != y})
+        cases.append((n, gens))
+    for n, gens in cases:
+        found = generator_orbits(n, gens)
+        assert orbits(gens, n) == (sum(1 << orbit[0] for orbit in found),
+                                   {orbit[0]: len(orbit) for orbit in found if len(orbit) > 1}), gens
 
 
 def test_rotation_roots_is_none_without_one():

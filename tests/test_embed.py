@@ -362,14 +362,14 @@ def test_rooted_and_unrooted_freeness_agree_on_every_family():
 
 @pytest.mark.parametrize("fg", [h1(3), h2(2), h3(4), h4(2), gp(7)], ids=lambda fg: fg.id.replace(":", "(") + ")")
 def test_orbit_least_masks_the_least_vertex_of_each_generated_orbit(fg):
-    # ``_orbits`` on the full generator set and every subset of at most two
+    # ``core.orbits`` on the full generator set and every subset of at most two
     # generators, as the orbit tables meet them below a placed prefix
     n = fg.graph.n
     gens = list(fg.generators)
     subsets = [gens] + [list(c) for r in (0, 1, 2) for c in combinations(gens, r)]
     for sub in subsets:
         orbits = generator_orbits(n, sub)
-        least, sizes = embed._orbits(sub, n)
+        least, sizes = core.orbits(sub, n)
         assert least == sum(1 << orbit[0] for orbit in orbits)
         # the sizes the Lemma-4.1 scan weights each root's pairs by
         assert sizes == {orbit[0]: len(orbit) for orbit in orbits if len(orbit) > 1}

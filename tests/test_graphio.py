@@ -104,6 +104,8 @@ _LONG = "~?@@" + "?" * 347  # 65 isolated vertices: 2080 bits in 347 bytes, 2 pa
     ("~A", "truncated long-form", 2),
     ("~~??", "8-byte", 1),
     ("~O??", "cap of 65535", 1),
+    (">>graph6<<", "empty record", None),
+    ("   ", "empty record", None),
 ])
 def test_malformed_record_offsets(record, message, offset):
     assert parse_graph6(_G5).n == 10 and parse_graph6(_LONG).n == 65

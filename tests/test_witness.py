@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from hashlib import sha256
 from itertools import combinations
 from random import Random
@@ -10,11 +11,12 @@ import pytest
 from treefree.core import bits, build, diameter, mask_of
 from treefree.errors import (
     AdjacentEndpointsError,
+    ConstructionError,
     DomainError,
     InvalidWitnessError,
     UnsupportedRamseyError,
 )
-from treefree.families import gp, h1, h2, h3, h4, vertex
+from treefree.families import NamedGraph, gp, h1, h2, h3, h4, vertex
 from treefree.graphio import emit_graph6, parse_graph6
 from treefree.patterns import cycle, path
 from treefree.witness import (
@@ -55,6 +57,11 @@ from .oracles import (
 LEMMA_41_HOSTS = (cycle(6).graph, cycle(8).graph, h1(3).graph, gp(25).graph)
 
 
+def _host(g, generators=()):
+    """``g`` as the record ``scan_path_pairs`` takes, under the id "host"."""
+    return NamedGraph("host", g, {}, tuple(generators))
+
+
 def test_mk_on_cycles():
     assert compute_Mk(cycle(6).graph, 0, 3, 4) == {1, 5}
     assert compute_Mk(cycle(8).graph, 0, 3, 4) == {1}
@@ -65,6 +72,8 @@ def test_mk_rejects_adjacent_endpoints():
         compute_Mk(cycle(6).graph, 0, 1, 4)
     with pytest.raises(DomainError):
         compute_Mk(cycle(6).graph, 0, 3, 6)
+    with pytest.raises(DomainError, match="path endpoints must differ"):
+        compute_Mk(cycle(6).graph, 2, 2, 4)
 
 
 def test_path_enumeration_matches_unpruned_oracle():
@@ -126,6 +135,8 @@ def test_check_path_pair_rejects_bad_witnesses():
         check_path_pair(c6, (0, 1, 2, 4), (0, 5, 4, 3), 4)  # not a path
     with pytest.raises(InvalidWitnessError):
         check_path_pair(c6, (0, 1, 2), (0, 5, 4), 4)  # wrong order
+    with pytest.raises(InvalidWitnessError, match="paths must share both endpoints"):
+        check_path_pair(c6, (0, 1, 2, 3), (1, 0, 5, 4), 4)
     g = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
     with pytest.raises(InvalidWitnessError):
         check_path_pair(g, (0, 1, 2, 3), (0, 4, 3, 2), 4)  # chorded path
@@ -134,7 +145,7 @@ def test_check_path_pair_rejects_bad_witnesses():
 def test_scan_path_pairs_clean_hosts():
     for g in (cycle(6).graph, h1(3).graph):
         for k in (4, 5):
-            rep = scan_path_pairs(g, k)
+            rep = scan_path_pairs(_host(g), k)
             assert rep.passed
 
 
@@ -146,7 +157,7 @@ def test_scan_violations_match_the_single_pair_check():
     for _ in range(30):
         g = random_graph(rng, rng.randint(6, 10), 0.35)
         for k in (4, 5):
-            for bad in scan_path_pairs(g, k).witness["violations"]:
+            for bad in scan_path_pairs(_host(g), k).witness["violations"]:
                 single = check_path_pair(g, bad["q1"], bad["q2"], k)
                 assert single.witness["clauses"] == bad["clauses"]
                 seen_v += "v" in bad["clauses"]
@@ -169,13 +180,13 @@ def test_path_pair_checks_read_one_table_of_their_own_order(monkeypatch):
     q1, q2 = next((p[0], p[1]) for p in vw_paths(g, 0, 5).values() if len(p) > 1)
     check_path_pair(g, q1, q2, 5)
     assert orders == []
-    rep = scan_path_pairs(g, 5)
+    rep = scan_path_pairs(_host(g), 5)
     assert sorted(orders) == [(w, 5) for w in range(g.n)]
     assert rep.passed and rep.witness["path_pairs"] > 0
 
 
-def _scan_payload(g, k, **kwargs):
-    payload = scan_path_pairs(g, k, **kwargs).to_dict()
+def _scan_payload(host, k):
+    payload = scan_path_pairs(host, k).to_dict()
     del payload["runtime_ms"]
     return payload
 
@@ -188,22 +199,23 @@ def test_orbit_reduced_scans_equal_the_full_scans(fg):
     g = fg.graph
     apart = sum(v != w and not g.has_edge(v, w) for v in range(g.n) for w in range(g.n))
     for k in (4, 5):
-        full = _scan_payload(g, k)
-        assert _scan_payload(g, k, generators=fg.generators) == full
+        full = _scan_payload(replace(fg, generators=()), k)
+        assert _scan_payload(fg, k) == full
         assert full["params"]["vw_pairs"] == apart
 
 
 def test_scan_generators_must_be_automorphisms():
+    # the scan trusts its record's generators, so no record holds a bad one:
     # ids past the host's vertices, and a cycle vertex of h1(3) swapped with
     # a hub, which would weight the wrong orbits (given alone, 1678 path
     # pairs at k = 5 against the true 1656); the error names the generator
     cube = build(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1])
-    with pytest.raises(DomainError, match="generator 0 is not an automorphism"):
-        scan_path_pairs(cube, 5, generators=gp(25).generators)
+    with pytest.raises(ConstructionError, match="^host: generator 0 is not an automorphism$"):
+        _host(cube, gp(25).generators)
     fg = h1(3)
-    assert scan_path_pairs(fg.graph, 5).witness["path_pairs"] == 1656
-    with pytest.raises(DomainError, match="generator 5 is not an automorphism"):
-        scan_path_pairs(fg.graph, 5, generators=[*fg.generators, {0: 18, 18: 0}])
+    assert scan_path_pairs(replace(fg, generators=()), 5).witness["path_pairs"] == 1656
+    with pytest.raises(ConstructionError, match="^h1:3: generator 5 is not an automorphism$"):
+        replace(fg, generators=(*fg.generators, {0: 18, 18: 0}))
 
 
 def test_orbit_reduced_scans_build_one_table_per_root(monkeypatch):
@@ -219,7 +231,7 @@ def test_orbit_reduced_scans_build_one_table_per_root(monkeypatch):
     # h1(3): 18 cycle vertices and 3 hubs; gp(25): the outer and inner rings
     for fg, roots in ((h1(3), [0, 18]), (gp(25), [0, 25])):
         orders.clear()
-        rep = scan_path_pairs(fg.graph, 5, generators=fg.generators)
+        rep = scan_path_pairs(fg, 5)
         assert rep.passed and orders == [(w, 5) for w in roots]
 
 
@@ -236,8 +248,8 @@ def test_failing_reduced_scans_rerun_in_full():
         if not swaps:
             continue
         for k in (4, 5):
-            full = _scan_payload(g, k)
-            assert _scan_payload(g, k, generators=swaps) == full
+            full = _scan_payload(_host(g), k)
+            assert _scan_payload(_host(g, swaps), k) == full
             failing += not full["pass"]
     assert failing == 14
 
@@ -249,7 +261,7 @@ def _path_pair_reports():
     hosts = [*LEMMA_41_HOSTS] + [random_graph(rng, rng.randint(6, 10), 0.35) for _ in range(60)]
     for g in hosts:
         for k in (4, 5):
-            yield scan_path_pairs(g, k)
+            yield scan_path_pairs(_host(g), k)
             for w in range(g.n):
                 for v in range(g.n):
                     if v == w or g.has_edge(v, w):
@@ -288,7 +300,7 @@ def test_path_pair_checks_need_k_4_or_5(k):
     # clause (i) reads only q[1] and q[2], so without the check k = 3 or k >= 6 passes on it alone
     c6 = cycle(6).graph
     with pytest.raises(DomainError):
-        scan_path_pairs(c6, k)
+        scan_path_pairs(cycle(6), k)
     q1, q2 = (0, 1, 2, 3, 4, 5)[:k], (0, 5, 4, 3, 2, 1)[:k]
     with pytest.raises(DomainError):
         check_path_pair(c6, q1, q2, k)
@@ -613,6 +625,10 @@ def test_geodesic_check_on_gp():
         check_geodesic(g, (0, 2, 4))
     with pytest.raises(DomainError):
         check_geodesic(path(5).graph, (0, 1, 2, 3, -1))
+    # one vertex, and a walk that repeats one, are no path
+    for walk in ((0,), (0, 1, 0)):
+        with pytest.raises(InvalidWitnessError, match="not a path"):
+            check_geodesic(g, walk)
 
 
 def test_geodesic_check_names_each_violated_clause():
