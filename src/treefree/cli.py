@@ -1,8 +1,9 @@
 """Named checks and the command-line surface.
 
 Subcommands: gen, check, chi, verify, scan, theorem.  Exit codes: 0 all
-pass, 1 a checked failure, 2 usage, input or format errors (one stderr line,
-no traceback).
+pass, 1 a checked failure, 2 usage, input or format errors, 70 an internal
+error (``EX_SOFTWARE``: an exception the package did not mean to raise).
+Exits 2 and 70 print one stderr line, with no traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from random import Random
 from typing import Any, Callable, Iterable, NoReturn
 
 from . import chromatic, core, families, patterns, witness
-from .core import (Graph, balls, bits, degree_classes, diameter, induced, is_c3c4_free,
-                   is_connected, mask_of)
+from .core import Graph, balls, bits, degree_classes, diameter, induced, mask_of
 from .embed import capped, find_induced, is_isomorphic
 from .errors import FormatError, TreefreeError, UsageError
 from .graphio import Report, checked, emit_dot, emit_graph6, stream_corpus, timed
@@ -227,40 +227,17 @@ def verify_lemma(
     return _lemma_22_witnesses(lo)
 
 
-def _min_degree(g: Graph) -> int:
-    return min(degree_classes(g), default=0)
-
-
-def _gate(g: Graph, rooted: bool = False) -> str | None:
-    """The first hypothesis filter ``g`` fails, cheapest first ("disconnected",
-    "min_degree", "c3_c4"), or None.
-
-    ``rooted`` tests C3/C4 through the ``core.rotation_roots`` vertices
-    alone when g has a block rotation: the rotation is an automorphism and
-    some power of it carries any short cycle onto one through a root, so the
-    verdict is the all-vertex one (``core.is_c3c4_free``).  Only a caller
-    that reads the rotation anyway passes it, so detection is never paid
-    for the gate alone."""
-    if not is_connected(g):
-        return "disconnected"
-    if _min_degree(g) < 3:
-        return "min_degree"
-    if not is_c3c4_free(g, core.rotation_roots(g) if rooted else None):
-        return "c3_c4"
-    return None
-
-
 def _implication_report(check_id: str, g: Graph, gate: str | None, quantity: str,
                         value: int, clauses: tuple[tuple[str, int], ...]) -> Report:
-    """Search each clause whose threshold ``value`` reaches; vacuous when the
-    hypothesis filter ``gate`` failed or no threshold is reached."""
+    """Search each clause whose threshold ``value`` reaches; vacuous when
+    ``core.gate`` failed with the tag ``gate`` or no threshold is reached."""
     params: dict[str, Any] = {
         quantity: value,
         "thresholds": {name: thr for name, thr in clauses},
     }
     if gate is not None:
-        reasons = {"disconnected": "disconnected", "c3_c4": "contains C3 or C4"}
-        reason = reasons[gate] if gate in reasons else f"min degree {_min_degree(g)} < 3"
+        reason = {"disconnected": "disconnected", "c3_c4": "contains C3 or C4",
+                  "min_degree": f"min degree {min(degree_classes(g), default=0)} < 3"}[gate]
         params["reason"] = f"hypothesis gate failed: {reason}"
         return Report(check_id, params, status="vacuous")
     outcomes = {}
@@ -286,16 +263,15 @@ def check_diam_theorem(g: Graph) -> Report:
     """diam >= 20/16/12 must force an induced T8_1/T8_2/T9 respectively.
 
     A clause tree is built when a host first reaches its threshold, and
-    ``patterns.make`` keeps it for later hosts.  The gate's C3/C4 test, then
-    ``core.diameter`` and the clause searches all use the host's block
-    rotation, if it has one (``core.rotation_roots``, computed once per
-    graph, by the gate).  The rotation is an automorphism, so it carries
-    every short cycle onto one through an orbit root and every distance
-    onto one from a root; rooting keeps the first embedding.  So the
-    report does not depend on it.  A clause search on a host without a
-    rotation roots by its block swaps (``core.block_swaps``), if it has any.
+    ``patterns.make`` keeps it for later hosts.  The rooted gate's C3/C4
+    test (``core.gate``), then ``core.diameter`` and the clause searches all
+    use the host's block rotation, if it has one (``core.rotation_roots``,
+    computed once per graph, by the gate).  Each gives the verdict it would
+    give without it; rooting keeps the first embedding.  So the report does
+    not depend on it.  A clause search on a host without a rotation roots
+    by its block swaps (``core.block_swaps``), if it has any.
     """
-    gate = _gate(g, rooted=True)
+    gate = core.gate(g, rooted=True)
     value = diameter(g) if gate is None else -1
     return _implication_report("theorem.diam", g, gate, "diameter", value, DIAM_CLAUSES)
 
@@ -308,7 +284,7 @@ def check_maxdeg_theorem(g: Graph) -> Report:
     65535-vertex cap can have, so no input reaches the clause searches.
     """
     value = max(degree_classes(g), default=0)
-    return _implication_report("theorem.maxdeg", g, _gate(g), "max_degree", value, MAXDEG_CLAUSES)
+    return _implication_report("theorem.maxdeg", g, core.gate(g), "max_degree", value, MAXDEG_CLAUSES)
 
 
 @timed
@@ -328,7 +304,7 @@ def scan_corpus(source: Any, tree_id: str) -> Report:
     records = 0
     for index, g in stream_corpus(source):
         records += 1
-        verdict = _gate(g)
+        verdict = core.gate(g)
         if verdict is None:
             verdict = "member" if find_induced(pat.graph, g) is None else "tree_present"
         if verdict == "member":
@@ -372,6 +348,13 @@ def _at_least(least: int, name: str) -> Callable[[str], int]:
         return value
 
     return parse
+
+
+def _path(text: str) -> str:
+    """An argparse type for a file path that refuses a NUL byte, as ``open`` would, by ValueError."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path {text!r} holds a NUL byte")
+    return text
 
 
 def _write_json(payload: Any, path: str | None) -> None:
@@ -438,11 +421,15 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# newlines escaped, so that a message quoting an argument stays one stderr line
+_ONE_LINE = str.maketrans({"\n": "\\n", "\r": "\\r"})
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one stderr line, without the usage text."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.prog}: error: {message}".translate(_ONE_LINE) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -458,12 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="search a pattern in every host record")
-    p.add_argument("--host", required=True)
+    p.add_argument("--host", type=_path, required=True)
     p.add_argument("--pattern", required=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("chi", help="chromatic number of each record")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=_path, required=True)
     p.add_argument("--cap", type=_at_least(1, "cap"), default=chromatic.DEFAULT_CAP)
     p.set_defaults(func=_cmd_chi)
 
@@ -472,19 +459,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_range, default=None, help="size range A..B")
     p.add_argument("--seed", type=_at_least(0, "seed"), default=None,
                    help="lemmas 4.1, 5.1, 5.3 only; 5.1 and 5.3 sample by it, 4.1 checks every pair")
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", type=_path, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scan", help="filter a graph6 corpus")
-    p.add_argument("--corpus", required=True)
+    p.add_argument("--corpus", type=_path, required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", type=_path, default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("theorem", help="diameter / max-degree implications")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=_path, required=True)
     p.add_argument("--which", choices=("diam", "maxdeg"), required=True)
-    p.add_argument("--report", default=None)
+    p.add_argument("--report", type=_path, default=None)
     p.set_defaults(func=_cmd_theorem)
 
     return parser
@@ -506,15 +493,16 @@ def main(argv: list[str] | None = None) -> int:
             # an earlier run's file must not pass for this run's report if this run exits 2
             Path(report).unlink(missing_ok=True)
         return args.func(args)
-    except FormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
+    except (TreefreeError, OSError) as exc:
+        kind = "format " if isinstance(exc, FormatError) else "usage " if isinstance(exc, UsageError) else ""
+        print(f"{kind}error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (TreefreeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a bug, not bad input and not a counterexample; named with its innermost frame
+        import traceback  # here, not at the top: its import would add ~3 ms to every start
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} (at {Path(where.filename).name}:{where.lineno})"
+              .translate(_ONE_LINE), file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

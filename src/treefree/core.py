@@ -79,10 +79,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge list, deduplicating symmetric pairs."""
+def check_order(n: int) -> None:
+    """The one vertex-cap check: ConstructionError unless 0 <= n <= VERTEX_CAP."""
     if n < 0 or n > VERTEX_CAP:
         raise ConstructionError(f"vertex count {n} outside 0..{VERTEX_CAP}")
+
+
+def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from an edge list, deduplicating symmetric pairs."""
+    check_order(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -408,6 +413,22 @@ class GraphStats(NamedTuple):
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or balls(g, 1)[-1] == (1 << g.n) - 1
+
+
+def gate(g: Graph, rooted: bool = False, min_degree: int = 3) -> str | None:
+    """The one test of the class G̃3({C3,C4}): the first of "disconnected",
+    "min_degree" (below ``min_degree``) and "c3_c4" that ``g`` fails,
+    cheapest first, or None.  ``rooted`` tests C3/C4 through the
+    ``rotation_roots`` alone (see ``is_c3c4_free``), asked for only once the
+    first two tests pass; only a caller that reads the rotation anyway
+    passes it, so detection is never paid for the gate alone."""
+    if not is_connected(g):
+        return "disconnected"
+    if min(degree_classes(g), default=0) < min_degree:
+        return "min_degree"
+    if not is_c3c4_free(g, rotation_roots(g) if rooted else None):
+        return "c3_c4"
+    return None
 
 
 def is_bipartite(g: Graph) -> bool:

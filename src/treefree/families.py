@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Iterable
 
-from .core import (VERTEX_CAP, Graph, build, degree_classes, is_automorphism, is_c3c4_free,
-                   is_connected)
+from .core import VERTEX_CAP, Graph, build, degree_classes, gate, is_automorphism
 from .errors import ConstructionError
 
 
@@ -184,17 +183,13 @@ def vertex(family: str, s: int, label: str) -> int:
 
 
 def _validate(fg: NamedGraph, min_degree: int, regular: int | None = None) -> NamedGraph:
-    g, name = fg.graph, fg.id
-    if not is_connected(g):
-        raise ConstructionError(f"{name}: disconnected")
-    if not is_c3c4_free(g):
-        raise ConstructionError(f"{name}: contains a C3 or C4")
-    degrees = degree_classes(g)
-    low, high = min(degrees), max(degrees)
-    if low < min_degree:
-        raise ConstructionError(f"{name}: min degree {low} < {min_degree}")
-    if regular is not None and (low != regular or high != regular):
-        raise ConstructionError(f"{name}: not {regular}-regular")
+    """``fg``, or ConstructionError naming it and the first failed test:
+    ``core.gate`` with ``min_degree``, then ``regular`` degrees if given."""
+    failed = gate(fg.graph, min_degree=min_degree)
+    if failed:
+        raise ConstructionError(f"{fg.id}: fails the class gate: {failed}")
+    if regular is not None and degree_classes(fg.graph).keys() != {regular}:
+        raise ConstructionError(f"{fg.id}: not {regular}-regular")
     return fg
 
 

@@ -17,16 +17,10 @@ import re
 from dataclasses import replace
 from functools import lru_cache
 
-from .core import VERTEX_CAP, Graph, bits, build, contract_edge, degree_classes, is_connected
+from .core import Graph, bits, build, check_order, contract_edge, degree_classes, is_connected
 from .errors import ConstructionError, NotATreeError, UsageError
 from .families import NamedGraph, make_family, read_size
 from . import embed, families
-
-
-def _capped(n: int) -> None:
-    """Refuse an order above the cap, as ``build`` would, before any name is made."""
-    if n > VERTEX_CAP:
-        raise ConstructionError(f"vertex count {n} outside 0..{VERTEX_CAP}")
 
 
 def _tree(tree_id: str, parents: list[int], names: list[str]) -> NamedGraph:
@@ -38,7 +32,7 @@ def _tree(tree_id: str, parents: list[int], names: list[str]) -> NamedGraph:
 
 def _spine(tree_id: str, n: int, legs: list[tuple[int, str]]) -> NamedGraph:
     """The path u1..un plus legs: ``(i, "a b")`` hangs the path a-b from u_i."""
-    _capped(n + sum(len(leg.split()) for _, leg in legs))
+    check_order(n + sum(len(leg.split()) for _, leg in legs))
     parents = [0, *range(n - 1)]
     names = [f"u{i + 1}" for i in range(n)]
     for i, leg in legs:
@@ -59,7 +53,7 @@ def path(n: int) -> NamedGraph:
 def cycle(n: int) -> NamedGraph:
     if n < 3:
         raise ConstructionError("cycle needs n >= 3")
-    _capped(n)
+    check_order(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     return NamedGraph(f"C{n}", build(n, edges), {i: f"u{i + 1}" for i in range(n)})
 
@@ -118,7 +112,7 @@ def t8star(p1: int, p2: int) -> NamedGraph:
     """
     if p1 < 1 or p2 < 1:
         raise ConstructionError("t8star needs p1, p2 >= 1")
-    _capped(2 * p1 + 2 * p2 + 6)
+    check_order(2 * p1 + 2 * p2 + 6)
     parents = [0, 0, 1, 2, 1, 0]
     names = ["v", "a1", "b1", "w", "x1", f"a{p1 + 2}"]
     for hub, legs in ((0, [f"a{i} x{i}" for i in range(2, p1 + 2)]),

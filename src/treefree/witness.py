@@ -17,8 +17,9 @@ host record and k.  The scan is one loop over the orbit roots w
 (``core.orbits``) of the generators the ``families.NamedGraph`` carries,
 which the record checked when it was made (every vertex, given none): one
 table per root, each root's pair count weighted by its orbit size, and the
-violations sorted into (v, w) order.  Lemmas 5.1 and 5.3 check every base
-on masks, and 5.1 builds a ``derived_sets`` report only for a failing base.
+violations sorted into (v, w) order.  Lemmas 5.1 and 5.3 check 100 seeded
+bases per host (``cli._lemma_5x_suite``), each on masks, and 5.1 builds a
+``derived_sets`` report only for a failing base.
 """
 
 from __future__ import annotations

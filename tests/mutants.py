@@ -115,13 +115,21 @@ MUTANTS = (
            "                    return False\n", "",
            ("tests/test_core.py::test_rotation_roots_decide_c3c4_freeness",
             "tests/test_cli.py::test_the_diam_gate_sees_short_cycles_off_vertex_0_orbit")),
-    Mutant("diam-gate-unrooted", CLI, "gate = _gate(g, rooted=True)", "gate = _gate(g)",
+    # core.gate: the diam theorem asks for the rooted test, and the degree
+    # test reads the least degree
+    Mutant("diam-gate-unrooted", CLI, "gate = core.gate(g, rooted=True)", "gate = core.gate(g)",
            ("tests/test_cli.py::test_the_diam_gate_tests_c3c4_once_per_rotation_orbit",)),
-    Mutant("min-degree-reads-max", CLI, "return min(degree_classes(g), default=0)",
-           "return max(degree_classes(g), default=0)",
-           ("tests/test_cli.py::test_the_gate_reads_the_minimum_degree",)),
+    Mutant("min-degree-reads-max", CORE, "if min(degree_classes(g), default=0) < min_degree:",
+           "if max(degree_classes(g), default=0) < min_degree:",
+           ("tests/test_cli.py::test_the_gate_reads_the_minimum_degree",
+            "tests/test_core.py::test_the_gate_agrees_with_the_oracles")),
+    Mutant("families-gate-skipped", FAMILIES, "failed = gate(fg.graph, min_degree=min_degree)", "failed = None",
+           ("tests/test_families.py::test_a_host_outside_the_class_fails_construction_under_its_id",)),
+    # the one vertex-cap check, in build and before any catalog name is made
+    Mutant("build-uncapped", CORE, "    check_order(n)\n    rows = [0] * n\n", "    rows = [0] * n\n",
+           ("tests/test_core.py::test_build_refuses_an_order_outside_the_vertex_cap",)),
     Mutant("cycle-uncapped", PATTERNS,
-           "    _capped(n)\n    edges = [(i, (i + 1) % n) for i in range(n)]",
+           "    check_order(n)\n    edges = [(i, (i + 1) % n) for i in range(n)]",
            "    edges = [(i, (i + 1) % n) for i in range(n)]",
            ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
     # a pattern id matches one form in full, with ASCII digits, and each
@@ -207,18 +215,26 @@ MUTANTS = (
            ("tests/test_patterns.py::test_catalog_outputs_are_pinned",)),
     Mutant("t8star-a-legs-on-w", PATTERNS, 'for hub, legs in ((0, [f"a{i} x{i}"',
            'for hub, legs in ((3, [f"a{i} x{i}"', ("tests/test_patterns.py::test_catalog_outputs_are_pinned",)),
-    Mutant("spine-uncapped", PATTERNS, "    _capped(n + sum(len(leg.split()) for _, leg in legs))\n", "",
+    Mutant("spine-uncapped", PATTERNS, "    check_order(n + sum(len(leg.split()) for _, leg in legs))\n", "",
            ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
-    Mutant("t8star-uncapped", PATTERNS, "    _capped(2 * p1 + 2 * p2 + 6)\n", "",
+    Mutant("t8star-uncapped", PATTERNS, "    check_order(2 * p1 + 2 * p2 + 6)\n", "",
            ("tests/test_patterns.py::test_over_cap_catalog_ids_are_refused_before_anything_is_built",)),
     # the CLI's failure branches and report fields
-    Mutant("disconnected-gate-says-min-degree", CLI, 'return "disconnected"', 'return "min_degree"',
+    Mutant("disconnected-gate-says-min-degree", CORE, 'return "disconnected"', 'return "min_degree"',
            ("tests/test_cli.py::test_scan_corpus_returns_the_three_named_graphs",
             "tests/test_cli.py::test_diam_theorem_reports")),
     Mutant("lemma-25p-failure-ignored", CLI,
            '                return checked("lemma2.5p", host, False, {"failed_on": blocks[-1]}, blocks)\n',
            "                pass\n",
            ("tests/test_cli.py::test_a_rejected_lemma_host_is_the_counterexample_and_exits_one",)),
+    # exit 2 is bad input, a missing file included, and 70 an internal
+    # error; a usage error quoting a newline stays one line
+    Mutant("os-error-read-as-internal", CLI, "except (TreefreeError, OSError) as exc:",
+           "except TreefreeError as exc:", ("tests/test_cli.py::test_cli_missing_corpus_exits_two",)),
+    Mutant("internal-error-exits-one", CLI, "        return 70\n", "        return 1\n",
+           ("tests/test_cli.py::test_an_internal_error_exits_70_in_one_line",)),
+    Mutant("usage-error-newline-unescaped", CLI, '{message}".translate(_ONE_LINE) + "\\n"', '{message}\\n"',
+           ("tests/test_cli.py::test_cli_usage_and_format_errors",)),
     Mutant("check-line-without-embedding", CLI, 'contains {pat.id} at {list(emb)}"', 'contains {pat.id}"',
            ("tests/test_cli.py::test_cli_check_names_where_the_pattern_is",)),
     Mutant("geodesic-clause-ii-as-i", WITNESS, '{"clause": "ii", "edge"', '{"clause": "i", "edge"',
@@ -338,7 +354,10 @@ def _pytest(src: Path, tests: list[str]) -> int:
     probe = "import sys, treefree; sys.exit(not treefree.__file__.startswith(sys.argv[1]))"
     if subprocess.run([sys.executable, "-c", probe, str(src)], cwd=ROOT, env=env).returncode:
         raise SystemExit(f"treefree is not imported from the copy at {src}")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    # the hypothesis plugin's import is most of a short run's start-up; the
+    # hypothesis tests import hypothesis themselves and still run
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+           *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

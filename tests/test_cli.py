@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import json
+import re
 import subprocess
 import sys
 import time
@@ -157,8 +158,10 @@ def test_the_diam_gate_sees_short_cycles_off_vertex_0_orbit():
 def test_the_diam_gate_tests_c3c4_once_per_rotation_orbit(monkeypatch):
     # gp(129) has 2 rotation orbits: the diam gate makes one row union per
     # root, and the max-degree gate, which does not read the rotation, one
-    # per vertex
-    test, union = cli.is_c3c4_free, core.nbhd
+    # per vertex.  The host is built first, so its construction's own gate
+    # call is not counted
+    g = gp(129).graph
+    test, union = core.is_c3c4_free, core.nbhd
     unions = []  # row unions made inside each C3/C4 test
     inside = []
 
@@ -175,12 +178,25 @@ def test_the_diam_gate_tests_c3c4_once_per_rotation_orbit(monkeypatch):
             unions[-1] += 1
         return union(g, mask)
 
-    monkeypatch.setattr(cli, "is_c3c4_free", counted_test)
+    monkeypatch.setattr(core, "is_c3c4_free", counted_test)
     monkeypatch.setattr(core, "nbhd", counted_union)
-    g = gp(129).graph
     assert check_diam_theorem(g).passed
     assert check_maxdeg_theorem(g).params["reason"] == "no threshold reached at this scale"
     assert unions == [2, 258]
+
+
+def test_the_diam_gate_asks_for_no_rotation_before_its_c3c4_test(monkeypatch):
+    # a host that fails connectivity or the minimum degree is refused before
+    # the rooted C3/C4 test, so its rotation is never detected
+    asked = []
+    detect = core.rotation_roots
+    monkeypatch.setattr(core, "rotation_roots", lambda g: asked.append(g.n) or detect(g))
+    for g, reason in ((_two_petersens(), "disconnected"), (cycle(9).graph, "min degree 2 < 3")):
+        assert check_diam_theorem(g).params["reason"] == f"hypothesis gate failed: {reason}"
+    assert asked == []
+    # a class member is tested through its orbit roots, and its diameter read by them
+    assert check_diam_theorem(petersen().graph).status == "vacuous"
+    assert asked and set(asked) == {10}
 
 
 def test_diam_theorem_reaches_the_t8_clauses():
@@ -654,6 +670,26 @@ def test_cli_usage_and_format_errors(capsys, tmp_path):
                          (["verify", "--lemma", "2.3", "--s", "3.." + nines], "a size of 5000 digits"),
                          (["verify", "--lemma", "4.1", "--seed", "0" + nines], "seed of 5000 digits")):
         assert len(_exit_two_with_one_line(capsys, argv, needle)) < 80
+    # an argument holding a newline is quoted with the newline escaped, and a
+    # path holding a NUL byte is refused before open() sees it
+    _exit_two_with_one_line(capsys, ["verify", "--lemma", "2.3", "x\ny"], "unrecognized arguments: x\\ny")
+    for argv in (["scan", "--corpus", "a\0b", "--tree", "P8"], ["verify", "--lemma", "2.3", "--report", "a\0b"]):
+        _exit_two_with_one_line(capsys, argv, "holds a NUL byte")
+
+
+@pytest.mark.parametrize("error", [IndexError("list index out of range"), ValueError("a\nb"), KeyError(3)])
+def test_an_internal_error_exits_70_in_one_line(monkeypatch, capsys, error):
+    # exit 1 is a counterexample and exit 2 bad input; an exception the
+    # package did not mean to raise is neither
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_lemma", broken)
+    assert main(["verify", "--lemma", "2.3"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    # the line names the exception and the frame that raised it
+    assert re.fullmatch(rf"internal error: {type(error).__name__}: .+ \(at test_cli\.py:[0-9]+\)\n", err)
 
 
 def _exit_two_with_one_line(capsys, argv, needle):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treefree import core
 from treefree.core import (
+    VERTEX_CAP,
     bits,
     block_swaps,
     build,
@@ -35,6 +36,7 @@ from treefree.patterns import cycle, heawood, path, petersen
 from treefree.embed import is_isomorphic
 
 from .oracles import (
+    bfs_distances,
     brute_diameter,
     generalized_petersen,
     generator_orbits,
@@ -62,6 +64,13 @@ def test_build_rejects_loop():
 def test_build_rejects_out_of_range():
     with pytest.raises(ConstructionError):
         build(3, [(0, 3)])
+
+
+def test_build_refuses_an_order_outside_the_vertex_cap():
+    for n in (-1, VERTEX_CAP + 1):
+        with pytest.raises(ConstructionError, match=f"^vertex count {n} outside 0..65535$"):
+            build(n, [])
+    assert build(VERTEX_CAP, []).n == VERTEX_CAP
 
 
 def test_build_dedups_symmetric_pair():
@@ -405,6 +414,50 @@ def test_rotation_roots_decide_c3c4_freeness():
         roots = rotation_roots(g)
         assert roots == 1 | 1 << n
         assert not is_c3c4_free(g, roots) and is_c3c4_free(g, roots & -roots)
+
+
+def _oracle_gates(g):
+    """The class test from the oracles, at the minimum degrees 0, 2 and 3:
+    BFS reach, the least row popcount, then the exhaustive short-cycle search."""
+    if -1 in bfs_distances(g, 0):
+        return ["disconnected"] * 3
+    short = "c3_c4" if has_c3_or_c4(g) else None
+    return ["min_degree" if min(g.degree(v) for v in range(g.n)) < least else short for least in (0, 2, 3)]
+
+
+def test_the_gate_agrees_with_the_oracles():
+    # 200 seeded graphs: random ones (mostly short-cycled or disconnected),
+    # and relabelled girth-5 cubic ones whole, with an edge cut (minimum
+    # degree 2) or beside a copy of themselves (disconnected, minimum degree 3)
+    rng = Random(41)
+    cubics = [random_girth5_cubic(rng, n) for n in (10, 12, 14, 14)]
+    tags = set()
+    for i in range(200):
+        if i % 4:
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.35, 0.5)))
+        else:
+            cubic = rng.choice(cubics)
+            perm = rng.sample(range(cubic.n), cubic.n)
+            edges = [(perm[a], perm[b]) for a, b in cubic.edges()]
+            g = [build(cubic.n, edges), build(cubic.n, edges[1:]),
+                 build(2 * cubic.n, edges + [(a + cubic.n, b + cubic.n) for a, b in edges])][i // 4 % 3]
+        assert [core.gate(g, min_degree=least) for least in (0, 2, 3)] == _oracle_gates(g), emit_graph6(g)
+        tags.add(core.gate(g))
+    assert tags == {"disconnected", "min_degree", "c3_c4", None}
+
+
+def test_the_rooted_gate_agrees_with_the_oracles_on_rotation_hosts():
+    # GP(n, k) has the block rotation; GP(8, 2)'s C4s and GP(9, 3)'s C3s miss
+    # vertex 0's orbit, and GP(12, 1), the prism, has C4s through it
+    for n, k in ((5, 2), (7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (12, 1), (12, 5), (13, 5)):
+        g = generalized_petersen(n, k)
+        assert rotation_roots(g) is not None
+        assert core.gate(g, rooted=True) == core.gate(g) == _oracle_gates(g)[2], (n, k)
+    # the gate's two cheaper tests come first, rooted or not
+    gp7 = generalized_petersen(7, 2)
+    cut = build(gp7.n, list(gp7.edges())[1:])
+    assert core.gate(cut, rooted=True) == "min_degree"
+    assert core.gate(gp(129).graph, rooted=True) is None
 
 
 def test_shortest_cycle_examples():

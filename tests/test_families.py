@@ -12,12 +12,13 @@ import pytest
 from treefree.core import VERTEX_CAP, build, diameter, induced, is_automorphism, is_c3c4_free, stats
 from treefree.embed import is_isomorphic
 from treefree.errors import ConstructionError
-from treefree.families import gp, h1, h2, h3, h4, make_family, order, vertex
+from treefree import families
+from treefree.families import NamedGraph, gp, h1, h2, h3, h4, make_family, order, vertex
 from treefree.graphio import emit_dot, emit_graph6
 from treefree.patterns import cycle, path, petersen, s_tree, t_tree
 
-from .oracles import (automorphism_orbits, generator_orbits, networkx_graph, oracle_is_automorphism,
-                      random_girth5_cubic, shortest_cycle, verify_embedding)
+from .oracles import (automorphism_orbits, generalized_petersen, generator_orbits, networkx_graph,
+                      oracle_is_automorphism, random_girth5_cubic, shortest_cycle, verify_embedding)
 
 
 def _ids(family: str, s: int, labels: str) -> list[int]:
@@ -283,6 +284,28 @@ def test_a_corrupted_generator_fails_construction(make, size):
         for q in fg.generators:
             product = _compose(p, q)
             assert is_automorphism(g, product) and oracle_is_automorphism(g, product)
+
+
+def test_a_host_outside_the_class_fails_construction_under_its_id():
+    # the constructors' check is core.gate plus the regularity h3 and gp
+    # promise; each failure names the record and the gate's tag
+    pet = petersen().graph
+    (a, b), *rest = pet.edges()
+    cases = (
+        (build(20, [(x + 10 * c, y + 10 * c) for c in (0, 1) for x, y in pet.edges()]), None, "disconnected"),
+        (generalized_petersen(4, 1), 3, "c3_c4"),  # the cube
+        (build(11, [*rest, (a, 10), (10, b)]), None, "min_degree"),  # Petersen, one edge subdivided
+        (h1(2).graph, 3, "not 3-regular"),  # in the class, with hubs of degree 4
+    )
+    for k, (g, regular, needle) in enumerate(cases):
+        fg = NamedGraph(f"host:{k}", g, {})
+        with pytest.raises(ConstructionError, match=f"^host:{k}: .*{needle}$"):
+            families._validate(fg, 3, regular)
+    assert families._validate(h1(2), 3) == h1(2)
+    # h1(1)'s hubs have degree 2, which its size allows
+    assert families._validate(h1(1), 2) == h1(1)
+    with pytest.raises(ConstructionError, match="^h1:1: .*min_degree$"):
+        families._validate(h1(1), 3)
 
 
 def test_a_map_that_keeps_the_moved_rows_must_still_be_a_permutation():
